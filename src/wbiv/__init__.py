@@ -38,6 +38,7 @@ from .kclass import (
     restricted_kclass_fit,
     restricted_ols_fit,
 )
+from .registry import run_tests
 from .simulate import (
     DgpConfig,
     RejectionTable,

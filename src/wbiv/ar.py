@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .cce import cluster_score_sums
-from .data import ClusteredDataset, PartialledDesign, partial_out_exogenous
+from .cce import _inv_psd, cluster_score_sums
+from .data import ClusteredDataset, PartialledDesign
 from .exceptions import InputError, NumericalError
-from .inference import BootstrapTestResult, SignSet, finish_test, make_sign_set
+from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test, result_or_raise
 from .kclass import RestrictedOlsFit, restricted_ols_fit
 
 
@@ -71,17 +71,18 @@ def _ar_norms(score_sums: np.ndarray, signs: np.ndarray, n: int, weight: np.ndar
     return np.sqrt(n * np.maximum(_row_quadratic(f, weight), 0.0))
 
 
-def _check_weighting(a_z: np.ndarray | None, d_z: int) -> np.ndarray:
-    if a_z is None:
-        return np.eye(d_z)
-    a_z = np.asarray(a_z, dtype=np.float64)
-    if a_z.shape != (d_z, d_z):
-        raise InputError(f"weighting matrix must be {d_z}x{d_z}")
-    if not np.allclose(a_z, a_z.T, atol=1e-12):
+def check_weighting(weight: np.ndarray | None, d: int) -> np.ndarray:
+    """A d x d symmetric positive definite weighting matrix; identity when None."""
+    if weight is None:
+        return np.eye(d)
+    weight = np.asarray(weight, dtype=np.float64)
+    if weight.shape != (d, d):
+        raise InputError(f"weighting matrix must be {d}x{d}")
+    if not np.allclose(weight, weight.T, atol=1e-12):
         raise InputError("weighting matrix must be symmetric")
-    if np.linalg.eigvalsh(a_z)[0] <= 0.0:
+    if np.linalg.eigvalsh(weight)[0] <= 0.0:
         raise InputError("weighting matrix must be positive definite")
-    return a_z
+    return weight
 
 
 def ar_statistics(
@@ -90,7 +91,7 @@ def ar_statistics(
     A_z: np.ndarray | None = None,
 ) -> ArStatistics:
     """Compute AR_n and, when the null CCE is invertible, AR_CR_n."""
-    a_z = _check_weighting(A_z, design.d_z)
+    a_z = check_weighting(A_z, design.d_z)
     s = cluster_score_sums(design, restricted_ols.resid)
     n = design.n
     iota = np.ones((1, design.q))
@@ -98,14 +99,11 @@ def ar_statistics(
     # computed through the bootstrap pipeline so AR*(iota) == AR_n bitwise
     ar_n = float(_ar_norms(s, iota, n, a_z)[0])
 
-    omega = s.T @ s / n
-    sv = np.linalg.svd(omega, compute_uv=False)
-    if sv[0] > 0.0 and sv[-1] / sv[0] > 1e-13:
-        a_cr = np.linalg.inv(omega)
+    try:
+        a_cr = _inv_psd(s.T @ s / n, "null-imposed CCE")
         ar_cr_n = float(_ar_norms(s, iota, n, a_cr)[0])
-    else:
-        a_cr = None
-        ar_cr_n = None
+    except NumericalError:
+        a_cr, ar_cr_n = None, None
     return ArStatistics(
         f_hat=f_hat,
         ar_n=ar_n,
@@ -125,41 +123,6 @@ def ar_bootstrap_distribution(
     """AR*(g) over the sign set; the weighting stays at its sample value."""
     weight = stats.A_cr if studentize else stats.A_z
     return _ar_norms(stats.score_sums, np.asarray(signs, dtype=np.float64), n, weight)
-
-
-def ar_bootstrap_test(
-    dataset: ClusteredDataset,
-    beta_0,
-    studentize: bool = False,
-    sign_set: SignSet | None = None,
-    alpha: float = 0.1,
-    A_z: np.ndarray | None = None,
-    design: PartialledDesign | None = None,
-) -> BootstrapTestResult:
-    """Sign-flip bootstrap AR test of the full-vector null beta = beta_0."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie strictly between 0 and 1")
-    if design is None:
-        design = partial_out_exogenous(dataset)
-    if sign_set is None:
-        sign_set = make_sign_set(dataset.q)
-    if sign_set.q != dataset.q:
-        raise InputError("sign set was built for a different number of clusters")
-    if studentize and dataset.q <= dataset.d_z:
-        raise InputError("studentized AR needs more clusters than instruments (q > d_z)")
-    rols = restricted_ols_fit(dataset, beta_0)
-    stats = ar_statistics(design, rols, A_z)
-    if studentize and stats.ar_cr_n is None:
-        raise NumericalError("singular null-imposed CCE (q <= d_z or degenerate scores)")
-    statistic = stats.ar_cr_n if studentize else stats.ar_n
-    boot = ar_bootstrap_distribution(stats, sign_set.vectors, dataset.n, studentize)
-    return finish_test(
-        "ar-cr" if studentize else "ar",
-        statistic,
-        boot,
-        sign_set,
-        alpha,
-    )
 
 
 @dataclass(frozen=True)
@@ -188,6 +151,57 @@ def chi2_quantile(p: float, df: int) -> float:
     return float(scipy.stats.chi2.ppf(p, df))
 
 
+def ar_tests(
+    dataset: ClusteredDataset,
+    design: PartialledDesign,
+    beta_0,
+    names,
+    sign_set: SignSet,
+    alpha: float,
+    A_z: np.ndarray | None,
+) -> dict:
+    """The ar, ar-cr and ar-cr-asymptotic tests among ``names`` from one set
+    of AR statistics. ar-cr maps to an InputError unless q > d_z, and the
+    CCE-weighted tests map to a NumericalError when the null-imposed CCE is
+    singular."""
+    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0), A_z)
+    out = {}
+    for name in names:
+        if name == "ar-cr" and dataset.q <= dataset.d_z:
+            out[name] = InputError("studentized AR needs more clusters than instruments (q > d_z)")
+        elif name != "ar" and stats.ar_cr_n is None:
+            out[name] = NumericalError("singular null-imposed CCE (q <= d_z or degenerate scores)")
+        elif name == "ar-cr-asymptotic":
+            df = stats.f_hat.shape[0]
+            cv = chi2_quantile(1.0 - alpha, df)
+            stat_sq = stats.ar_cr_n**2
+            out[name] = AsymptoticArResult(
+                statistic_sq=float(stat_sq), critical_value=cv, reject=bool(stat_sq > cv),
+                alpha=alpha, df=df,
+            )
+        else:
+            studentize = name == "ar-cr"
+            statistic = stats.ar_cr_n if studentize else stats.ar_n
+            boot = ar_bootstrap_distribution(stats, sign_set.vectors, dataset.n, studentize)
+            out[name] = finish_test(name, statistic, boot, sign_set, alpha)
+    return out
+
+
+def ar_bootstrap_test(
+    dataset: ClusteredDataset,
+    beta_0,
+    studentize: bool = False,
+    sign_set: SignSet | None = None,
+    alpha: float = 0.1,
+    A_z: np.ndarray | None = None,
+    design: PartialledDesign | None = None,
+) -> BootstrapTestResult:
+    """Sign-flip bootstrap AR test of the full-vector null beta = beta_0."""
+    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
+    name = "ar-cr" if studentize else "ar"
+    return result_or_raise(ar_tests(dataset, design, beta_0, [name], sign_set, alpha, A_z)[name])
+
+
 def ar_asymptotic_cr_test(
     dataset: ClusteredDataset,
     beta_0,
@@ -196,18 +210,6 @@ def ar_asymptotic_cr_test(
 ) -> AsymptoticArResult:
     """Reject when the squared CCE-weighted AR statistic exceeds the
     chi-squared quantile with d_z degrees of freedom."""
-    if design is None:
-        design = partial_out_exogenous(dataset)
-    rols = restricted_ols_fit(dataset, beta_0)
-    stats = ar_statistics(design, rols)
-    if stats.ar_cr_n is None:
-        raise NumericalError("singular null-imposed CCE (q <= d_z or degenerate scores)")
-    cv = chi2_quantile(1.0 - alpha, dataset.d_z)
-    stat_sq = stats.ar_cr_n**2
-    return AsymptoticArResult(
-        statistic_sq=float(stat_sq),
-        critical_value=cv,
-        reject=bool(stat_sq > cv),
-        alpha=alpha,
-        df=dataset.d_z,
-    )
+    sign_set, design = prepare_test(dataset, None, design, alpha)
+    name = "ar-cr-asymptotic"
+    return result_or_raise(ar_tests(dataset, design, beta_0, [name], sign_set, alpha, None)[name])

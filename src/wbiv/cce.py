@@ -57,21 +57,14 @@ def cce_matrix(
     design: PartialledDesign,
     residuals: np.ndarray,
     lambda_beta: np.ndarray,
-    small_sample: bool = False,
 ) -> CceBundle:
     """CCE bundle from unrestricted residuals.
 
     A_r_CR is the inverse of lambda' V_hat lambda, the weighting that turns
-    the Wald deviation into its studentized form. ``small_sample`` applies
-    the conventional q/(q-1) factor to Omega_CR; it is off by default and
-    never used by the bootstrap tests (applied to both sides it would cancel
-    from every decision anyway).
+    the Wald deviation into its studentized form.
     """
     s = cluster_score_sums(design, residuals)
     omega = s.T @ s / design.n
-    if small_sample:
-        q = design.q
-        omega = omega * (q / (q - 1.0))
     return _assemble(design.Q_ZX, design.Q_ZZ, omega, lambda_beta)
 
 

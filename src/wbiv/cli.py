@@ -12,23 +12,21 @@ import sys
 
 import numpy as np
 
-from .ar import ar_asymptotic_cr_test, ar_bootstrap_test
 from .confidence import TestSpec, invert_confidence_set
 from .data import Hypothesis, assumption_diagnostics, cluster_first_stage, partial_out_exogenous
 from .exceptions import InputError, NumericalError
-from .inference import make_sign_set
-from .io import load_config, load_csv, write_results
-from .kclass import METHODS, fit_method, kappa_value
+from .inference import make_sign_set, result_or_raise
+from .io import load_config, load_csv, render, write_results
+from .kclass import METHODS, fit_method
+from .registry import FULL_VECTOR, TESTS, lookup, run_tests
 from .simulate import (
     DgpConfig,
     default_power_grid,
     run_power_experiment,
     run_size_experiment,
 )
-from .wald import score_bootstrap_wald_test, wrec_wald_test
-from .weakiv import lm_cqlr_bootstrap_test
 
-TEST_CHOICES = ("wald", "wald-cr", "ar", "ar-cr", "lm", "cqlr", "score-wald")
+TEST_HELP = "one of " + ", ".join(TESTS)
 
 
 class _UsageError(Exception):
@@ -94,7 +92,7 @@ def build_parser() -> _Parser:
     p_test = subs.add_parser("test", help="run one bootstrap test")
     _add_io_args(p_test)
     _add_common(p_test)
-    p_test.add_argument("--test", choices=TEST_CHOICES, required=True)
+    p_test.add_argument("--test", required=True, help=TEST_HELP)
     p_test.add_argument("--method", choices=METHODS, default="tsls")
     p_test.add_argument("--fuller-c", type=float, default=1.0)
     p_test.add_argument("--beta0", help="comma-separated null value(s) of beta (default 0)")
@@ -104,12 +102,11 @@ def build_parser() -> _Parser:
     p_test.add_argument("--signs", choices=("auto", "exhaustive", "sampled"), default="auto")
     p_test.add_argument("-B", "--boot-reps", type=int, default=499)
     p_test.add_argument("--full", action="store_true", help="include the bootstrap distribution")
-    p_test.add_argument("--workers", type=int, default=1)
 
     p_cs = subs.add_parser("cs", help="confidence set by grid test inversion")
     _add_io_args(p_cs)
     _add_common(p_cs)
-    p_cs.add_argument("--test", choices=TEST_CHOICES, default="ar")
+    p_cs.add_argument("--test", default="ar", help=TEST_HELP)
     p_cs.add_argument("--method", choices=METHODS, default="tsls")
     p_cs.add_argument("--fuller-c", type=float, default=1.0)
     p_cs.add_argument("--grid-lo", type=float, default=-10.0)
@@ -156,25 +153,16 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def _emit(args, record):
+    full = getattr(args, "full", False)
     if args.out:
-        write_results(record, args.out, format=args.format,
-                      include_distribution=getattr(args, "full", False))
+        write_results(record, args.out, format=args.format, include_distribution=full)
     else:
-        from .io import _json_bytes, rejection_table_record
-        from .simulate import RejectionTable
-
-        if isinstance(record, RejectionTable):
-            payload = rejection_table_record(record)
-        elif hasattr(record, "to_record"):
-            payload = record.to_record(getattr(args, "full", False))
-        else:
-            payload = record
-        sys.stdout.write(_json_bytes(payload))
+        sys.stdout.write(render(record, args.format, include_distribution=full))
 
 
 def _hypothesis(args, d_x: int) -> Hypothesis:
     beta0 = _floats(args.beta0) if args.beta0 else [0.0] * d_x
-    if args.test in ("ar", "ar-cr", "lm", "cqlr"):
+    if lookup(args.test, TESTS) in FULL_VECTOR:
         if len(beta0) != d_x:
             raise InputError(f"--beta0 must give {d_x} value(s) for a full-vector test")
         return Hypothesis.full_vector(beta0)
@@ -190,7 +178,6 @@ def _hypothesis(args, d_x: int) -> Hypothesis:
 def _cmd_fit(args) -> dict:
     dataset = _load(args)
     design = partial_out_exogenous(dataset)
-    kappa = kappa_value(args.method, dataset, design, args.fuller_c)
     fit = fit_method(dataset, design, args.method, args.fuller_c)
     slopes = cluster_first_stage(dataset)
     diag = assumption_diagnostics(design)
@@ -198,7 +185,7 @@ def _cmd_fit(args) -> dict:
         "method": args.method,
         "n": dataset.n,
         "q": dataset.q,
-        "kappa": kappa,
+        "kappa": fit.kappa,
         "beta_hat": fit.beta_hat.tolist(),
         "gamma_hat": fit.gamma_hat.tolist(),
         "first_stage_by_cluster": {
@@ -214,21 +201,11 @@ def _cmd_test(args):
     dataset = _load(args)
     hyp = _hypothesis(args, dataset.d_x)
     sign_set = make_sign_set(dataset.q, args.signs, B=args.boot_reps, seed=args.seed)
-    if args.test in ("wald", "wald-cr"):
-        return wrec_wald_test(
-            dataset, hyp, method=args.method, studentize=(args.test == "wald-cr"),
-            sign_set=sign_set, alpha=args.alpha, fuller_c=args.fuller_c,
-        )
-    if args.test == "score-wald":
-        return score_bootstrap_wald_test(dataset, hyp, alpha=args.alpha, sign_set=sign_set)
-    if args.test in ("ar", "ar-cr"):
-        return ar_bootstrap_test(
-            dataset, hyp.lambda_0, studentize=(args.test == "ar-cr"),
-            sign_set=sign_set, alpha=args.alpha,
-        )
-    return lm_cqlr_bootstrap_test(
-        dataset, hyp.lambda_0, statistic=args.test, sign_set=sign_set, alpha=args.alpha
+    results = run_tests(
+        dataset, [args.test], hyp, estimator=args.method, fuller_c=args.fuller_c,
+        sign_set=sign_set, alpha=args.alpha,
     )
+    return result_or_raise(results[args.test])
 
 
 def _cmd_cs(args):

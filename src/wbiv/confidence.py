@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import ar_bootstrap_test
 from .data import ClusteredDataset, Hypothesis, PartialledDesign, partial_out_exogenous
 from .exceptions import InputError
-from .inference import AUTO_EXHAUSTIVE_MAX_Q, SignSet, make_sign_set
-from .wald import score_bootstrap_wald_test, wrec_wald_test
-from .weakiv import lm_cqlr_bootstrap_test
-
-GRID_TESTS = ("wald", "wald-cr", "ar", "ar-cr", "score-wald", "lm", "cqlr")
+from .inference import AUTO_EXHAUSTIVE_MAX_Q, SignSet, make_sign_set, result_or_raise
+from .registry import TESTS, lookup, run_tests
 
 
 @dataclass(frozen=True)
@@ -34,8 +30,7 @@ class TestSpec:
     fuller_c: float = 1.0
 
     def __post_init__(self):
-        if self.test not in GRID_TESTS:
-            raise InputError(f"unknown test {self.test!r}; expected one of {GRID_TESTS}")
+        lookup(self.test, TESTS)
 
 
 @dataclass(frozen=True)
@@ -103,25 +98,12 @@ def _test_one(
     sign_set: SignSet,
 ) -> bool:
     """True when H0: beta = b is *not* rejected."""
-    if spec.test in ("wald", "wald-cr"):
-        hyp = Hypothesis.wald(np.ones((1, 1)), [b])
-        res = wrec_wald_test(
-            dataset, hyp, method=spec.estimator, studentize=(spec.test == "wald-cr"),
-            sign_set=sign_set, alpha=alpha, fuller_c=spec.fuller_c, design=design,
-        )
-    elif spec.test == "score-wald":
-        hyp = Hypothesis.wald(np.ones((1, 1)), [b])
-        res = score_bootstrap_wald_test(dataset, hyp, alpha=alpha, sign_set=sign_set, design=design)
-    elif spec.test in ("ar", "ar-cr"):
-        res = ar_bootstrap_test(
-            dataset, [b], studentize=(spec.test == "ar-cr"),
-            sign_set=sign_set, alpha=alpha, design=design,
-        )
-    else:
-        res = lm_cqlr_bootstrap_test(
-            dataset, [b], statistic=spec.test, sign_set=sign_set, alpha=alpha, design=design
-        )
-    return not res.reject
+    results = run_tests(
+        dataset, [spec.test], Hypothesis.full_vector([b]),
+        estimator=spec.estimator, fuller_c=spec.fuller_c, sign_set=sign_set, alpha=alpha,
+        design=design,
+    )
+    return not result_or_raise(results[spec.test]).reject
 
 
 def _grid_chunk(args) -> list[bool]:

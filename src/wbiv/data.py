@@ -155,7 +155,7 @@ class PartialledDesign:
     """Instruments residualized on W plus all cluster-level moment matrices.
 
     ``Q_ZZ_j`` etc. carry the per-cluster 1/n_j scaling; the pooled ``Q_ZZ``,
-    ``Q_ZX``, ``Q_WW`` carry 1/n. The orthonormal bases of span(W) and
+    ``Q_ZX`` carry 1/n. The orthonormal bases of span(W) and
     span(Z_tilde) are kept so projection quadratic forms never require an
     explicit inverse of W'W.
     """
@@ -166,7 +166,6 @@ class PartialledDesign:
     Q_ZW_j: np.ndarray  # (q, d_z, d_w)
     Q_ZZ: np.ndarray
     Q_ZX: np.ndarray
-    Q_WW: np.ndarray
     cluster_sizes: np.ndarray
     cluster_starts: np.ndarray
     basis_W: np.ndarray   # orthonormal, spans W columns
@@ -242,7 +241,6 @@ def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
         Q_ZW_j=_freeze(q_zw_j),
         Q_ZZ=_freeze(z_tilde.T @ z_tilde / n),
         Q_ZX=_freeze(z_tilde.T @ X / n),
-        Q_WW=_freeze(W.T @ W / n),
         cluster_sizes=sizes,
         cluster_starts=dataset.cluster_starts,
         basis_W=_freeze(u_w),
@@ -301,12 +299,11 @@ def cluster_first_stage(dataset: ClusteredDataset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """Linear restriction lambda_beta' beta = lambda_0, or a full vector beta_0."""
+    """Linear restriction lambda_beta' beta = lambda_0; the full-vector null
+    beta = beta_0 is the case lambda_beta = I, lambda_0 = beta_0."""
 
     lambda_beta: np.ndarray  # (d_x, d_r)
     lambda_0: np.ndarray     # (d_r,)
-    beta_0: np.ndarray | None = None
-    mode: str = "wald"
 
     @property
     def d_r(self) -> int:
@@ -322,15 +319,10 @@ class Hypothesis:
             raise InputError("need 1 <= d_r <= d_x restrictions")
         if np.linalg.matrix_rank(lam) < lam.shape[1]:
             raise InputError("lambda_beta must have full column rank")
-        return Hypothesis(lambda_beta=_freeze(lam), lambda_0=_freeze(lam0), mode="wald")
+        return Hypothesis(lambda_beta=_freeze(lam), lambda_0=_freeze(lam0))
 
     @staticmethod
     def full_vector(beta_0) -> "Hypothesis":
         b0 = np.atleast_1d(np.asarray(beta_0, dtype=np.float64))
         lam = np.eye(b0.shape[0])
-        return Hypothesis(
-            lambda_beta=_freeze(lam),
-            lambda_0=_freeze(b0.copy()),
-            beta_0=_freeze(b0),
-            mode="full_vector",
-        )
+        return Hypothesis(lambda_beta=_freeze(lam), lambda_0=_freeze(b0.copy()))

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .data import ClusteredDataset, PartialledDesign, partial_out_exogenous
 from .exceptions import InputError
 from .rng import substream
 
@@ -75,6 +76,35 @@ def make_sign_set(q: int, policy: str = "auto", B: int = DEFAULT_B, seed=0) -> S
     return SignSet(mode="sampled", q=q, vectors=vectors, seed=seed, B=B)
 
 
+def prepare_test(
+    dataset: ClusteredDataset,
+    sign_set: SignSet | None,
+    design: PartialledDesign | None,
+    alpha: float = 0.1,
+) -> tuple[SignSet, PartialledDesign]:
+    """Check alpha and the sign set, and fill in the inputs every test shares.
+
+    A missing sign set is the auto-policy set for the dataset's clusters, a
+    missing design the dataset's partialled design.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InputError("alpha must lie strictly between 0 and 1")
+    if design is None:
+        design = partial_out_exogenous(dataset)
+    if sign_set is None:
+        sign_set = make_sign_set(dataset.q)
+    if sign_set.q != dataset.q:
+        raise InputError("sign set was built for a different number of clusters")
+    return sign_set, design
+
+
+def result_or_raise(result):
+    """A test's result, or the failure it was recorded with raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def critical_value(boot_stats: np.ndarray, alpha: float) -> float:
     """The k-th smallest bootstrap statistic with k = ceil(m (1 - alpha)).
 
@@ -98,7 +128,7 @@ def critical_value(boot_stats: np.ndarray, alpha: float) -> float:
 def bootstrap_pvalue(boot_stats: np.ndarray, statistic: float) -> float:
     """Share of bootstrap statistics at or above the sample statistic."""
     stats = np.asarray(boot_stats, dtype=np.float64).ravel()
-    return float(np.mean(stats >= statistic))
+    return float(np.count_nonzero(stats >= statistic) / stats.size)
 
 
 @dataclass(frozen=True)

@@ -177,36 +177,36 @@ def rejection_table_record(table: RejectionTable) -> dict:
     return {"kind": table.kind, "rows": rows}
 
 
-def write_results(record, path, format: str = "json", include_distribution: bool = False) -> None:
-    """Serialize a result record to ``path``.
+def render(record, format: str, include_distribution: bool) -> str:
+    """The text of a result record in ``format`` ("json" or "csv").
 
     Accepts anything with ``to_record()`` (test results, confidence sets), a
     RejectionTable, or a plain dict. CSV output is only defined for
     rejection tables and single test results.
     """
-    path = Path(path)
     if format not in ("json", "csv"):
         raise InputError(f"unknown output format {format!r}")
     if isinstance(record, RejectionTable):
-        text = (
-            rejection_table_csv(record)
-            if format == "csv"
-            else _json_bytes(rejection_table_record(record))
-        )
-    elif hasattr(record, "to_record"):
-        payload = record.to_record(include_distribution=include_distribution)
         if format == "csv":
-            keys = [k for k in payload if not isinstance(payload[k], (dict, list))]
-            lines = [",".join(keys)]
-            lines.append(",".join(repr(payload[k]) if isinstance(payload[k], float) else str(payload[k]) for k in keys))
-            text = "\n".join(lines) + "\n"
-        else:
-            text = _json_bytes(payload)
-    elif isinstance(record, dict):
+            return rejection_table_csv(record)
+        return _json_bytes(rejection_table_record(record))
+    if hasattr(record, "to_record"):
+        payload = record.to_record(include_distribution=include_distribution)
+        if format == "json":
+            return _json_bytes(payload)
+        keys = [k for k in payload if not isinstance(payload[k], (dict, list))]
+        lines = [",".join(keys)]
+        lines.append(",".join(repr(payload[k]) if isinstance(payload[k], float) else str(payload[k]) for k in keys))
+        return "\n".join(lines) + "\n"
+    if isinstance(record, dict):
         if format == "csv":
             raise InputError("CSV output is not defined for this record type")
-        text = _json_bytes(record)
-    else:
-        raise InputError(f"cannot serialize {type(record).__name__}")
-    with path.open("w", newline="\n") as fh:
+        return _json_bytes(record)
+    raise InputError(f"cannot serialize {type(record).__name__}")
+
+
+def write_results(record, path, format: str = "json", include_distribution: bool = False) -> None:
+    """Write ``render(record, format, include_distribution)`` to ``path``."""
+    text = render(record, format, include_distribution)
+    with Path(path).open("w", newline="\n") as fh:
         fh.write(text)

@@ -7,6 +7,11 @@ clusters; W is the full set of cluster dummies. Desk-scale defaults are 2000
 Monte Carlo replications with 499 sampled sign vectors; Monte Carlo standard
 errors are always reported.
 
+Tests are named by the study's labels (WB-US, WB-S, WB-AR-US, WB-AR-S,
+ASY-AR-S, WB-LM, WB-CQLR), which are aliases of the registry's test names
+(``wbiv.registry.ALIASES``); the labels are what the output tables show.
+WB-US and WB-S take an estimator suffix, e.g. ``WB-S:liml``.
+
 Determinism: every replication draws from a substream keyed by (seed, cell,
 rep), and the sign set for that replication from the same stream family, so
 tables are byte-identical for any worker count.
@@ -21,14 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .ar import ar_asymptotic_cr_test, ar_bootstrap_distribution, ar_statistics
 from .data import ClusteredDataset, Hypothesis, build_dataset, partial_out_exogenous
 from .exceptions import InputError, NumericalError
-from .inference import critical_value, make_sign_set
-from .kclass import restricted_ols_fit
+from .inference import make_sign_set
+from .registry import ALIASES, ESTIMATOR, TESTS, lookup, run_tests
 from .rng import substream
-from .wald import wrec_run
-from .weakiv import _lm_boot_distribution, cqlr_statistic, lm_statistic
 
 # Cluster sizes and instrument-covariance scales for the 10-cluster design;
 # the 14-cluster extension appends four more clusters.
@@ -44,7 +46,7 @@ PI_RATIOS_10 = (1.0, 0.4, 0.4, 0.3, 0.3, 0.3, -0.2, -0.2, -0.1, -0.1)
 PI_RATIOS_EXTRA = (0.2, 0.2, 0.1, 0.1)
 
 SIZE_TESTS_DEFAULT = ("WB-US:tsls", "WB-S:tsls")
-KNOWN_TESTS = ("WB-US", "WB-S", "WB-AR-US", "WB-AR-S", "ASY-AR-S", "WB-LM", "WB-CQLR")
+NULL_HYPOTHESIS = Hypothesis.full_vector([0.0])  # H0: beta = 0
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,7 @@ class RejectionTable:
 
 def _parse_test(spec: str) -> tuple[str, str]:
     name, _, estimator = spec.partition(":")
-    if name not in KNOWN_TESTS:
-        raise InputError(f"unknown test {name!r}; expected one of {KNOWN_TESTS}")
-    if name in ("WB-US", "WB-S"):
+    if TESTS[lookup(name, ALIASES)] in ESTIMATOR:
         return name, estimator or "tsls"
     if estimator:
         raise InputError(f"test {name} does not take an estimator suffix")
@@ -200,75 +200,23 @@ def _replicate(
     """
     rng = substream(seed, cell, rep)
     dataset = simulate_dgp(config, rng)
-    out = {}
     try:
         design = partial_out_exogenous(dataset)
     except NumericalError:
-        return {key: None for key in [f"{t}:{e}" for t, e in tests]}
+        return {f"{t}:{e}": None for t, e in tests}
     sign_set = make_sign_set(config.q, "sampled", B=boot_reps, seed=(seed, cell, rep, "signs"))
-
-    wald_methods = {}
-    for name, est in tests:
-        if name in ("WB-US", "WB-S"):
-            wald_methods.setdefault(est, set()).add(name)
-    hyp = Hypothesis.wald(np.ones((1, 1)), [0.0])
-    for est, names in wald_methods.items():
-        keys = {n: f"{n}:{est}" for n in names}
-        try:
-            run = wrec_run(
-                dataset, hyp, method=est, sign_set=sign_set,
-                design=design, want_cr="WB-S" in names,
-            )
-        except (NumericalError, InputError):
-            for key in keys.values():
-                out[key] = None
-            continue
-        if "WB-US" in names:
-            out[keys["WB-US"]] = bool(run.statistic > critical_value(run.boot_stats, alpha))
-        if "WB-S" in names:
-            out[keys["WB-S"]] = bool(
-                run.statistic_cr > critical_value(run.boot_stats_cr, alpha)
-            )
-
-    ar_names = [n for n, _ in tests if n in ("WB-AR-US", "WB-AR-S", "ASY-AR-S")]
-    if ar_names:
-        try:
-            rols = restricted_ols_fit(dataset, [0.0])
-            stats = ar_statistics(design, rols)
-            if "WB-AR-US" in ar_names:
-                boot = ar_bootstrap_distribution(stats, sign_set.vectors, dataset.n, False)
-                out["WB-AR-US:-"] = bool(stats.ar_n > critical_value(boot, alpha))
-            if "WB-AR-S" in ar_names:
-                if stats.ar_cr_n is None:
-                    out["WB-AR-S:-"] = None
-                else:
-                    boot = ar_bootstrap_distribution(stats, sign_set.vectors, dataset.n, True)
-                    out["WB-AR-S:-"] = bool(stats.ar_cr_n > critical_value(boot, alpha))
-            if "ASY-AR-S" in ar_names:
-                res = ar_asymptotic_cr_test(dataset, [0.0], alpha=alpha, design=design)
-                out["ASY-AR-S:-"] = bool(res.reject)
-        except (NumericalError, InputError):
-            for name in ar_names:
-                out.setdefault(f"{name}:-", None)
-
-    score_names = [n for n, _ in tests if n in ("WB-LM", "WB-CQLR")]
-    if score_names:
-        try:
-            rols = restricted_ols_fit(dataset, [0.0])
-            lm, bundle = lm_statistic(design, rols)
-            lm_star, ar_sq_star, _ = _lm_boot_distribution(bundle, sign_set.vectors, dataset.n)
-            if "WB-LM" in score_names:
-                out["WB-LM:-"] = bool(lm > critical_value(lm_star, alpha))
-            if "WB-CQLR" in score_names:
-                f_hat = bundle.score_sums.sum(axis=0) / dataset.n
-                ar_sq = dataset.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
-                lr = cqlr_statistic(ar_sq, lm, bundle.rk)
-                gap = ar_sq_star - bundle.rk
-                lr_star = 0.5 * (gap + np.sqrt(gap * gap + 4.0 * lm_star * bundle.rk))
-                out["WB-CQLR:-"] = bool(lr > critical_value(lr_star, alpha))
-        except (NumericalError, InputError):
-            for name in score_names:
-                out.setdefault(f"{name}:-", None)
+    # tests that take no estimator ride along with the first estimator's call
+    estimators = list(dict.fromkeys(est for _, est in tests if est != "-")) or ["tsls"]
+    out = {}
+    for est in estimators:
+        group = [(n, e) for n, e in tests if e == est or (e == "-" and est == estimators[0])]
+        results = run_tests(
+            dataset, [ALIASES[name] for name, _ in group], NULL_HYPOTHESIS, estimator=est,
+            sign_set=sign_set, alpha=alpha, design=design,
+        )
+        for name, e in group:
+            result = results[ALIASES[name]]
+            out[f"{name}:{e}"] = None if isinstance(result, Exception) else result.reject
     return out
 
 
@@ -283,7 +231,7 @@ def _sim_chunk(args) -> list[dict]:
 
 def _run_cells(
     cells: Sequence[tuple[DgpConfig, str]],
-    tests: Sequence[tuple[str, str]],
+    test_specs: Sequence[str],
     mc_reps: int,
     boot_reps: int,
     seed,
@@ -291,6 +239,9 @@ def _run_cells(
     alpha: float,
     kind: str,
 ) -> RejectionTable:
+    if mc_reps < 100:
+        raise InputError("need mc_reps >= 100 for a meaningful rejection table")
+    tests = [_parse_test(t) for t in test_specs]
     rows = []
     for config, cell in cells:
         rep_ids = np.arange(mc_reps)
@@ -342,15 +293,12 @@ def run_size_experiment(
     alpha: float = 0.1,
 ) -> RejectionTable:
     """Null rejection frequencies of H0: beta = 0 with beta_true = 0."""
-    if mc_reps < 100:
-        raise InputError("need mc_reps >= 100 for a meaningful rejection table")
-    parsed = [_parse_test(t) for t in tests]
     cells = []
     for config in configs:
         if config.beta_true != 0.0:
             config = replace(config, beta_true=0.0)
         cells.append((config, config.cell_id()))
-    return _run_cells(cells, parsed, mc_reps, boot_reps, seed, workers, alpha, "size")
+    return _run_cells(cells, tests, mc_reps, boot_reps, seed, workers, alpha, "size")
 
 
 def default_power_grid(pi0: float, points: int = 41, half_width: float = 0.05) -> np.ndarray:
@@ -369,13 +317,10 @@ def run_power_experiment(
     alpha: float = 0.1,
 ) -> RejectionTable:
     """Rejection frequencies of H0: beta = 0 as the true beta moves away."""
-    if mc_reps < 100:
-        raise InputError("need mc_reps >= 100 for a meaningful rejection table")
-    parsed = [_parse_test(t) for t in tests]
     cells = []
     for config in configs:
         grid = default_power_grid(config.pi0) if beta_grid is None else np.asarray(beta_grid)
         for b in grid:
             cell_config = replace(config, beta_true=float(b))
             cells.append((cell_config, cell_config.cell_id()))
-    return _run_cells(cells, parsed, mc_reps, boot_reps, seed, workers, alpha, "power")
+    return _run_cells(cells, tests, mc_reps, boot_reps, seed, workers, alpha, "power")

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ar import _ar_norms
-from .cce import bootstrap_cce_matrix, cce_matrix
-from .data import ClusteredDataset, Hypothesis, PartialledDesign, partial_out_exogenous
+from .ar import _ar_norms, check_weighting
+from .cce import bootstrap_cce_matrix, cce_matrix, cluster_score_sums
+from .data import ClusteredDataset, Hypothesis, PartialledDesign
 from .exceptions import InputError, NumericalError
 from .inference import (
     BootstrapTestResult,
@@ -39,7 +39,7 @@ from .inference import (
     bootstrap_pvalue,
     critical_value,
     finish_test,
-    make_sign_set,
+    prepare_test,
 )
 from .kclass import (
     LIML_CLAMP_TOL,
@@ -49,17 +49,6 @@ from .kclass import (
     fit_method,
     restricted_kclass_fit,
 )
-
-__all__ = [
-    "EfficientFirstStage",
-    "efficient_first_stage",
-    "bootstrap_sample",
-    "wald_statistic",
-    "wrec_run",
-    "wrec_wald_test",
-    "score_bootstrap_wald_test",
-]
-
 
 @dataclass(frozen=True)
 class EfficientFirstStage:
@@ -147,20 +136,9 @@ def bootstrap_sample(
     return y_star, x_star
 
 
-def _check_a_r(a_r: np.ndarray | None, d_r: int) -> np.ndarray:
-    if a_r is None:
-        return np.eye(d_r)
-    a_r = np.asarray(a_r, dtype=np.float64)
-    if a_r.shape != (d_r, d_r):
-        raise InputError(f"weighting matrix must be {d_r}x{d_r}")
-    if not np.allclose(a_r, a_r.T, atol=1e-12) or np.linalg.eigvalsh(a_r)[0] <= 0.0:
-        raise InputError("weighting matrix must be symmetric positive definite")
-    return a_r
-
-
 def wald_statistic(fit: KClassFit, hypothesis: Hypothesis, A_r: np.ndarray | None = None) -> float:
     """|| sqrt(n) (lambda' beta_hat - lambda_0) ||_{A_r}."""
-    a_r = _check_a_r(A_r, hypothesis.d_r)
+    a_r = check_weighting(A_r, hypothesis.d_r)
     dev = hypothesis.lambda_beta.T @ fit.beta_hat - hypothesis.lambda_0
     return float(np.sqrt(fit.n * dev @ a_r @ dev))
 
@@ -172,23 +150,13 @@ def wald_statistic(fit: KClassFit, hypothesis: Hypothesis, A_r: np.ndarray | Non
 
 def _stack_inv(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Invert a stack of small matrices where valid; mark failures in place."""
+    if a.shape[-1] > 1:
+        return _stack_solve(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy(), valid)
     out = np.zeros_like(a)
-    if a.shape[-1] == 1:
-        vals = a[..., 0, 0]
-        ok = valid & np.isfinite(vals) & (np.abs(vals) > 1e-300)
-        out[ok, 0, 0] = 1.0 / vals[ok]
-        valid &= ok
-        return out
-    for i in np.nonzero(valid)[0]:
-        try:
-            inv_i = np.linalg.inv(a[i])
-        except np.linalg.LinAlgError:
-            valid[i] = False
-            continue
-        if not np.all(np.isfinite(inv_i)):
-            valid[i] = False
-            continue
-        out[i] = inv_i
+    vals = a[:, 0, 0]
+    ok = valid & np.isfinite(vals) & (np.abs(vals) > 1e-300)
+    out[ok, 0, 0] = 1.0 / vals[ok]
+    valid &= ok
     return out
 
 
@@ -468,13 +436,8 @@ def wrec_run(
     """One full WREC pass computing the plain and CCE-studentized statistics."""
     if engine not in ("moments", "direct"):
         raise InputError(f"unknown engine {engine!r}")
-    if design is None:
-        design = partial_out_exogenous(dataset)
-    if sign_set is None:
-        sign_set = make_sign_set(dataset.q)
-    if sign_set.q != dataset.q:
-        raise InputError("sign set was built for a different number of clusters")
-    a_r = _check_a_r(A_r, hypothesis.d_r)
+    sign_set, design = prepare_test(dataset, sign_set, design)
+    a_r = check_weighting(A_r, hypothesis.d_r)
 
     fit = fit_method(dataset, design, method, fuller_c)
     fit = restricted_kclass_fit(dataset, design, fit, hypothesis)
@@ -507,6 +470,35 @@ def wrec_run(
     )
 
 
+def wald_tests(
+    dataset: ClusteredDataset,
+    design: PartialledDesign,
+    hypothesis: Hypothesis,
+    names,
+    sign_set: SignSet,
+    alpha: float,
+    method: str,
+    fuller_c: float,
+    A_r: np.ndarray | None,
+) -> dict:
+    """The wald and wald-cr tests among ``names`` from one WREC pass, which
+    computes the CCE side only when wald-cr is asked for."""
+    want_cr = "wald-cr" in names
+    if want_cr and dataset.q <= hypothesis.d_r:
+        raise InputError("studentized Wald needs more clusters than restrictions (q > d_r)")
+    run = wrec_run(dataset, hypothesis, method, sign_set, A_r, fuller_c, design, want_cr=want_cr)
+    draws = {
+        "wald": (run.statistic, run.boot_stats),
+        "wald-cr": (run.statistic_cr, run.boot_stats_cr),
+    }
+    return {
+        name: finish_test(
+            name, *draws[name], sign_set, alpha, estimator=method, n_singular=run.n_singular
+        )
+        for name in names
+    }
+
+
 def wrec_wald_test(
     dataset: ClusteredDataset,
     hypothesis: Hypothesis,
@@ -517,7 +509,6 @@ def wrec_wald_test(
     A_r: np.ndarray | None = None,
     fuller_c: float = 1.0,
     design: PartialledDesign | None = None,
-    engine: str = "moments",
 ) -> BootstrapTestResult:
     """WREC bootstrap Wald test of lambda' beta = lambda_0.
 
@@ -525,23 +516,11 @@ def wrec_wald_test(
     by their own CCE inverse (which requires q > d_r); otherwise the fixed
     weighting ``A_r`` (identity by default) is used throughout.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie strictly between 0 and 1")
-    if studentize and dataset.q <= hypothesis.d_r:
-        raise InputError("studentized Wald needs more clusters than restrictions (q > d_r)")
-    run = wrec_run(
-        dataset, hypothesis, method, sign_set, A_r, fuller_c, design,
-        want_cr=studentize, engine=engine,
-    )
-    if studentize:
-        return finish_test(
-            "wald-cr", run.statistic_cr, run.boot_stats_cr, run.sign_set, alpha,
-            estimator=method, n_singular=run.n_singular,
-        )
-    return finish_test(
-        "wald", run.statistic, run.boot_stats, run.sign_set, alpha,
-        estimator=method, n_singular=run.n_singular,
-    )
+    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
+    name = "wald-cr" if studentize else "wald"
+    return wald_tests(
+        dataset, design, hypothesis, [name], sign_set, alpha, method, fuller_c, A_r
+    )[name]
 
 
 def score_bootstrap_wald_test(
@@ -560,14 +539,7 @@ def score_bootstrap_wald_test(
     """
     if dataset.d_x != 1 or dataset.d_z != 1:
         raise InputError("score bootstrap requires d_x = d_z = 1")
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie strictly between 0 and 1")
-    if design is None:
-        design = partial_out_exogenous(dataset)
-    if sign_set is None:
-        sign_set = make_sign_set(dataset.q)
-    if sign_set.q != dataset.q:
-        raise InputError("sign set was built for a different number of clusters")
+    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
     lam = float(hypothesis.lambda_beta[0, 0])
     if lam == 0.0:
         raise InputError("degenerate restriction (lambda = 0)")
@@ -577,8 +549,7 @@ def score_bootstrap_wald_test(
 
     fit = fit_method(dataset, design, "tsls")
     fit = restricted_kclass_fit(dataset, design, fit, hypothesis)
-    zr = design.Z_tilde[:, 0] * fit.resid_restricted
-    s = np.add.reduceat(zr, design.cluster_starts[:-1]).reshape(-1, 1)
+    s = cluster_score_sums(design, fit.resid_restricted)
 
     # The statistic is |lambda / Q_ZtX| times an AR-form norm; decide on the
     # unscaled values (computed through the shared fixed-order pipeline, so

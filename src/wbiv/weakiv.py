@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cce import cluster_score_sums
-from .data import ClusteredDataset, PartialledDesign, partial_out_exogenous
+from .data import ClusteredDataset, PartialledDesign
 from .exceptions import InputError, NumericalError
-from .inference import BootstrapTestResult, SignSet, finish_test, make_sign_set
+from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test
 from .kclass import RestrictedOlsFit, restricted_ols_fit
 
 # Relative eigenvalue floor for the symmetric inverse square root of Omega.
@@ -143,13 +143,13 @@ def lm_statistic(
     return lm, bundle
 
 
-def cqlr_statistic(ar_cr_sq: float, lm: float, rk: float) -> float:
-    """Closed-form conditional QLR combination.
+def cqlr_statistic(ar_cr_sq, lm, rk: float):
+    """Closed-form conditional QLR combination, elementwise over draws.
 
     ``ar_cr_sq`` is the squared CCE-weighted AR statistic (the quadratic
     form). Collapses to ar_cr_sq when lm equals it, and to lm as rk grows.
     """
-    if min(ar_cr_sq, lm, rk) < 0.0:
+    if min(np.min(ar_cr_sq), np.min(lm), rk) < 0.0:
         raise InputError("cqlr inputs must be nonnegative")
     gap = ar_cr_sq - rk
     return 0.5 * (gap + np.sqrt(gap * gap + 4.0 * lm * rk))
@@ -190,6 +190,36 @@ def _lm_boot_distribution(
     return lm_star, ar_sq, n_singular
 
 
+def score_tests(
+    dataset: ClusteredDataset,
+    design: PartialledDesign,
+    beta_0,
+    names,
+    sign_set: SignSet,
+    alpha: float,
+) -> dict:
+    """The lm and cqlr tests among ``names`` from one LM statistic and one
+    set of score-side draws; the CQLR draws condition on the sample rk."""
+    if "cqlr" in names and dataset.d_x != 1:
+        raise InputError("cqlr is only defined for a single endogenous regressor here")
+    if dataset.q <= dataset.d_z:
+        raise InputError("score-projection bootstrap needs q > d_z")
+    lm, bundle = lm_statistic(design, restricted_ols_fit(dataset, beta_0))
+    lm_star, ar_sq_star, n_singular = _lm_boot_distribution(
+        bundle, sign_set.vectors, dataset.n
+    )
+    out = {}
+    if "lm" in names:
+        out["lm"] = finish_test("lm", lm, lm_star, sign_set, alpha, n_singular=n_singular)
+    if "cqlr" in names:
+        f_hat = bundle.score_sums.sum(axis=0) / dataset.n
+        ar_sq = dataset.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
+        lr = cqlr_statistic(ar_sq, lm, bundle.rk)
+        lr_star = cqlr_statistic(ar_sq_star, lm_star, bundle.rk)
+        out["cqlr"] = finish_test("cqlr", lr, lr_star, sign_set, alpha, n_singular=n_singular)
+    return out
+
+
 def lm_cqlr_bootstrap_test(
     dataset: ClusteredDataset,
     beta_0,
@@ -201,30 +231,5 @@ def lm_cqlr_bootstrap_test(
     """Sign-flip bootstrap LM or conditional QLR test of beta = beta_0."""
     if statistic not in ("lm", "cqlr"):
         raise InputError(f"statistic must be 'lm' or 'cqlr', got {statistic!r}")
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie strictly between 0 and 1")
-    if statistic == "cqlr" and dataset.d_x != 1:
-        raise InputError("cqlr is only defined for a single endogenous regressor here")
-    if dataset.q <= dataset.d_z:
-        raise InputError("score-projection bootstrap needs q > d_z")
-    if design is None:
-        design = partial_out_exogenous(dataset)
-    if sign_set is None:
-        sign_set = make_sign_set(dataset.q)
-    if sign_set.q != dataset.q:
-        raise InputError("sign set was built for a different number of clusters")
-
-    rols = restricted_ols_fit(dataset, beta_0)
-    lm, bundle = lm_statistic(design, rols)
-    lm_star, ar_sq_star, n_singular = _lm_boot_distribution(
-        bundle, sign_set.vectors, dataset.n
-    )
-    if statistic == "lm":
-        return finish_test("lm", lm, lm_star, sign_set, alpha, n_singular=n_singular)
-
-    f_hat = bundle.score_sums.sum(axis=0) / dataset.n
-    ar_sq = dataset.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
-    lr = cqlr_statistic(ar_sq, lm, bundle.rk)
-    gap = ar_sq_star - bundle.rk
-    lr_star = 0.5 * (gap + np.sqrt(gap * gap + 4.0 * lm_star * bundle.rk))
-    return finish_test("cqlr", lr, lr_star, sign_set, alpha, n_singular=n_singular)
+    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
+    return score_tests(dataset, design, beta_0, [statistic], sign_set, alpha)[statistic]

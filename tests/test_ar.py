@@ -136,6 +136,11 @@ class TestAsymptoticAr:
         for (df, p), expected in CHI2_TABLE.items():
             assert chi2_quantile(p, df) == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, t1, alpha):
+        with pytest.raises(InputError, match="alpha"):
+            ar_asymptotic_cr_test(t1, [0.0], alpha=alpha)
+
     def test_squared_statistic_comparison(self, t1):
         res = ar_asymptotic_cr_test(t1, [0.0], alpha=0.1)
         assert res.statistic_sq == pytest.approx(E.AR_CR_N**2, abs=1e-9)

@@ -131,9 +131,3 @@ class TestBootstrapCce:
             t1_design, x_star, 3.0 * fit_star.resid_unrestricted, np.eye(1)
         )
         assert scaled.A_r_CR[0, 0] == pytest.approx(boot.A_r_CR[0, 0] / 9.0, rel=1e-10)
-
-    def test_small_sample_switch_scales_omega(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
-        plain = cce_matrix(t1_design, fit.resid_unrestricted, np.eye(1))
-        adj = cce_matrix(t1_design, fit.resid_unrestricted, np.eye(1), small_sample=True)
-        assert adj.Omega_CR[0, 0] == pytest.approx(2.0 * plain.Omega_CR[0, 0], rel=1e-12)

@@ -141,6 +141,22 @@ class TestSimulateAndDiagnose:
         lines = out.read_text().splitlines()
         assert lines[0] == "test,estimator,rho,pi0,dz,strong,reject_rate,se"
 
+    def test_simulate_csv_to_stdout(self, capsys):
+        rc = main([
+            "simulate", "size", "--dz", "1", "--pi0", "6", "--rho", "0",
+            "--tests", "WB-US:tsls", "--reps", "100", "-B", "19", "--format", "csv",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "test,estimator,rho,pi0,dz,strong,reject_rate,se\n"
+        )
+
+    def test_simulate_alpha_outside_unit_interval_is_an_input_error(self, capsys):
+        rc = main(["simulate", "size", "--tests", "WB-AR-US", "--reps", "100", "-B", "19",
+                   "--alpha", "1.5"])
+        assert rc == 1
+        assert "alpha" in capsys.readouterr().err
+
     def test_diagnose(self, t1_csv, tmp_path):
         out = tmp_path / "diag.json"
         assert main(["diagnose", str(t1_csv), "--out", str(out)]) == 0

@@ -165,6 +165,10 @@ class TestExperiments:
         assert len(grid) == 41
         assert grid[0] == pytest.approx(-0.05 / 4.0)
 
+    def test_alpha_outside_unit_interval_rejected(self):
+        with pytest.raises(InputError, match="alpha"):
+            run_size_experiment([DgpConfig()], ["WB-AR-US"], mc_reps=100, alpha=1.5)
+
     def test_too_few_reps_rejected(self):
         with pytest.raises(InputError):
             run_size_experiment([DgpConfig()], ["WB-US:tsls"], mc_reps=50)
