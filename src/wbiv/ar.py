@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .cce import _inv_psd, cluster_score_sums
 from .data import ClusteredDataset, PartialledDesign
@@ -147,7 +146,13 @@ class AsymptoticArResult:
 
 
 def chi2_quantile(p: float, df: int) -> float:
-    """Quantile of the chi-squared distribution."""
+    """Quantile of the chi-squared distribution.
+
+    scipy.stats is imported on first use, not with the module: it is the
+    slowest import of the package, and only ar-cr-asymptotic needs it.
+    """
+    import scipy.stats
+
     return float(scipy.stats.chi2.ppf(p, df))
 
 

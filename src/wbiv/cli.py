@@ -8,6 +8,7 @@ explicit flags win over file values, unknown keys are rejected. Exit codes:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -279,11 +280,29 @@ def _splice_config(argv: list[str]) -> list[str]:
     return rest[:1] + _config_tokens(path) + rest[1:]
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Attach a value that starts like a negative number to the long option
+    before it: ``--beta0 -0.5,1`` becomes ``--beta0=-0.5,1``.
+
+    argparse before Python 3.13 reads such a value as an option unless it
+    is a plain negative number, so a comma list such as ``-1,0`` or a float
+    such as ``-1e-3`` would be refused.
+    """
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and re.match(r"-\.?\d", arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_splice_config(argv))
+        args = parser.parse_args(_join_negative_values(_splice_config(argv)))
         handler = {
             "fit": _cmd_fit,
             "test": _cmd_test,

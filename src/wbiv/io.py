@@ -9,6 +9,7 @@ repr (shortest round-trip form) and key order is fixed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -67,6 +68,62 @@ def _parse_cell(value: str, row: int, column: str) -> float:
         ) from None
 
 
+def _field(row: list[str], k: int, i: int) -> str:
+    if k >= len(row):
+        raise InputError(f"row {i}: too few fields")
+    return row[k].strip()
+
+
+def _columns_by_cell(text: str, groups: list[list[str]], idx: dict, cluster: str):
+    """The numeric columns of ``groups``, side by side, and the cluster
+    labels, cell by cell.
+
+    Rows come from ``csv.reader`` and numbers from ``float()``. Groups are
+    read one after the other and each row by row, so an error names the
+    first bad cell in that order.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    rows = [row for row in reader if row]
+    blocks = []
+    for names in groups:
+        block = np.empty((len(rows), len(names)))
+        for i, row in enumerate(rows):
+            for k, name in enumerate(names):
+                block[i, k] = _parse_cell(_field(row, idx[name], i + 1), i + 1, name)
+        blocks.append(block)
+    labels = [_field(row, idx[cluster], i + 1) for i, row in enumerate(rows)]
+    return np.hstack(blocks), labels
+
+
+def _columns_loadtxt(text: str, usecols: list[int], label_col: int):
+    """The same columns and labels as :func:`_columns_by_cell`, read with
+    one ``np.loadtxt`` call; None when that cannot be guaranteed.
+
+    In a file without a quote character, ``csv.reader`` ends a record at
+    CR, LF or CRLF, skips empty records and splits fields at every comma,
+    so the data lines below are its rows. It raises on a field longer than
+    ``csv.field_size_limit()``, so such files are left to it. ``np.loadtxt``
+    parses a number with the C function ``float()`` uses, but refuses some
+    strings ``float()`` takes (``1_000``, non-ASCII digits); any refusal
+    returns None.
+    """
+    if '"' in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
+    lines = [line for line in lines if line]
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+        labels = [line.split(",")[label_col].strip() for line in lines]
+    except (ValueError, IndexError):
+        return None
+    if values.shape[0] != len(lines):
+        return None
+    return values, labels
+
+
 def load_csv(
     path,
     column_map: dict | None = None,
@@ -79,44 +136,46 @@ def load_csv(
     With ``cluster_dummies`` the cluster indicator columns are appended to W;
     if W contains a constant column the first cluster's dummy is dropped to
     keep W full rank. Row numbers in error messages count data rows from 1.
+
+    The numeric columns are read with one ``np.loadtxt`` call and the labels
+    with one split per line. A file that route cannot read exactly as
+    ``csv.reader`` and ``float()`` would (quotes, a cell ``np.loadtxt``
+    refuses, a short row) falls back to parsing cell by cell. That route
+    accepts what ``float()`` accepts, such as ``1_000``, and raises the
+    same row and column errors as before, so the result and the messages
+    do not depend on the route.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+        text = fh.read()
+    try:
+        header = [h.strip() for h in next(csv.reader(io.StringIO(text, newline="")))]
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
     cols = _resolve_columns(header, column_map)
     idx = {name: header.index(name) for group in cols.values() for name in group}
+    groups = [cols[key] for key in ("y", "x", "z", "w")]
+    cluster = cols["cluster"][0]
+    usecols = [idx[name] for names in groups for name in names]
+    parsed = _columns_loadtxt(text, usecols, idx[cluster])
+    if parsed is None:
+        parsed = _columns_by_cell(text, groups, idx, cluster)
+    values, labels = parsed
 
-    def column(names: list[str]) -> np.ndarray:
-        out = np.empty((len(rows), len(names)))
-        for i, row in enumerate(rows):
-            for k, name in enumerate(names):
-                if idx[name] >= len(row):
-                    raise InputError(f"row {i + 1}: too few fields")
-                out[i, k] = _parse_cell(row[idx[name]].strip(), i + 1, name)
-        return out
+    bounds = np.cumsum([len(names) for names in groups[:3]])
+    y, x, z, w = np.split(values, bounds, axis=1)
+    labels = np.array(labels)
+    if not cols["w"]:
+        w = np.ones((len(labels), 1))
 
-    y = column(cols["y"]).ravel()
-    x = column(cols["x"])
-    z = column(cols["z"])
-    labels = np.array([row[idx[cols["cluster"][0]]].strip() for row in rows])
-    if cols["w"]:
-        w = column(cols["w"])
-    else:
-        w = np.ones((len(rows), 1))
-
-    if cluster_dummies:
-        uniq = np.unique(labels)
-        dummies = (labels[:, None] == uniq[None, :]).astype(np.float64)
+    if cluster_dummies and labels.size:
+        uniq, codes = np.unique(labels, return_inverse=True)
+        dummies = (codes[:, None] == np.arange(uniq.size)).astype(np.float64)
         has_constant = any(np.ptp(w[:, k]) == 0.0 and w[0, k] != 0.0 for k in range(w.shape[1]))
         if has_constant:
             dummies = dummies[:, 1:]
         w = np.column_stack([w, dummies])
-    return build_dataset(y, x, z, w, labels)
+    return build_dataset(y.ravel(), x, z, w, labels)
 
 
 def load_config(path) -> dict:

@@ -212,8 +212,11 @@ def score_tests(
     if "lm" in names:
         out["lm"] = finish_test("lm", lm, lm_star, sign_set, alpha, n_singular=n_singular)
     if "cqlr" in names:
-        f_hat = bundle.score_sums.sum(axis=0) / dataset.n
-        ar_sq = dataset.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
+        if np.all(bundle.score_sums == 0.0):
+            ar_sq = 0.0  # exact null fit: the limit convention of lm_statistic
+        else:
+            f_hat = bundle.score_sums.sum(axis=0) / dataset.n
+            ar_sq = dataset.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
         lr = cqlr_statistic(ar_sq, lm, bundle.rk)
         lr_star = cqlr_statistic(ar_sq_star, lm_star, bundle.rk)
         out["cqlr"] = finish_test("cqlr", lr, lr_star, sign_set, alpha, n_singular=n_singular)

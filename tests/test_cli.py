@@ -40,6 +40,28 @@ def sim_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def two_x_csv(tmp_path):
+    # two endogenous regressors and three instruments
+    from wbiv.rng import substream
+
+    rng = substream(1, "clicsv2")
+    q, n_per = 6, 25
+    n = q * n_per
+    cluster = np.repeat(np.arange(q), n_per)
+    z = rng.standard_normal((n, 3))
+    eps = rng.standard_normal(n)
+    x = z[:, :2] + z[:, 2:] + 0.5 * eps[:, None] + rng.standard_normal((n, 2))
+    y = x @ np.array([-0.5, 1.0]) + eps
+    path = tmp_path / "twox.csv"
+    lines = ["y,x1,x2,z1,z2,z3,cluster"]
+    for i in range(n):
+        cells = [y[i], *x[i], *z[i]]
+        lines.append(",".join(repr(float(v)) for v in cells) + f",s{cluster[i]}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestFit:
     def test_fit_json(self, t1_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -162,3 +184,54 @@ class TestSimulateAndDiagnose:
         assert main(["diagnose", str(t1_csv), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert set(payload["max_abs_by_cluster"]) == {"1", "2"}
+
+
+class TestNegativeValues:
+    """A value that starts with a minus sign is read as the value of the
+    option before it, with the same output as the ``--flag=value`` form."""
+
+    SIM = ["--tests", "WB-US:tsls", "--reps", "100", "-B", "19", "--format", "csv"]
+
+    def _same_as_joined(self, argv, flag, value, capsys):
+        i = argv.index(flag)
+        assert main(argv) == 0
+        spaced = capsys.readouterr().out
+        assert main(argv[:i] + [f"{flag}={value}"] + argv[i + 2:]) == 0
+        assert capsys.readouterr().out == spaced
+        return spaced
+
+    def test_beta0_list(self, two_x_csv, capsys):
+        # a full-vector test needs both values: one value would be an error
+        argv = ["test", str(two_x_csv), "--test", "ar", "--beta0", "-0.5,1", "--full"]
+        out = json.loads(self._same_as_joined(argv, "--beta0", "-0.5,1", capsys))
+        assert main(argv[:4] + ["--beta0=0,0", "--full"]) == 0
+        assert json.loads(capsys.readouterr().out)["statistic"] != out["statistic"]
+
+    def test_lam_list(self, two_x_csv, capsys):
+        argv = ["test", str(two_x_csv), "--test", "wald", "--lam", "-1,0", "--lambda0", "0.5"]
+        out = json.loads(self._same_as_joined(argv, "--lam", "-1,0", capsys))
+        # the same restriction with both sides negated
+        assert main(argv[:4] + ["--lam=1,0", "--lambda0", "-0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["statistic"] == pytest.approx(out["statistic"])
+
+    def test_beta_grid(self, capsys):
+        argv = ["simulate", "power", "--pi0", "6", "--beta-grid", "-1.2,0,1.2"] + self.SIM
+        out = self._same_as_joined(argv, "--beta-grid", "-1.2,0,1.2", capsys)
+        assert [line.split(",")[6] for line in out.splitlines()[1:]] == ["-1.2", "0.0", "1.2"]
+
+    def test_pi0_list(self, capsys):
+        argv = ["simulate", "size", "--pi0", "-4,6"] + self.SIM
+        out = self._same_as_joined(argv, "--pi0", "-4,6", capsys)
+        assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["-4.0", "6.0"]
+
+    def test_rho_list(self, capsys):
+        # the design rejects a negative rho, which shows the value was read
+        for rho in (["--rho", "-0.5,0"], ["--rho=-0.5,0"]):
+            assert main(["simulate", "size"] + rho + self.SIM) == 1
+            assert "rho must lie in [0, 1)" in capsys.readouterr().err
+
+    def test_float_in_scientific_notation(self, sim_csv, capsys):
+        argv = ["cs", str(sim_csv), "--test", "ar", "--grid-lo", "-2e-1", "--grid-hi", "0.2",
+                "--step", "0.1"]
+        out = json.loads(self._same_as_joined(argv, "--grid-lo", "-2e-1", capsys))
+        assert out["grid_lo"] == -0.2 and out["grid_points"] == 5

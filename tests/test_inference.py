@@ -70,7 +70,7 @@ class TestCriticalValue:
         # exact arithmetic so the reference carries no rounding of its own
         candidates = [
             x for x in sorted(stats)
-            if Fraction(np.count_nonzero(stats <= x), stats.size) >= 1 - Fraction(alpha)
+            if Fraction(int(np.count_nonzero(stats <= x)), stats.size) >= 1 - Fraction(alpha)
         ]
         assert cv == candidates[0]
 

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+import wbiv.io
 from conftest import T1_CLUSTER, T1_X, T1_Y, T1_Z
 from wbiv import InputError, build_dataset, load_csv, write_results
 from wbiv.io import load_config
@@ -83,6 +86,134 @@ class TestLoadCsv:
         path.write_text("y,x,cluster\n1,2,a\n3,4,b\n")
         with pytest.raises(InputError, match="'z'"):
             load_csv(path)
+
+
+HEADER = ["y", "x", "z", "w1", "cluster"]
+ROWS = [
+    [repr(float(v)) for v in row] + [f"c{i % 3}"]
+    for i, row in enumerate(np.random.default_rng(5).standard_normal((12, 4)))
+]
+FIELDS = ("y", "X", "Z", "W", "cluster_id", "cluster_starts", "cluster_labels")
+
+
+def _edit(cells: dict) -> list[list[str]]:
+    """A copy of ``ROWS`` with ``cells[(i, k)]`` in place of cell (i, k)."""
+    return [[cells.get((i, k), c) for k, c in enumerate(row)] for i, row in enumerate(ROWS)]
+
+
+def _text(rows=ROWS, header=HEADER, end="\n", blank=()) -> str:
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for at in sorted(blank, reverse=True):
+        lines.insert(at, "")
+    return end.join(lines) + end
+
+
+# name: (file text, load_csv keywords, whether the np.loadtxt route reads it)
+CSV_CASES = {
+    "plain": (_text(), {}, True),
+    "crlf": (_text(end="\r\n"), {}, True),
+    "cr": (_text(end="\r"), {}, True),
+    "blank lines": (_text(blank=(1, 4, 5, 13)) + "\n", {}, True),
+    "spaces around cells": (
+        _text([[f" {c}\t " for c in row] for row in ROWS], [f" {h} " for h in HEADER]), {}, True),
+    "hash in label": (_text(_edit({(i, 4): f"c#{i % 3}" for i in range(12)})), {}, True),
+    "quoted numbers and labels": (
+        _text(_edit({**{(i, 1): f'"{ROWS[i][1]}"' for i in range(12)}, (0, 4): '" c,1 "'})),
+        {}, False),
+    "underscore": (_text(_edit({(3, 1): "1_000"})), {}, False),
+    "full-width digits": (_text(_edit({(2, 2): "\uff11\uff12.\uff15"})), {}, False),
+    "short row, label": (_text(ROWS[:5] + [ROWS[5][:4]] + ROWS[6:]), {}, False),
+    "short row, number": (_text(ROWS[:7] + [ROWS[7][:2]] + ROWS[8:]), {}, False),
+    "extra unused columns": (
+        _text([r[:1] + ["n/a"] + r[1:] + ["1_000"] for r in ROWS],
+              ["y", "note", "x", "z", "w1", "cluster", "extra"]), {}, True),
+    "no w column": (_text([r[:3] + r[4:] for r in ROWS], ["y", "x", "z", "cluster"]), {}, True),
+    "dummies, no constant w": (_text(), {"cluster_dummies": True}, True),
+    "dummies, constant w": (
+        _text(_edit({(i, 3): "1.0" for i in range(12)})), {"cluster_dummies": True}, True),
+    "bad cell": (_text(_edit({(4, 2): "oops", (6, 1): "bad"})), {}, False),
+    "bad cells in one group": (
+        _text(_edit({(5, 2): "oops", (2, 3): "bad"}), ["y", "x", "z1", "z2", "cluster"]),
+        {}, False),
+    "whitespace-only line": (_text(ROWS[:3] + [["  "]] + ROWS[3:]), {}, False),
+    "non-finite cell": (_text(_edit({(1, 0): "nan"})), {}, True),
+    "no data rows": (_text([]), {}, False),
+    "no data rows, dummies": (_text([]), {"cluster_dummies": True}, False),
+    "field over the csv limit": (
+        _text(_edit({(2, 4): "c" * (csv.field_size_limit() + 1)})), {}, False),
+}
+
+
+def _outcome(path, kwargs):
+    try:
+        ds = load_csv(path, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return {name: getattr(ds, name) for name in FIELDS}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    for name in FIELDS:
+        u, v = a[name], b[name]
+        if isinstance(u, tuple):
+            if u != v:
+                return False
+        elif u.dtype != v.dtype or u.shape != v.shape or u.tobytes() != v.tobytes():
+            return False
+    return True
+
+
+class TestLoadCsvRoutes:
+    """The np.loadtxt route gives what the cell-by-cell route gives: the same
+    arrays and labels, or the same error."""
+
+    @pytest.mark.parametrize("name", list(CSV_CASES))
+    def test_routes_agree(self, name, tmp_path, monkeypatch):
+        text, kwargs, fast = CSV_CASES[name]
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        routes = []
+        loadtxt_route = wbiv.io._columns_loadtxt
+
+        def spy(*args):
+            out = loadtxt_route(*args)
+            routes.append(out is not None)
+            return out
+
+        monkeypatch.setattr(wbiv.io, "_columns_loadtxt", spy)
+        got = _outcome(path, kwargs)
+        monkeypatch.setattr(wbiv.io, "_columns_loadtxt", lambda *args: None)
+        want = _outcome(path, kwargs)
+        assert routes == [fast]
+        assert _same(got, want), (got, want)
+
+    def test_error_cases_name_the_cell(self, tmp_path):
+        expected = {
+            "short row, label": "row 6: too few fields",
+            "short row, number": "row 8: too few fields",
+            "bad cell": "row 7, column 'x': could not parse 'bad' as a number",
+            "bad cells in one group": "row 3, column 'z2': could not parse 'bad' as a number",
+            "whitespace-only line": "row 4, column 'y': could not parse '' as a number",
+            "non-finite cell": "non-finite input in y",
+            "no data rows, dummies": "need at least 2 clusters, got 0",
+        }
+        for name, message in expected.items():
+            text, kwargs, _ = CSV_CASES[name]
+            path = tmp_path / "case.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with pytest.raises(InputError) as info:
+                load_csv(path, **kwargs)
+            assert str(info.value) == message
+
+    def test_labels_as_csv_reader_gives_them(self, tmp_path):
+        for name in ("spaces around cells", "hash in label", "quoted numbers and labels"):
+            path = tmp_path / "case.csv"
+            path.write_bytes(CSV_CASES[name][0].encode("utf-8"))
+            with path.open(newline="") as fh:
+                labels = sorted({row[4].strip() for row in list(csv.reader(fh))[1:]})
+            assert load_csv(path).cluster_labels == tuple(labels)
 
 
 class TestConfigFile:

@@ -101,17 +101,28 @@ def test_unknown_simulation_name_rejected(name):
         run_size_experiment([DgpConfig()], [name], mc_reps=100)
 
 
-def test_member_failure_leaves_the_rest_of_the_family():
-    # y = 0.5 x exactly: at beta_0 = 0.5 the null-imposed scores vanish, so
-    # the null CCE is singular while the unstudentized AR test is defined
+def _exact_null_dataset():
+    # y = 0.5 x exactly: at beta_0 = 0.5 every null-imposed score is zero
     rng = substream(4, "exact-null")
     x = rng.standard_normal(24)
-    ds = build_dataset(0.5 * x, x, rng.standard_normal(24), np.ones(24), np.repeat(range(4), 6))
+    return build_dataset(0.5 * x, x, rng.standard_normal(24), np.ones(24), np.repeat(range(4), 6))
+
+
+def test_member_failure_leaves_the_rest_of_the_family():
+    # the null CCE is singular while the unstudentized AR test is defined
     names = ["ar", "ar-cr", "ar-cr-asymptotic"]
-    out = run_tests(ds, names, Hypothesis.full_vector([0.5]))
+    out = run_tests(_exact_null_dataset(), names, Hypothesis.full_vector([0.5]))
     assert not out["ar"].reject
     assert isinstance(out["ar-cr"], NumericalError)
     assert isinstance(out["ar-cr-asymptotic"], NumericalError)
+
+
+def test_score_tests_at_an_exact_null_fit_give_zero():
+    # Omega_hat is the zero matrix; lm and cqlr both take the limit value 0
+    out = run_tests(_exact_null_dataset(), ["lm", "cqlr"], Hypothesis.full_vector([0.5]))
+    for name in ("lm", "cqlr"):
+        assert out[name].statistic == 0.0
+        assert not out[name].reject
 
 
 def test_shared_pass_failure_fails_the_whole_family():
