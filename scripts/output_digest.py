@@ -1,0 +1,127 @@
+"""One sha256 per output of a fixed list of fixed-seed ``wbiv`` calls.
+
+Two trees give the same numbers when this script prints the same lines for
+both. It writes its CSVs from ``simulate_dgp`` into a temporary directory,
+runs every call in-process through ``wbiv.cli.main`` and hashes the exit
+code, stdout, stderr and the warnings raised. An exception that escapes
+``main`` is hashed by its type and message, so no output depends on where
+the tree lives.
+
+Run from the root of the tree under test:
+
+    PYTHONPATH=src python scripts/output_digest.py
+
+To compare against another checkout, keep this script and point
+``PYTHONPATH`` at that checkout's ``src``. ``--show NAME`` prints the
+captured text of one call instead of the digests.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from wbiv.cli import main
+from wbiv.rng import substream
+from wbiv.simulate import DgpConfig, simulate_dgp
+
+ESTIMATORS = ("tsls", "liml", "full", "ba")
+REGISTRY = ("wald", "wald-cr", "ar", "ar-cr", "ar-cr-asymptotic", "lm", "cqlr", "score-wald")
+
+
+def write_csv(path: Path, cols: dict, cluster: np.ndarray) -> None:
+    """The named columns and a cluster column; no w column, so W is an intercept."""
+    lines = [",".join(list(cols) + ["cluster"])]
+    for i in range(cluster.shape[0]):
+        lines.append(",".join([repr(float(c[i])) for c in cols.values()] + [f"c{cluster[i]}"]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def make_csvs(tmp: Path) -> dict:
+    """d_x = 1 at d_z = 1 and 3, and d_x = 2 at d_z = 3, all q = 10."""
+    one = simulate_dgp(DgpConfig(d_z=1, pi0=2.0, rho=0.5), substream(11, "digest-dz1"))
+    three = simulate_dgp(DgpConfig(d_z=3, pi0=2.0, rho=0.5), substream(12, "digest-dz3"))
+    other = simulate_dgp(DgpConfig(d_z=3, pi0=1.0, rho=0.3), substream(13, "digest-dx2"))
+    out = {}
+    for name, ds, xs in (
+        ("dz1", one, [one.X[:, 0]]),
+        ("dz3", three, [three.X[:, 0]]),
+        ("dx2", three, [three.X[:, 0], other.X[:, 0]]),
+    ):
+        cols = {"y": ds.y}
+        cols.update((f"x{k + 1}", x) for k, x in enumerate(xs))
+        cols.update((f"z{k + 1}", z) for k, z in enumerate(ds.Z.T))
+        out[name] = tmp / f"{name}.csv"
+        write_csv(out[name], cols, ds.cluster_id)
+    return out
+
+
+def calls(csv: dict) -> list[tuple[str, list[str]]]:
+    dz1, dz3, dx2 = (str(csv[name]) for name in ("dz1", "dz3", "dx2"))
+    sampled = ["--signs", "sampled", "-B", "199", "--seed", "5", "--full"]
+    out = [
+        (f"test {test}", ["test", dz1, "--test", test, "--beta0", "0.5"] + sampled)
+        for test in REGISTRY
+    ]
+    for test in ("wald", "wald-cr"):
+        for method in ESTIMATORS:
+            argv = ["test", dz3, "--test", test, "--method", method, "--beta0", "0.5"]
+            out.append((f"test {test} {method} dz3", argv + sampled))
+    argv = ["test", dx2, "--test", "wald-cr", "--method", "full", "--lam", "1,0.5"]
+    out.append(("test wald-cr full dx2", argv + sampled))
+    argv = ["test", dx2, "--test", "wald", "--lam", "1,0,0"]
+    out.append(("test wald dx2 --lam mismatch", argv + sampled))
+    grid = ["--grid-lo", "-3", "--grid-hi", "3", "--step", "0.25", "--seed", "3"]
+    for test in ("ar", "wald-cr", "lm"):
+        out.append((f"cs {test}", ["cs", dz1, "--test", test, "--method", "liml"] + grid))
+    out.append(("fit liml", ["fit", dz3, "--method", "liml"]))
+    out.append(("fit --cluster-dummies", ["fit", dz3, "--cluster-dummies"]))
+    out.append(("diagnose", ["diagnose", dz3]))
+    out.append((
+        "simulate size",
+        ["simulate", "size", "--dz", "3", "--pi0", "2", "--rho", "0.5", "--reps", "100",
+         "-B", "49", "--seed", "2", "--tests", "WB-US:liml,WB-S:full,WB-AR-S,WB-LM,WB-CQLR"],
+    ))
+    return out
+
+
+def capture(argv: list[str]) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except Exception as exc:  # noqa: BLE001 - an escaped exception is an output
+                code = f"uncaught {type(exc).__name__}: {exc}"
+    warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return f"exit {code}\n{stdout.getvalue()}--stderr--\n{stderr.getvalue()}--warnings--\n{warned}"
+
+
+def main_digest() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--show", help="print the captured output of the call with this name")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        todo = calls(make_csvs(tmp))
+        if args.show:
+            todo = [(name, argv) for name, argv in todo if name == args.show]
+            if not todo:
+                sys.exit(f"no call named {args.show!r}")
+        for name, argv in todo:
+            text = capture(argv).replace(str(tmp), "<tmp>")
+            if args.show:
+                sys.stdout.write(text)
+            else:
+                print(hashlib.sha256(text.encode()).hexdigest(), name)
+
+
+if __name__ == "__main__":
+    main_digest()

@@ -8,7 +8,7 @@ from .ar import (
     ar_statistics,
     chi2_quantile,
 )
-from .cce import CceBundle, bootstrap_cce_matrix, cce_matrix, cluster_score_sums
+from .cce import CceBundle, cce_matrix, cluster_score_sums
 from .confidence import ConfidenceSet, TestSpec, invert_confidence_set
 from .data import (
     ClusteredDataset,
@@ -48,7 +48,6 @@ from .simulate import (
 )
 from .wald import (
     EfficientFirstStage,
-    bootstrap_sample,
     efficient_first_stage,
     score_bootstrap_wald_test,
     wald_statistic,

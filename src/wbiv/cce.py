@@ -66,20 +66,3 @@ def cce_matrix(
     s = cluster_score_sums(design, residuals)
     omega = s.T @ s / design.n
     return _assemble(design.Q_ZX, design.Q_ZZ, omega, lambda_beta)
-
-
-def bootstrap_cce_matrix(
-    design: PartialledDesign,
-    X_star: np.ndarray,
-    resid_star: np.ndarray,
-    lambda_beta: np.ndarray,
-) -> CceBundle:
-    """Bootstrap CCE bundle for one sign vector.
-
-    Uses the bootstrap residuals and the bootstrap Jacobian Zt'X*/n while
-    keeping Q_ZZ at its sample value; the instruments are never regenerated.
-    """
-    s = cluster_score_sums(design, resid_star)
-    omega = s.T @ s / design.n
-    q_zx_star = design.Z_tilde.T @ X_star / design.n
-    return _assemble(q_zx_star, design.Q_ZZ, omega, lambda_beta)

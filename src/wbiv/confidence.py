@@ -74,13 +74,6 @@ def mask_to_intervals(grid: np.ndarray, accepted: np.ndarray) -> tuple:
     return tuple(intervals)
 
 
-def intervals_to_mask(grid: np.ndarray, intervals) -> np.ndarray:
-    mask = np.zeros(grid.shape[0], dtype=bool)
-    for lo, hi in intervals:
-        mask |= (grid >= lo) & (grid <= hi)
-    return mask
-
-
 def _grid_signs(q: int, B: int, seed, sign_mode: str, index: int) -> SignSet:
     if q <= AUTO_EXHAUSTIVE_MAX_Q:
         return make_sign_set(q, "exhaustive")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import InputError, NumericalError
 
@@ -154,14 +155,13 @@ def build_dataset(y, X, Z, W, cluster_id) -> ClusteredDataset:
 class PartialledDesign:
     """Instruments residualized on W plus all cluster-level moment matrices.
 
-    ``Q_ZZ_j`` etc. carry the per-cluster 1/n_j scaling; the pooled ``Q_ZZ``,
-    ``Q_ZX`` carry 1/n. The orthonormal bases of span(W) and
+    ``Q_ZX_j`` and ``Q_ZW_j`` carry the per-cluster 1/n_j scaling; the pooled
+    ``Q_ZZ``, ``Q_ZX`` carry 1/n. The orthonormal bases of span(W) and
     span(Z_tilde) are kept so projection quadratic forms never require an
     explicit inverse of W'W.
     """
 
     Z_tilde: np.ndarray
-    Q_ZZ_j: np.ndarray  # (q, d_z, d_z)
     Q_ZX_j: np.ndarray  # (q, d_z, d_x)
     Q_ZW_j: np.ndarray  # (q, d_z, d_w)
     Q_ZZ: np.ndarray
@@ -192,14 +192,20 @@ class PartialledDesign:
         """Least-squares coefficients of a regression of u on W."""
         return self.w_coef_map @ (self.basis_W.T @ u)
 
-    def cluster_cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Stack of per-cluster cross products [A' B]_j, unnormalized."""
-        q = self.q
-        out = np.empty((q, A.shape[1], B.shape[1]))
-        for j in range(q):
-            sl = self.cluster_slice(j)
-            out[j] = A[sl].T @ B[sl]
-        return out
+
+def cluster_cross(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Stack of per-cluster cross products [A' B]_j, unnormalized.
+
+    Rows are grouped by cluster with block j at ``starts[j]:starts[j+1]``;
+    each block is one matmul, so [A' B]_j is bitwise what ``A_j.T @ B_j``
+    gives.
+    """
+    q = starts.shape[0] - 1
+    out = np.empty((q, A.shape[1], B.shape[1]))
+    for j in range(q):
+        sl = slice(starts[j], starts[j + 1])
+        out[j] = A[sl].T @ B[sl]
+    return out
 
 
 def _orthonormal_basis(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,32 +223,21 @@ def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
     than (W'W)^{-1}, which keeps cluster-dummy-heavy W well conditioned.
     """
     W, Z, X = dataset.W, dataset.Z, dataset.X
-    n, q = dataset.n, dataset.q
+    n = dataset.n
 
     u_w, s_w, vt_w = _orthonormal_basis(W, "exogenous regressors")
     z_tilde = Z - u_w @ (u_w.T @ Z)
     u_zt, _, _ = _orthonormal_basis(z_tilde, "instruments after partialling")
 
-    sizes = dataset.cluster_sizes
-    q_zz_j = np.empty((q, dataset.d_z, dataset.d_z))
-    q_zx_j = np.empty((q, dataset.d_z, dataset.d_x))
-    q_zw_j = np.empty((q, dataset.d_z, dataset.d_w))
-    for j in range(q):
-        sl = dataset.cluster_slice(j)
-        zt_j = z_tilde[sl]
-        q_zz_j[j] = zt_j.T @ zt_j / sizes[j]
-        q_zx_j[j] = zt_j.T @ X[sl] / sizes[j]
-        q_zw_j[j] = zt_j.T @ W[sl] / sizes[j]
-
+    starts, sizes = dataset.cluster_starts, dataset.cluster_sizes
     return PartialledDesign(
         Z_tilde=_freeze(z_tilde),
-        Q_ZZ_j=_freeze(q_zz_j),
-        Q_ZX_j=_freeze(q_zx_j),
-        Q_ZW_j=_freeze(q_zw_j),
+        Q_ZX_j=_freeze(cluster_cross(z_tilde, X, starts) / sizes[:, None, None]),
+        Q_ZW_j=_freeze(cluster_cross(z_tilde, W, starts) / sizes[:, None, None]),
         Q_ZZ=_freeze(z_tilde.T @ z_tilde / n),
         Q_ZX=_freeze(z_tilde.T @ X / n),
         cluster_sizes=sizes,
-        cluster_starts=dataset.cluster_starts,
+        cluster_starts=starts,
         basis_W=_freeze(u_w),
         basis_Zt=_freeze(u_zt),
         w_coef_map=_freeze(vt_w.T / s_w),
@@ -274,8 +269,11 @@ def cluster_first_stage(dataset: ClusteredDataset) -> np.ndarray:
     """Cluster-by-cluster OLS of X on (Z, W); returns the Z coefficient blocks.
 
     Within each cluster the regression drops W columns that are identically
-    zero there (cluster dummies for the other clusters), and requires the
-    remaining regressor matrix to have full column rank.
+    zero there (cluster dummies for the other clusters). Of the rest it keeps,
+    in their order, the columns a pivoted QR picks to span them, cut with the
+    RCOND_MIN rule: inside a cluster an intercept and that cluster's dummy are
+    one column. The Z slopes do not depend on which spanning columns are kept.
+    The regressor matrix must then have full column rank.
 
     Returns
     -------
@@ -285,8 +283,11 @@ def cluster_first_stage(dataset: ClusteredDataset) -> np.ndarray:
     for j in range(dataset.q):
         sl = dataset.cluster_slice(j)
         w_j = dataset.W[sl]
-        keep = np.any(w_j != 0.0, axis=0)
-        regs = np.column_stack([dataset.Z[sl], w_j[:, keep]])
+        w_j = w_j[:, np.any(w_j != 0.0, axis=0)]
+        r, piv = scipy.linalg.qr(w_j, mode="r", pivoting=True)
+        diag = np.abs(np.diag(r))
+        span = np.sort(piv[: np.sum(diag > RCOND_MIN * diag.max(initial=0.0))])
+        regs = np.column_stack([dataset.Z[sl], w_j[:, span]])
         coef, _, rank, _ = np.linalg.lstsq(regs, dataset.X[sl], rcond=None)
         if rank < regs.shape[1]:
             raise NumericalError(

@@ -90,51 +90,14 @@ def smallest_generalized_eigenvalue(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric-definite pencil (a, b).
 
     Solved through a triangular factorization of b; both matrices are tiny
-    ((1 + d_x) square) so the dense path is exact enough and fast.
+    ((1 + d_x) square) so the dense path is exact enough and fast. A b that
+    is not positive definite, or a non-finite entry, is a NumericalError.
     """
     try:
         vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError("singular residual quadratic form in the LIML eigenproblem") from exc
     return float(vals[0])
-
-
-def _kappa_core(
-    method: str,
-    y: np.ndarray,
-    X: np.ndarray,
-    design: PartialledDesign,
-    fuller_c: float,
-) -> float:
-    n = y.shape[0]
-    d_z = design.d_z
-    d_w = design.basis_W.shape[1]
-    if method == "tsls":
-        return 1.0
-    if method == "ba":
-        return n / (n - d_z + 2)
-    # LIML: smallest generalized eigenvalue of (Y'M_W Y, Y'M_[Z:W] Y) with
-    # Y = [y : X].
-    yvec = np.column_stack([y, X])
-    bw = design.basis_W.T @ yvec
-    bt = design.basis_Zt.T @ yvec
-    a = yvec.T @ yvec - bw.T @ bw
-    b = a - bt.T @ bt
-    kappa = smallest_generalized_eigenvalue(a, b)
-    if kappa < 1.0 - LIML_CLAMP_TOL:
-        warnings.warn(
-            f"LIML kappa {kappa!r} below 1; clamping to 1 (numerical noise)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        kappa = 1.0
-    if method == "liml":
-        return kappa
-    if method == "full":
-        if n <= d_z + d_w:
-            raise InputError("FULL requires n > d_z + d_w")
-        return kappa - fuller_c / (n - d_z - d_w)
-    raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
 
 
 def kappa_value(
@@ -151,17 +114,41 @@ def kappa_value(
     """
     if method not in METHODS:
         raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
-    return _kappa_core(method, dataset.y, dataset.X, design, fuller_c)
+    n, d_z, d_w = dataset.n, dataset.d_z, dataset.d_w
+    if method == "tsls":
+        return 1.0
+    if method == "ba":
+        return n / (n - d_z + 2)
+    # LIML: smallest generalized eigenvalue of (Y'M_W Y, Y'M_[Z:W] Y) with
+    # Y = [y : X].
+    yvec = np.column_stack([dataset.y, dataset.X])
+    bw = design.basis_W.T @ yvec
+    bt = design.basis_Zt.T @ yvec
+    a = yvec.T @ yvec - bw.T @ bw
+    b = a - bt.T @ bt
+    kappa = smallest_generalized_eigenvalue(a, b)
+    if kappa < 1.0 - LIML_CLAMP_TOL:
+        warnings.warn(
+            f"LIML kappa {kappa!r} below 1; clamping to 1 (numerical noise)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        kappa = 1.0
+    if method == "liml":
+        return kappa
+    if n <= d_z + d_w:
+        raise InputError("FULL requires n > d_z + d_w")
+    return kappa - fuller_c / (n - d_z - d_w)
 
 
-def _fit_core(
-    y: np.ndarray,
-    X: np.ndarray,
-    W: np.ndarray,
+def kclass_fit(
+    dataset: ClusteredDataset,
     design: PartialledDesign,
     kappa: float,
-    method: str,
+    method: str = "custom",
 ) -> KClassFit:
+    """Fit the k-class estimator with an explicit kappa."""
+    y, X = dataset.y, dataset.X
     mu = kappa - 1.0
     xpx, xpy, xmx, xmy = _kclass_moments(y, X, design, need_m=(mu != 0.0))
     if mu != 0.0:
@@ -171,7 +158,7 @@ def _fit_core(
         lhs, rhs = xpx, xpy
     beta = _solve_sym(lhs, rhs, "k-class system matrix (near-unidentified model)")
     gamma = design.proj_w_coef(y - X @ beta)
-    resid = y - X @ beta - W @ gamma
+    resid = y - X @ beta - dataset.W @ gamma
     return KClassFit(
         method=method,
         kappa=float(kappa),
@@ -182,16 +169,6 @@ def _fit_core(
     )
 
 
-def kclass_fit(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    kappa: float,
-    method: str = "custom",
-) -> KClassFit:
-    """Fit the k-class estimator with an explicit kappa."""
-    return _fit_core(dataset.y, dataset.X, dataset.W, design, kappa, method)
-
-
 def fit_method(
     dataset: ClusteredDataset,
     design: PartialledDesign,
@@ -199,8 +176,7 @@ def fit_method(
     fuller_c: float = 1.0,
 ) -> KClassFit:
     """Convenience wrapper: compute kappa for ``method`` and fit."""
-    kappa = kappa_value(method, dataset, design, fuller_c)
-    return _fit_core(dataset.y, dataset.X, dataset.W, design, kappa, method)
+    return kclass_fit(dataset, design, kappa_value(method, dataset, design, fuller_c), method)
 
 
 def restricted_kclass_fit(

@@ -67,12 +67,15 @@ def run_tests(
     """Run the named tests of one hypothesis on one dataset: name -> result.
 
     Invalid arguments raise InputError: an unknown name or estimator, alpha
-    outside (0, 1), a sign set for another cluster count, or a full-vector
-    test of a hypothesis whose lambda is not the identity. Otherwise a test
-    that fails maps to the NumericalError or InputError it raised, and a
-    failure in a family's shared pass fails all of its tests; the other
-    tests still report.
+    outside (0, 1), a sign set for another cluster count, a lambda whose
+    row count is not d_x, or a full-vector test of a hypothesis whose lambda
+    is not the identity. Otherwise a test that fails maps to the
+    NumericalError or InputError it raised, and a failure in a family's
+    shared pass fails all of its tests; the other tests still report.
     """
+    d_lam = hypothesis.lambda_beta.shape[0]
+    if d_lam != dataset.d_x:
+        raise InputError(f"lambda has {d_lam} row(s) but the data have d_x = {dataset.d_x}")
     identity = np.array_equal(hypothesis.lambda_beta, np.eye(dataset.d_x))
     for name in names:
         if lookup(name, TESTS) in FULL_VECTOR and not identity:

@@ -13,12 +13,12 @@ The procedure, for a fitted k-class estimator and a linear restriction:
 5. compare the sample statistic with the ceil(m(1-alpha))-th order statistic
    of the bootstrap distribution, rejecting on strict exceedance.
 
-Two interchangeable engines produce the bootstrap distribution: a direct
-per-g loop over the public primitives, and a vectorized engine that reduces
-every per-draw regression to per-cluster cross moments (each bootstrap
-moment is linear in g because the signs are cluster-constant and g_j^2 = 1).
-Both give the same numbers to floating-point accuracy; the vectorized engine
-is the default and is what makes the Monte Carlo studies affordable.
+Step 4 never forms X*(g) and y*(g). Every moment a draw needs is affine in
+g, because the signs are constant within a cluster and g_j^2 = 1, so
+:class:`_MomentEngine` computes per-cluster cross moments once and each sign
+vector costs a few q-term contractions (the reduction of Roodman, Nielsen,
+MacKinnon and Webb's "Fast and wild"). The test suite checks it against an
+observation-level refit per sign vector (``tests/wrec_reference.py``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from .ar import _ar_norms, check_weighting
-from .cce import bootstrap_cce_matrix, cce_matrix, cluster_score_sums
-from .data import ClusteredDataset, Hypothesis, PartialledDesign
+from .cce import cce_matrix, cluster_score_sums
+from .data import ClusteredDataset, Hypothesis, PartialledDesign, cluster_cross
 from .exceptions import InputError, NumericalError
 from .inference import (
     BootstrapTestResult,
@@ -44,10 +44,9 @@ from .inference import (
 from .kclass import (
     LIML_CLAMP_TOL,
     KClassFit,
-    _fit_core,
-    _kappa_core,
     fit_method,
     restricted_kclass_fit,
+    smallest_generalized_eigenvalue,
 )
 
 @dataclass(frozen=True)
@@ -109,33 +108,6 @@ def efficient_first_stage(
     )
 
 
-def bootstrap_sample(
-    dataset: ClusteredDataset,
-    first_stage: EfficientFirstStage,
-    restricted_fit: KClassFit,
-    g,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(y*, X*) for one sign vector g in {-1,+1}^q.
-
-    X* flips the first-stage residual cluster-wise; y* is rebuilt from the
-    null-restricted estimates with the restricted residual flipped by the
-    same signs. Downstream estimation keeps the original uninteracted Z.
-    """
-    g = np.asarray(g, dtype=np.float64).ravel()
-    if g.shape != (dataset.q,) or not np.all(np.abs(g) == 1.0):
-        raise InputError("g must be a vector of +-1, one entry per cluster")
-    if restricted_fit.beta_hat_r is None:
-        raise InputError("restricted_fit must carry null-restricted estimates")
-    gcol = g[dataset.cluster_id]
-    x_star = first_stage.fitted + gcol[:, None] * first_stage.v_tilde
-    y_star = (
-        x_star @ restricted_fit.beta_hat_r
-        + dataset.W @ restricted_fit.gamma_hat_r
-        + gcol * restricted_fit.resid_restricted
-    )
-    return y_star, x_star
-
-
 def wald_statistic(fit: KClassFit, hypothesis: Hypothesis, A_r: np.ndarray | None = None) -> float:
     """|| sqrt(n) (lambda' beta_hat - lambda_0) ||_{A_r}."""
     a_r = check_weighting(A_r, hypothesis.d_r)
@@ -144,7 +116,7 @@ def wald_statistic(fit: KClassFit, hypothesis: Hypothesis, A_r: np.ndarray | Non
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap engines
+# Bootstrap engine
 # ---------------------------------------------------------------------------
 
 
@@ -201,8 +173,8 @@ def _smallest_pencil_eig_loop(a: np.ndarray, b: np.ndarray, valid: np.ndarray) -
     lam = np.zeros(a.shape[0])
     for i in np.nonzero(valid)[0]:
         try:
-            lam[i] = scipy.linalg.eigh(a[i], b[i], eigvals_only=True)[0]
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+            lam[i] = smallest_generalized_eigenvalue(a[i], b[i])
+        except NumericalError:
             valid[i] = False
     return lam
 
@@ -233,7 +205,6 @@ class _MomentEngine:
         self.d_w = dataset.d_w
         self.method = method
         self.fuller_c = fuller_c
-        self.design = design
 
         h = first_stage.fitted
         v = first_stage.v_tilde
@@ -243,20 +214,20 @@ class _MomentEngine:
 
         zt, u_w, u_t = design.Z_tilde, design.basis_W, design.basis_Zt
         w = dataset.W
-        cross = design.cluster_cross
+        starts = design.cluster_starts
         self.zt_p = zt.T @ p_mat
-        self.zt_s_by = cross(zt, s_mat)
-        self.zp_by = cross(zt, p_mat)
+        self.zt_s_by = cluster_cross(zt, s_mat, starts)
+        self.zp_by = cluster_cross(zt, p_mat, starts)
         self.uw_p = u_w.T @ p_mat
-        self.uw_s_by = cross(u_w, s_mat)
+        self.uw_s_by = cluster_cross(u_w, s_mat, starts)
         self.ut_p = u_t.T @ p_mat
-        self.ut_s_by = cross(u_t, s_mat)
+        self.ut_s_by = cluster_cross(u_t, s_mat, starts)
         self.w_p = w.T @ p_mat
-        self.w_s_by = cross(w, s_mat)
-        self.zw_by = cross(zt, w)
+        self.w_s_by = cluster_cross(w, s_mat, starts)
+        self.zw_by = cluster_cross(zt, w, starts)
         self.pp = p_mat.T @ p_mat
         self.ss = s_mat.T @ s_mat
-        ps_by = cross(p_mat, s_mat)
+        ps_by = cluster_cross(p_mat, s_mat, starts)
         self.ps_sym_by = ps_by + ps_by.transpose(0, 2, 1)
         self.ww_factor = scipy.linalg.cho_factor(w.T @ w)
         self.q_zz_factor = scipy.linalg.cho_factor(design.Q_ZZ)
@@ -371,44 +342,6 @@ class _MomentEngine:
         return boot_n, boot_cr, int(np.sum(~valid_cr))
 
 
-def _direct_distributions(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    first_stage: EfficientFirstStage,
-    restricted_fit: KClassFit,
-    hypothesis: Hypothesis,
-    method: str,
-    fuller_c: float,
-    signs: np.ndarray,
-    a_r: np.ndarray,
-    want_cr: bool,
-) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Reference per-g loop over the public primitives."""
-    m = signs.shape[0]
-    lam, lam0 = hypothesis.lambda_beta, hypothesis.lambda_0
-    boot_n = np.zeros(m)
-    boot_cr = np.zeros(m) if want_cr else None
-    n_singular = 0
-    for i in range(m):
-        y_star, x_star = bootstrap_sample(dataset, first_stage, restricted_fit, signs[i])
-        try:
-            kappa_g = _kappa_core(method, y_star, x_star, design, fuller_c)
-            fit_g = _fit_core(y_star, x_star, dataset.W, design, kappa_g, method)
-        except NumericalError:
-            n_singular += 1
-            continue
-        dev = lam.T @ fit_g.beta_hat - lam0
-        boot_n[i] = np.sqrt(dataset.n * dev @ a_r @ dev)
-        if want_cr:
-            try:
-                bundle = bootstrap_cce_matrix(design, x_star, fit_g.resid_unrestricted, lam)
-            except NumericalError:
-                n_singular += 1
-                continue
-            boot_cr[i] = np.sqrt(dataset.n * dev @ bundle.A_r_CR @ dev)
-    return boot_n, boot_cr, n_singular
-
-
 @dataclass(frozen=True)
 class WrecRun:
     """Everything one WREC pass produces; both statistics share the draws."""
@@ -431,11 +364,8 @@ def wrec_run(
     fuller_c: float = 1.0,
     design: PartialledDesign | None = None,
     want_cr: bool = True,
-    engine: str = "moments",
 ) -> WrecRun:
     """One full WREC pass computing the plain and CCE-studentized statistics."""
-    if engine not in ("moments", "direct"):
-        raise InputError(f"unknown engine {engine!r}")
     sign_set, design = prepare_test(dataset, sign_set, design)
     a_r = check_weighting(A_r, hypothesis.d_r)
 
@@ -449,16 +379,8 @@ def wrec_run(
         t_cr = float(np.sqrt(dataset.n * dev @ bundle.A_r_CR @ dev))
 
     first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
-    if engine == "moments":
-        eng = _MomentEngine(dataset, design, first_stage, fit, method, fuller_c)
-        boot_n, boot_cr, n_singular = eng.distributions(
-            sign_set.vectors, hypothesis, a_r, want_cr
-        )
-    else:
-        boot_n, boot_cr, n_singular = _direct_distributions(
-            dataset, design, first_stage, fit, hypothesis, method, fuller_c,
-            sign_set.vectors, a_r, want_cr,
-        )
+    eng = _MomentEngine(dataset, design, first_stage, fit, method, fuller_c)
+    boot_n, boot_cr, n_singular = eng.distributions(sign_set.vectors, hypothesis, a_r, want_cr)
     return WrecRun(
         fit=fit,
         statistic=t_n,

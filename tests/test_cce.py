@@ -8,8 +8,6 @@ from conftest import random_dataset
 from wbiv import (
     Hypothesis,
     NumericalError,
-    bootstrap_cce_matrix,
-    bootstrap_sample,
     cce_matrix,
     efficient_first_stage,
     kclass_fit,
@@ -19,6 +17,7 @@ from wbiv import (
 )
 from wbiv.cce import cluster_score_sums
 from wbiv.inference import SignSet
+from wrec_reference import bootstrap_cce_matrix, bootstrap_sample
 
 
 def triple_sum_omega(design, resid):

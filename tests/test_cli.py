@@ -76,6 +76,16 @@ class TestFit:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "tsls"
 
+    def test_cluster_dummies_keep_the_first_stage_slopes(self, sim_csv, capsys):
+        # W is a synthesized intercept plus the dummies of clusters 2..q
+        assert main(["fit", str(sim_csv)]) == 0
+        plain = json.loads(capsys.readouterr().out)["first_stage_by_cluster"]
+        assert main(["fit", str(sim_csv), "--cluster-dummies"]) == 0
+        with_dummies = json.loads(capsys.readouterr().out)["first_stage_by_cluster"]
+        assert with_dummies.keys() == plain.keys()
+        for label, slopes in plain.items():
+            np.testing.assert_allclose(with_dummies[label], slopes, rtol=1e-10)
+
 
 class TestTest:
     def test_wald_json_schema(self, sim_csv, tmp_path):
@@ -111,6 +121,13 @@ class TestTest:
     def test_usage_error_exit_code(self, sim_csv):
         assert main(["test", str(sim_csv), "--test", "nope"]) == 1
         assert main(["test", "/nonexistent.csv", "--test", "wald"]) == 1
+
+    @pytest.mark.parametrize("lam", ["1", "1,0,0"])
+    def test_lam_length_other_than_d_x_is_an_input_error(self, two_x_csv, capsys, lam):
+        assert main(["test", str(two_x_csv), "--test", "wald", "--lam", lam]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wbiv: error:")
+        assert "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant instrument: collinear with the intercept after partialling

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import random_dataset
 from wbiv import InputError, fit_method, invert_confidence_set, partial_out_exogenous
-from wbiv.confidence import TestSpec, intervals_to_mask, mask_to_intervals
+from wbiv.confidence import TestSpec, mask_to_intervals
+
+
+def intervals_to_mask(grid: np.ndarray, intervals) -> np.ndarray:
+    mask = np.zeros(grid.shape[0], dtype=bool)
+    for lo, hi in intervals:
+        mask |= (grid >= lo) & (grid <= hi)
+    return mask
 
 
 class TestIntervals:

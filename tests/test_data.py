@@ -13,6 +13,7 @@ from wbiv import (
     cluster_first_stage,
     partial_out_exogenous,
 )
+from wbiv.data import cluster_cross
 from wbiv.rng import substream
 from wbiv.simulate import DgpConfig, simulate_dgp
 
@@ -108,9 +109,8 @@ class TestPartialling:
         np.testing.assert_allclose(
             np.einsum("j,jzx->zx", weights, design.Q_ZX_j), design.Q_ZX, atol=1e-12
         )
-        np.testing.assert_allclose(
-            np.einsum("j,jzy->zy", weights, design.Q_ZZ_j), design.Q_ZZ, atol=1e-12
-        )
+        per_cluster = cluster_cross(design.Z_tilde, design.Z_tilde, design.cluster_starts)
+        np.testing.assert_allclose(per_cluster.sum(axis=0) / ds.n, design.Q_ZZ, atol=1e-12)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
@@ -203,6 +203,17 @@ class TestClusterFirstStage:
         ds = simulate_dgp(config, substream(5, "fs-slope"))
         slopes = cluster_first_stage(ds)
         assert abs(slopes[0, 0, 0] - 4.0) < 1.0  # within 25% at n_1 = 100
+
+    def test_intercept_and_own_dummy_give_intercept_only_slopes(self):
+        # W = [1, d_2, ..., d_q]: inside cluster j > 1 the intercept and d_j
+        # are one column, and inside cluster 1 the intercept stands alone
+        ds = random_dataset(3, q=4, n_per=15, d_z=2, d_w=1)
+        dummies = (ds.cluster_id[:, None] == np.arange(1, ds.q)).astype(float)
+        w = np.column_stack([ds.W, dummies])
+        with_dummies = build_dataset(ds.y, ds.X, ds.Z, w, ds.cluster_id)
+        np.testing.assert_allclose(
+            cluster_first_stage(with_dummies), cluster_first_stage(ds), rtol=1e-10, atol=1e-12
+        )
 
     def test_rank_deficient_cluster_rejected(self):
         z = np.array([1.0, 1.0, 1.0, 0.5, 1.9, 1.1])  # constant inside cluster 1

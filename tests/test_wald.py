@@ -9,7 +9,6 @@ from wbiv import (
     Hypothesis,
     InputError,
     ar_bootstrap_test,
-    bootstrap_sample,
     efficient_first_stage,
     fit_method,
     kclass_fit,
@@ -21,18 +20,21 @@ from wbiv import (
     wrec_run,
     wrec_wald_test,
 )
+from wbiv.data import cluster_cross
 from wbiv.rng import substream
 from wbiv.simulate import DgpConfig, simulate_dgp
+from wrec_reference import bootstrap_sample, direct_distributions
 
 H0 = Hypothesis.wald(np.eye(1), [0.0])
 
 
 def assert_engines_agree(ds, hyp, signs, methods):
+    """The moment engine against the observation-level refit per sign vector."""
     for method in methods:
-        a = wrec_run(ds, hyp, method, signs, engine="moments")
-        b = wrec_run(ds, hyp, method, signs, engine="direct")
-        np.testing.assert_allclose(a.boot_stats, b.boot_stats, atol=1e-8, rtol=1e-8)
-        np.testing.assert_allclose(a.boot_stats_cr, b.boot_stats_cr, atol=1e-8, rtol=1e-8)
+        run = wrec_run(ds, hyp, method, signs)
+        boot_n, boot_cr, _ = direct_distributions(ds, hyp, method, signs)
+        np.testing.assert_allclose(run.boot_stats, boot_n, atol=1e-8, rtol=1e-8)
+        np.testing.assert_allclose(run.boot_stats_cr, boot_cr, atol=1e-8, rtol=1e-8)
 
 
 def tsls_restricted(ds, design, lam0=0.0):
@@ -87,7 +89,7 @@ class TestEfficientFirstStage:
             design = partial_out_exogenous(ds)
             fit = kclass_fit(ds, design, 1.0)
             efs = efficient_first_stage(ds, design, fit.resid_unrestricted)
-            per_cluster = design.cluster_cross(design.Z_tilde, efs.v_tilde)
+            per_cluster = cluster_cross(design.Z_tilde, efs.v_tilde, design.cluster_starts)
             gaps[n_per] = np.abs(per_cluster / design.cluster_sizes[:, None, None]).max()
         assert gaps[640] < gaps[80]
 
@@ -186,11 +188,13 @@ class TestWrecDistributions:
         assert_engines_agree(ds, H0, signs, ("tsls", "liml", "full", "ba"))
 
     def test_engines_agree_multivariate(self):
-        # two endogenous regressors exercise the generic matrix paths
+        # two endogenous regressors exercise the generic matrix paths; the
+        # full-vector null (d_r = 2) exercises the 2x2 studentizing inverse
         ds = random_dataset(123, q=4, n_per=30, d_x=2, d_z=3, d_w=2)
-        hyp = Hypothesis.wald(np.array([[1.0], [0.5]]), [0.0])
         signs = make_sign_set(4, "exhaustive")
-        assert_engines_agree(ds, hyp, signs, ("tsls", "liml"))
+        one = Hypothesis.wald(np.array([[1.0], [0.5]]), [0.0])
+        for hyp in (one, Hypothesis.full_vector([0, 0])):
+            assert_engines_agree(ds, hyp, signs, ("tsls", "liml", "full", "ba"))
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
