@@ -1,11 +1,14 @@
-"""One sha256 per output of a fixed list of fixed-seed ``wbiv`` calls.
+"""Two sha256 digests per output of a fixed list of fixed-seed ``wbiv`` calls.
 
 Two trees give the same numbers when this script prints the same lines for
 both. It writes its CSVs from ``simulate_dgp`` into a temporary directory,
 runs every call in-process through ``wbiv.cli.main`` and hashes the exit
 code, stdout, stderr and the warnings raised. An exception that escapes
 ``main`` is hashed by its type and message, so no output depends on where
-the tree lives.
+the tree lives. Each line holds the digest of the exact text, then the
+digest of the text with every float rounded to 10 significant digits, then
+the call's name: a tree that moves only the last bits of some numbers keeps
+the rounded digest.
 
 Run from the root of the tree under test:
 
@@ -20,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 import warnings
@@ -32,6 +36,7 @@ from wbiv.rng import substream
 from wbiv.simulate import DgpConfig, simulate_dgp
 
 ESTIMATORS = ("tsls", "liml", "full", "ba")
+FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
 REGISTRY = ("wald", "wald-cr", "ar", "ar-cr", "ar-cr-asymptotic", "lm", "cqlr", "score-wald")
 
 
@@ -104,6 +109,16 @@ def capture(argv: list[str]) -> str:
     return f"exit {code}\n{stdout.getvalue()}--stderr--\n{stderr.getvalue()}--warnings--\n{warned}"
 
 
+def rounded(text: str) -> str:
+    """``text`` with every float (a number with a point or an exponent)
+    rounded to 10 significant digits."""
+    return FLOAT.sub(lambda m: f"{float(m.group()):.10g}", text)
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main_digest() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--show", help="print the captured output of the call with this name")
@@ -120,7 +135,7 @@ def main_digest() -> None:
             if args.show:
                 sys.stdout.write(text)
             else:
-                print(hashlib.sha256(text.encode()).hexdigest(), name)
+                print(digest(text), digest(rounded(text)), name)
 
 
 if __name__ == "__main__":

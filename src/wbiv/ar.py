@@ -65,9 +65,14 @@ def _row_quadratic(f: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out
 
 
+def ar_squares(f: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
+    """n f' A f for every row of the mean scores ``f``: the squared AR
+    statistics that the LM side's CQLR combination also reads."""
+    return n * np.maximum(_row_quadratic(f, weight), 0.0)
+
+
 def _ar_norms(score_sums: np.ndarray, signs: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
-    f = signed_score_sums(signs, score_sums) / n
-    return np.sqrt(n * np.maximum(_row_quadratic(f, weight), 0.0))
+    return np.sqrt(ar_squares(signed_score_sums(signs, score_sums) / n, n, weight))
 
 
 def check_weighting(weight: np.ndarray | None, d: int) -> np.ndarray:
@@ -158,18 +163,15 @@ def chi2_quantile(p: float, df: int) -> float:
 
 def ar_tests(
     dataset: ClusteredDataset,
-    design: PartialledDesign,
-    beta_0,
+    stats: ArStatistics,
     names,
     sign_set: SignSet,
     alpha: float,
-    A_z: np.ndarray | None,
 ) -> dict:
     """The ar, ar-cr and ar-cr-asymptotic tests among ``names`` from one set
     of AR statistics. ar-cr maps to an InputError unless q > d_z, and the
     CCE-weighted tests map to a NumericalError when the null-imposed CCE is
     singular."""
-    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0), A_z)
     out = {}
     for name in names:
         if name == "ar-cr" and dataset.q <= dataset.d_z:
@@ -204,7 +206,8 @@ def ar_bootstrap_test(
     """Sign-flip bootstrap AR test of the full-vector null beta = beta_0."""
     sign_set, design = prepare_test(dataset, sign_set, design, alpha)
     name = "ar-cr" if studentize else "ar"
-    return result_or_raise(ar_tests(dataset, design, beta_0, [name], sign_set, alpha, A_z)[name])
+    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0), A_z)
+    return result_or_raise(ar_tests(dataset, stats, [name], sign_set, alpha)[name])
 
 
 def ar_asymptotic_cr_test(
@@ -217,4 +220,5 @@ def ar_asymptotic_cr_test(
     chi-squared quantile with d_z degrees of freedom."""
     sign_set, design = prepare_test(dataset, None, design, alpha)
     name = "ar-cr-asymptotic"
-    return result_or_raise(ar_tests(dataset, design, beta_0, [name], sign_set, alpha, None)[name])
+    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
+    return result_or_raise(ar_tests(dataset, stats, [name], sign_set, alpha)[name])

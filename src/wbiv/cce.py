@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartialledDesign
-from .exceptions import NumericalError
+from .data import PartialledDesign, check_nonsingular
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,7 @@ def cluster_score_sums(design: PartialledDesign, residuals: np.ndarray) -> np.nd
 
 
 def _inv_psd(a: np.ndarray, what: str) -> np.ndarray:
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < 1e-13:
-        raise NumericalError(f"singular {what}")
+    check_nonsingular(a, what)
     return np.linalg.inv(a)
 
 

@@ -98,7 +98,7 @@ def build_parser() -> _Parser:
     p_test.add_argument("--fuller-c", type=float, default=1.0)
     p_test.add_argument("--beta0", help="comma-separated null value(s) of beta (default 0)")
     p_test.add_argument("--lam", help="comma-separated lambda vector (Wald; default unit)")
-    p_test.add_argument("--lambda0", type=float, help="restriction target (Wald; default beta0)")
+    p_test.add_argument("--lambda0", type=float, help="restriction target (Wald; default 0)")
     p_test.add_argument("--alpha", type=float, default=0.1)
     p_test.add_argument("--signs", choices=("auto", "exhaustive", "sampled"), default="auto")
     p_test.add_argument("-B", "--boot-reps", type=int, default=499)
@@ -162,17 +162,26 @@ def _emit(args, record):
 
 
 def _hypothesis(args, d_x: int) -> Hypothesis:
+    """The null of ``wbiv test``; an option the test would ignore is an error."""
     beta0 = _floats(args.beta0) if args.beta0 else [0.0] * d_x
     if lookup(args.test, TESTS) in FULL_VECTOR:
+        if args.lam or args.lambda0 is not None:
+            raise InputError(f"{args.test} tests the full vector beta = beta0; drop --lam/--lambda0")
         if len(beta0) != d_x:
             raise InputError(f"--beta0 must give {d_x} value(s) for a full-vector test")
         return Hypothesis.full_vector(beta0)
     if args.lam:
+        if args.beta0:
+            raise InputError("--beta0 does not apply with --lam; give the target as --lambda0")
         lam = np.array(_floats(args.lam)).reshape(-1, 1)
         lam0 = args.lambda0 if args.lambda0 is not None else 0.0
         return Hypothesis.wald(lam, [lam0])
+    if args.lambda0 is not None:
+        raise InputError("--lambda0 needs --lam")
     if d_x != 1:
         raise InputError("give --lam/--lambda0 to test a restriction with several regressors")
+    if len(beta0) != 1:
+        raise InputError(f"--beta0 must give 1 value for a {args.test} test, got {len(beta0)}")
     return Hypothesis.wald(np.ones((1, 1)), [beta0[0]])
 
 

@@ -9,7 +9,7 @@ matrix the test statistics need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +19,8 @@ from .exceptions import InputError, NumericalError
 # Reciprocal condition number below which a regressor block is treated as
 # collinear.
 RCOND_MIN = 1e-12
+# Reciprocal condition number below which a square system is singular.
+SINGULAR_RCOND = 1e-13
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -91,6 +93,10 @@ class ClusteredDataset:
             cluster_labels=self.cluster_labels,
             cluster_starts=self.cluster_starts,
         )
+
+    def append_exogenous(self, columns: np.ndarray) -> "ClusteredDataset":
+        """Same data with ``columns``, rows in this dataset's order, appended to W."""
+        return replace(self, W=_freeze(np.column_stack([self.W, columns])))
 
 
 def build_dataset(y, X, Z, W, cluster_id) -> ClusteredDataset:
@@ -206,6 +212,14 @@ def cluster_cross(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarra
         sl = slice(starts[j], starts[j + 1])
         out[j] = A[sl].T @ B[sl]
     return out
+
+
+def check_nonsingular(a: np.ndarray, what: str) -> None:
+    """Raise NumericalError("singular <what>") when the reciprocal condition
+    number of ``a``, from its singular values, is below SINGULAR_RCOND."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[0] == 0.0 or s[-1] / s[0] < SINGULAR_RCOND:
+        raise NumericalError(f"singular {what}")
 
 
 def _orthonormal_basis(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -168,14 +168,14 @@ def load_csv(
     if not cols["w"]:
         w = np.ones((len(labels), 1))
 
-    if cluster_dummies and labels.size:
-        uniq, codes = np.unique(labels, return_inverse=True)
-        dummies = (codes[:, None] == np.arange(uniq.size)).astype(np.float64)
-        has_constant = any(np.ptp(w[:, k]) == 0.0 and w[0, k] != 0.0 for k in range(w.shape[1]))
-        if has_constant:
-            dummies = dummies[:, 1:]
-        w = np.column_stack([w, dummies])
-    return build_dataset(y.ravel(), x, z, w, labels)
+    dataset = build_dataset(y.ravel(), x, z, w, labels)
+    if not cluster_dummies:
+        return dataset
+    dummies = (dataset.cluster_id[:, None] == np.arange(dataset.q)).astype(np.float64)
+    has_constant = any(np.ptp(w[:, k]) == 0.0 and w[0, k] != 0.0 for k in range(w.shape[1]))
+    if has_constant:
+        dummies = dummies[:, 1:]
+    return dataset.append_exogenous(dummies)
 
 
 def load_config(path) -> dict:

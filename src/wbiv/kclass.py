@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .data import ClusteredDataset, Hypothesis, PartialledDesign
+from .data import ClusteredDataset, Hypothesis, PartialledDesign, check_nonsingular
 from .exceptions import InputError, NumericalError
 
 METHODS = ("tsls", "liml", "full", "ba")
@@ -64,9 +64,7 @@ def _solve_sym(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         pass
     # Indefinite systems (mu > 0 can make the bracket indefinite): plain solve
     # with a conditioning guard.
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < 1e-13:
-        raise NumericalError(f"singular {what}")
+    check_nonsingular(a, what)
     return np.linalg.solve(a, b)
 
 

@@ -1,10 +1,12 @@
 """The test registry: every test by name, for the CLI, confidence-set
 inversion and the Monte Carlo harness alike.
 
-Tests come in families whose members share one pass over the data: one
-WREC run for wald and wald-cr (with the CCE side only when wald-cr is asked
-for), one set of AR statistics for ar, ar-cr and ar-cr-asymptotic, and one
-set of score-side draws for lm and cqlr. The simulation study's labels are
+Tests come in three families whose members share one pass over the data:
+one WREC run for wald and wald-cr (with the CCE side only when wald-cr is
+asked for); one restricted fit, one set of cluster score sums and one
+inverse null-imposed CCE for the full-vector tests ar, ar-cr,
+ar-cr-asymptotic, lm and cqlr (with the Jacobian side only when lm or cqlr
+is asked for); and score-wald on its own. The simulation study's labels are
 aliases of registry names.
 """
 
@@ -14,25 +16,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .ar import ar_tests
+from .ar import ar_statistics, ar_tests
 from .data import ClusteredDataset, Hypothesis, PartialledDesign
 from .exceptions import InputError, NumericalError
 from .inference import SignSet, prepare_test
-from .kclass import METHODS
+from .kclass import METHODS, restricted_ols_fit
 from .wald import score_bootstrap_wald_test, wald_tests
 from .weakiv import score_tests
 
 FAMILIES = {
     "wald": ("wald", "wald-cr"),
-    "ar": ("ar", "ar-cr", "ar-cr-asymptotic"),
-    "score": ("lm", "cqlr"),
+    "full-vector": ("ar", "ar-cr", "ar-cr-asymptotic", "lm", "cqlr"),
     "score-wald": ("score-wald",),
 }
 TESTS = {name: fam for fam, names in FAMILIES.items() for name in names}
 # Families whose null is the full vector beta = beta_0, read as lambda_0 of a
 # hypothesis with lambda = I, and families that fit the chosen estimator.
-FULL_VECTOR = ("ar", "score")
+FULL_VECTOR = ("full-vector",)
 ESTIMATOR = ("wald",)
+SCORE = ("lm", "cqlr")
 
 ALIASES = {
     "WB-US": "wald",
@@ -51,6 +53,15 @@ def lookup(name: str, table: dict) -> str:
     if name not in table:
         raise InputError(f"unknown test {name!r}; expected one of {', '.join(table)}")
     return table[name]
+
+
+def _failing_together(run, members) -> dict:
+    """run(members) for tests that share one pass; a NumericalError or
+    InputError it raises becomes every member's result."""
+    try:
+        return run(members)
+    except (NumericalError, InputError) as exc:
+        return dict.fromkeys(members, exc)
 
 
 def run_tests(
@@ -84,12 +95,25 @@ def run_tests(
         raise InputError(f"unknown k-class method {estimator!r}; expected one of {METHODS}")
     sign_set, design = prepare_test(dataset, sign_set, design, alpha)
     beta_0 = hypothesis.lambda_0
+
+    def full_vector(members):
+        # one restricted fit and one set of AR statistics; a failure on the
+        # LM side fails lm and cqlr, never the AR tests
+        stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
+        score = [name for name in members if name in SCORE]
+        ar = [name for name in members if name not in score]
+        out = ar_tests(dataset, stats, ar, sign_set, alpha)
+        if score:
+            out.update(_failing_together(
+                lambda score: score_tests(dataset, design, stats, score, sign_set, alpha), score
+            ))
+        return out
+
     passes = {
         "wald": lambda members: wald_tests(
             dataset, design, hypothesis, members, sign_set, alpha, estimator, fuller_c, None
         ),
-        "ar": lambda members: ar_tests(dataset, design, beta_0, members, sign_set, alpha, None),
-        "score": lambda members: score_tests(dataset, design, beta_0, members, sign_set, alpha),
+        "full-vector": full_vector,
         "score-wald": lambda members: {
             "score-wald": score_bootstrap_wald_test(dataset, hypothesis, alpha, sign_set, design)
         },
@@ -97,8 +121,5 @@ def run_tests(
     out = {}
     for fam in dict.fromkeys(TESTS[name] for name in names):
         members = [name for name in names if TESTS[name] == fam]
-        try:
-            out.update(passes[fam](members))
-        except (NumericalError, InputError) as exc:
-            out.update(dict.fromkeys(members, exc))
+        out.update(_failing_together(passes[fam], members))
     return out

@@ -129,6 +129,19 @@ class TestTest:
         assert err.startswith("wbiv: error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("options, flag", [
+        (["--test", "wald", "--beta0", "0.5", "--lam", "1"], "--beta0"),
+        (["--test", "ar", "--lam", "1"], "--lam"),
+        (["--test", "lm", "--lambda0", "0.5"], "--lambda0"),
+        (["--test", "wald", "--lambda0", "0.5"], "--lambda0"),
+        (["--test", "wald", "--beta0", "0.5,7"], "--beta0"),
+    ], ids=["beta0 with lam", "lam full vector", "lambda0 full vector", "lambda0 without lam",
+            "two beta0 values for one regressor"])
+    def test_an_option_the_test_would_ignore_is_an_input_error(self, sim_csv, capsys, options, flag):
+        assert main(["test", str(sim_csv)] + options) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wbiv: error:") and flag in err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant instrument: collinear with the intercept after partialling
         path = tmp_path / "bad.csv"

@@ -138,3 +138,54 @@ def test_full_vector_tests_need_an_identity_lambda():
     ds = random_dataset(7, q=5, n_per=10)
     with pytest.raises(InputError, match="full vector"):
         run_tests(ds, ["lm"], Hypothesis.wald(2.0 * np.ones((1, 1)), [0.0]))
+
+
+FULL_VECTOR_NAMES = ["ar", "ar-cr", "ar-cr-asymptotic", "lm", "cqlr"]
+
+
+@pytest.mark.parametrize("d_x, d_z, names", [
+    (1, 1, ["ar", "ar-cr", "lm", "cqlr", "score-wald"]),
+    (1, 2, ["ar", "ar-cr", "lm", "cqlr"]),
+    (2, 3, ["ar", "ar-cr", "lm"]),
+])
+def test_every_statistic_is_its_own_iota_draw(d_x, d_z, names):
+    # the last exhaustive sign vector is g = iota, so a tie between the
+    # statistic and the critical value resolves the same way in every test
+    signs = make_sign_set(7, "exhaustive")
+    assert np.all(signs.vectors[-1] == 1.0)
+    differ = []
+    for seed in range(4):
+        ds = random_dataset(seed, q=7, n_per=15, d_x=d_x, d_z=d_z)
+        out = run_tests(ds, names, Hypothesis.full_vector([B0] * d_x), sign_set=signs)
+        differ += [(seed, name) for name in names
+                   if out[name].statistic != out[name].boot_stats[-1]]
+    assert differ == []
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_full_vector_tests_share_one_pass(monkeypatch):
+    import wbiv.ar
+    import wbiv.registry
+    import wbiv.weakiv
+
+    fits = _counting(monkeypatch, wbiv.registry, "restricted_ols_fit")
+    sums = _counting(monkeypatch, wbiv.ar, "cluster_score_sums")
+    jacobians = _counting(monkeypatch, wbiv.weakiv, "_jacobian_bundle")
+    ds = random_dataset(8, q=7, n_per=15, d_z=2)
+    signs = make_sign_set(7, "exhaustive")
+    out = run_tests(ds, FULL_VECTOR_NAMES, Hypothesis.full_vector([B0]), sign_set=signs)
+    assert not any(isinstance(res, Exception) for res in out.values())
+    assert (len(fits), len(sums), len(jacobians)) == (1, 1, 1)
+    run_tests(ds, FULL_VECTOR_NAMES[:3], Hypothesis.full_vector([B0]), sign_set=signs)
+    assert (len(fits), len(sums), len(jacobians)) == (2, 2, 1)

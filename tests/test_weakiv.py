@@ -20,6 +20,13 @@ from wbiv.rng import substream
 from wbiv.weakiv import _lm_boot_distribution
 
 
+def full_quadratic_form(bundle, n):
+    """n f' Omega^{-1} f from the bundle's score sums, Omega = s's / n."""
+    s = bundle.score_sums
+    f_hat = s.sum(axis=0) / n
+    return n * f_hat @ np.linalg.solve(s.T @ s / n, f_hat)
+
+
 class TestLmStatistic:
     def test_t1x_matches_oracle(self, t1x_dz2):
         design = partial_out_exogenous(t1x_dz2)
@@ -33,8 +40,7 @@ class TestLmStatistic:
         # quadratic form n f' Omega^{-1} f
         rols = restricted_ols_fit(t1, [0.0])
         lm, bundle = lm_statistic(t1_design, rols)
-        f_hat = bundle.score_sums.sum(axis=0) / t1.n
-        ar_sq = t1.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
+        ar_sq = full_quadratic_form(bundle, t1.n)
         assert lm == pytest.approx(ar_sq, abs=1e-10)
 
     def test_exact_null_fit_gives_zero(self, t1, t1_design):
@@ -62,8 +68,7 @@ class TestLmStatistic:
         design = partial_out_exogenous(ds)
         rols = restricted_ols_fit(ds, [0.2])
         lm, bundle = lm_statistic(design, rols)
-        f_hat = bundle.score_sums.sum(axis=0) / ds.n
-        ar_sq = ds.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
+        ar_sq = full_quadratic_form(bundle, ds.n)
         assert lm <= ar_sq + 1e-10
 
     @given(seed=st.integers(0, 10**6))
@@ -93,8 +98,7 @@ class TestCqlrStatistic:
     def test_t1x_oracle(self, t1x_dz2):
         design = partial_out_exogenous(t1x_dz2)
         lm, bundle = lm_statistic(design, restricted_ols_fit(t1x_dz2, [0.0]))
-        f_hat = bundle.score_sums.sum(axis=0) / t1x_dz2.n
-        ar_sq = t1x_dz2.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
+        ar_sq = full_quadratic_form(bundle, t1x_dz2.n)
         assert ar_sq == pytest.approx(E.AR_CR_SQ_T1X, abs=1e-8)
         assert cqlr_statistic(ar_sq, lm, bundle.rk) == pytest.approx(E.LR_N_T1X, abs=1e-8)
 
@@ -153,6 +157,5 @@ class TestLmCqlrBootstrap:
         design = partial_out_exogenous(ds)
         rols = restricted_ols_fit(ds, [0.0])
         lm, bundle = lm_statistic(design, rols)
-        f_hat = bundle.score_sums.sum(axis=0) / ds.n
-        ar_sq = ds.n * f_hat @ np.linalg.solve(bundle.Omega_hat, f_hat)
+        ar_sq = full_quadratic_form(bundle, ds.n)
         assert cqlr_statistic(ar_sq, lm, bundle.rk) == pytest.approx(ar_sq, abs=1e-9)
