@@ -86,6 +86,7 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
     for test in ("ar", "wald-cr", "lm"):
         out.append((f"cs {test}", ["cs", dz1, "--test", test, "--method", "liml"] + grid))
     out.append(("fit liml", ["fit", dz3, "--method", "liml"]))
+    out.append(("fit liml dx2", ["fit", dx2, "--method", "liml"]))
     out.append(("fit --cluster-dummies", ["fit", dz3, "--cluster-dummies"]))
     out.append(("diagnose", ["diagnose", dz3]))
     out.append((

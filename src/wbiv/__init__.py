@@ -50,7 +50,6 @@ from .wald import (
     EfficientFirstStage,
     efficient_first_stage,
     score_bootstrap_wald_test,
-    wald_statistic,
     wrec_run,
     wrec_wald_test,
 )

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cce import _inv_psd, cluster_score_sums
-from .data import ClusteredDataset, PartialledDesign
+from .cce import cluster_score_sums
+from .data import ClusteredDataset, PartialledDesign, stack_solve
 from .exceptions import InputError, NumericalError
 from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test, result_or_raise
 from .kclass import RestrictedOlsFit, restricted_ols_fit
@@ -23,16 +23,16 @@ from .kclass import RestrictedOlsFit, restricted_ols_fit
 class ArStatistics:
     """AR statistics in norm form: AR = || sqrt(n) f_hat ||_A.
 
-    ``ar_cr_n`` uses the inverse of the null-imposed CCE as the weighting and
-    is None when that matrix is numerically singular (q < d_z, or degenerate
-    scores). Squared values are what the chi-squared comparison and the
-    conditional likelihood-ratio combination consume.
+    ``ar_n`` is unweighted (A = I). ``ar_cr_n`` uses the inverse of the
+    null-imposed CCE as the weighting and is None when that matrix is
+    numerically singular (q < d_z, or degenerate scores). Squared values
+    are what the chi-squared comparison and the conditional
+    likelihood-ratio combination consume.
     """
 
     f_hat: np.ndarray
     ar_n: float
     ar_cr_n: float | None
-    A_z: np.ndarray
     A_cr: np.ndarray | None
     score_sums: np.ndarray  # (q, d_z) per-cluster sums of f_ij
 
@@ -75,47 +75,19 @@ def _ar_norms(score_sums: np.ndarray, signs: np.ndarray, n: int, weight: np.ndar
     return np.sqrt(ar_squares(signed_score_sums(signs, score_sums) / n, n, weight))
 
 
-def check_weighting(weight: np.ndarray | None, d: int) -> np.ndarray:
-    """A d x d symmetric positive definite weighting matrix; identity when None."""
-    if weight is None:
-        return np.eye(d)
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape != (d, d):
-        raise InputError(f"weighting matrix must be {d}x{d}")
-    if not np.allclose(weight, weight.T, atol=1e-12):
-        raise InputError("weighting matrix must be symmetric")
-    if np.linalg.eigvalsh(weight)[0] <= 0.0:
-        raise InputError("weighting matrix must be positive definite")
-    return weight
-
-
-def ar_statistics(
-    design: PartialledDesign,
-    restricted_ols: RestrictedOlsFit,
-    A_z: np.ndarray | None = None,
-) -> ArStatistics:
+def ar_statistics(design: PartialledDesign, restricted_ols: RestrictedOlsFit) -> ArStatistics:
     """Compute AR_n and, when the null CCE is invertible, AR_CR_n."""
-    a_z = check_weighting(A_z, design.d_z)
     s = cluster_score_sums(design, restricted_ols.resid)
     n = design.n
     iota = np.ones((1, design.q))
     f_hat = signed_score_sums(iota, s)[0] / n
     # computed through the bootstrap pipeline so AR*(iota) == AR_n bitwise
-    ar_n = float(_ar_norms(s, iota, n, a_z)[0])
+    ar_n = float(_ar_norms(s, iota, n, np.eye(design.d_z))[0])
 
-    try:
-        a_cr = _inv_psd(s.T @ s / n, "null-imposed CCE")
-        ar_cr_n = float(_ar_norms(s, iota, n, a_cr)[0])
-    except NumericalError:
-        a_cr, ar_cr_n = None, None
-    return ArStatistics(
-        f_hat=f_hat,
-        ar_n=ar_n,
-        ar_cr_n=ar_cr_n,
-        A_z=a_z,
-        A_cr=a_cr,
-        score_sums=s,
-    )
+    a_cr, ok = stack_solve((s.T @ s / n)[None])
+    a_cr = a_cr[0] if ok[0] else None
+    ar_cr_n = None if a_cr is None else float(_ar_norms(s, iota, n, a_cr)[0])
+    return ArStatistics(f_hat=f_hat, ar_n=ar_n, ar_cr_n=ar_cr_n, A_cr=a_cr, score_sums=s)
 
 
 def ar_bootstrap_distribution(
@@ -125,7 +97,7 @@ def ar_bootstrap_distribution(
     studentize: bool,
 ) -> np.ndarray:
     """AR*(g) over the sign set; the weighting stays at its sample value."""
-    weight = stats.A_cr if studentize else stats.A_z
+    weight = stats.A_cr if studentize else np.eye(stats.f_hat.shape[0])
     return _ar_norms(stats.score_sums, np.asarray(signs, dtype=np.float64), n, weight)
 
 
@@ -200,13 +172,12 @@ def ar_bootstrap_test(
     studentize: bool = False,
     sign_set: SignSet | None = None,
     alpha: float = 0.1,
-    A_z: np.ndarray | None = None,
     design: PartialledDesign | None = None,
 ) -> BootstrapTestResult:
     """Sign-flip bootstrap AR test of the full-vector null beta = beta_0."""
     sign_set, design = prepare_test(dataset, sign_set, design, alpha)
     name = "ar-cr" if studentize else "ar"
-    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0), A_z)
+    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
     return result_or_raise(ar_tests(dataset, stats, [name], sign_set, alpha)[name])
 
 

@@ -3,6 +3,8 @@
 Omega_CR is assembled from per-cluster score sums, (1/n) sum_j s_j s_j' with
 s_j = sum_i Zt_ij eps_ij, which equals the triple-sum definition exactly at
 O(n) cost. No small-sample degrees-of-freedom factor is applied anywhere.
+The sandwich is written once, for a stack of (Q_ZX, Omega) pairs: the sample
+is a stack of one, and the WREC bootstrap passes one pair per sign vector.
 """
 
 from __future__ import annotations
@@ -11,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartialledDesign, check_nonsingular
+from .data import PartialledDesign, raise_singular, stack_solve
+
+# What is singular when a stack item fails, as NumericalError messages name it.
+JACOBIAN = "Jacobian quadratic form (near-unidentified model)"
+RESTRICTED_COVARIANCE = "restricted covariance (q <= d_r or degenerate scores)"
 
 
 @dataclass(frozen=True)
@@ -30,9 +36,23 @@ def cluster_score_sums(design: PartialledDesign, residuals: np.ndarray) -> np.nd
     return np.add.reduceat(zr, design.cluster_starts[:-1], axis=0)
 
 
-def _inv_psd(a: np.ndarray, what: str) -> np.ndarray:
-    check_nonsingular(a, what)
-    return np.linalg.inv(a)
+def cce_sandwich(
+    q_zx: np.ndarray,
+    q_zz: np.ndarray,
+    omega: np.ndarray,
+    lambda_beta: np.ndarray,
+) -> tuple[CceBundle, dict]:
+    """The CCE bundle of each item of a stack of Q_ZX (m, d_z, d_x) and Omega
+    (m, d_z, d_z) sharing one Q_ZZ, every field stacked, and the singular
+    checks of the two inverses (what -> ok flags)."""
+    ziq = np.linalg.inv(q_zz) @ q_zx                         # Q_ZZ^{-1} Q_ZX
+    q_hat = q_zx.transpose(0, 2, 1) @ ziq
+    q_inv, ok_q = stack_solve(q_hat)
+    v_hat = q_inv @ (ziq.transpose(0, 2, 1) @ omega @ ziq) @ q_inv
+    lvl = lambda_beta.T @ v_hat @ lambda_beta
+    a_r_cr, ok_r = stack_solve(lvl)
+    bundle = CceBundle(Omega_CR=omega, V_hat=v_hat, A_r_CR=a_r_cr, Q_hat=q_hat)
+    return bundle, {JACOBIAN: ok_q, RESTRICTED_COVARIANCE: ok_r}
 
 
 def _assemble(
@@ -41,13 +61,12 @@ def _assemble(
     omega: np.ndarray,
     lambda_beta: np.ndarray,
 ) -> CceBundle:
-    ziq = np.linalg.solve(q_zz, q_zx)          # Q_ZZ^{-1} Q_ZX
-    q_hat = q_zx.T @ ziq
-    q_inv = _inv_psd(q_hat, "Jacobian quadratic form (near-unidentified model)")
-    v_hat = q_inv @ ziq.T @ omega @ ziq @ q_inv
-    lvl = lambda_beta.T @ v_hat @ lambda_beta
-    a_r_cr = _inv_psd(lvl, "restricted covariance (q <= d_r or degenerate scores)")
-    return CceBundle(Omega_CR=omega, V_hat=v_hat, A_r_CR=a_r_cr, Q_hat=q_hat)
+    """:func:`cce_sandwich` of one pair; a singular inverse is a NumericalError."""
+    bundle, checks = cce_sandwich(q_zx[None], q_zz, omega[None], lambda_beta)
+    raise_singular(checks)
+    return CceBundle(
+        Omega_CR=omega, V_hat=bundle.V_hat[0], A_r_CR=bundle.A_r_CR[0], Q_hat=bundle.Q_hat[0]
+    )
 
 
 def cce_matrix(

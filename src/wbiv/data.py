@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import InputError, NumericalError
 
@@ -196,7 +195,12 @@ class PartialledDesign:
 
     def proj_w_coef(self, u: np.ndarray) -> np.ndarray:
         """Least-squares coefficients of a regression of u on W."""
-        return self.w_coef_map @ (self.basis_W.T @ u)
+        return self.w_coef(self.basis_W.T @ u)
+
+    def w_coef(self, coords: np.ndarray) -> np.ndarray:
+        """W-coefficients from U_W-coordinates U_W'u, of shape (d_w,) or one
+        row per item of a stack."""
+        return np.einsum("wv,...v->...w", self.w_coef_map, coords)
 
 
 def cluster_cross(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -214,12 +218,65 @@ def cluster_cross(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarra
     return out
 
 
-def check_nonsingular(a: np.ndarray, what: str) -> None:
-    """Raise NumericalError("singular <what>") when the reciprocal condition
-    number of ``a``, from its singular values, is below SINGULAR_RCOND."""
+def nonsingular(a: np.ndarray) -> np.ndarray:
+    """The package's one singular rule, per item of a stack of square
+    matrices: False where ``a[i]`` has a non-finite entry or its reciprocal
+    condition number s_min / s_max is below SINGULAR_RCOND.
+
+    The singular values of a 1 x 1 or 2 x 2 item have a closed form; larger
+    items go through one stacked SVD.
+    """
+    ok = np.isfinite(a).all(axis=(1, 2))
+    if a.shape[-1] == 1:
+        # s_min / s_max is 1 unless the item is 0
+        return ok & (a[:, 0, 0] != 0.0)
+    # scaled to a largest entry of 1, so that squares neither over- nor
+    # underflow; a zero or non-finite item is singular
+    a = np.where(ok[:, None, None], a, 0.0)
+    scale = np.abs(a).max(axis=(1, 2))
+    ok &= scale > 0.0
+    a = a / np.where(ok, scale, 1.0)[:, None, None]
+    if a.shape[-1] == 2:
+        # s_min / s_max = |det| / s_max^2, where 2 s_max^2 = f + sqrt(f^2 -
+        # 4 det^2) and f = s_max^2 + s_min^2 is the squared Frobenius norm
+        f = np.einsum("mab,mab->m", a, a)
+        det = np.abs(a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
+        s_max_sq = 0.5 * (f + np.sqrt(np.maximum((f - 2.0 * det) * (f + 2.0 * det), 0.0)))
+        return ok & (det >= SINGULAR_RCOND * s_max_sq)
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < SINGULAR_RCOND:
-        raise NumericalError(f"singular {what}")
+    return ok & (s[:, -1] >= SINGULAR_RCOND * s[:, 0])
+
+
+def stack_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a[i] x[i] = b[i] for a stack of square systems: (x, ok).
+
+    ``b`` holds one vector (shape (m, d)) or one matrix (shape (m, d, k)) per
+    item; without it x[i] is the inverse of a[i]. Item i is singular, with
+    ok[i] False and x[i] zero, when :func:`nonsingular` flags a[i] or x[i]
+    is not finite. Each item is solved on its own, so its bits do not depend
+    on the other items.
+    """
+    vector = b is not None and b.ndim == 2
+    if vector:
+        b = b[:, :, None]
+    ok = nonsingular(a)
+    # a singular item is replaced by the identity, and its x by 0
+    a = np.where(ok[:, None, None], a, np.eye(a.shape[-1]))
+    if b is None:
+        x = np.linalg.inv(a)
+    else:
+        x = b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
+    ok &= np.isfinite(x).all(axis=(1, 2))
+    x = np.where(ok[:, None, None], x, 0.0)
+    return (x[:, :, 0] if vector else x), ok
+
+
+def raise_singular(checks: dict, row: int = 0) -> None:
+    """NumericalError("singular <what>") for the first entry of ``checks``
+    (what -> ok flags of a stack) that flags item ``row``."""
+    for what, ok in checks.items():
+        if not ok[row]:
+            raise NumericalError(f"singular {what}")
 
 
 def _orthonormal_basis(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,6 +350,10 @@ def cluster_first_stage(dataset: ClusteredDataset) -> np.ndarray:
     -------
     ndarray, shape (q, d_z, d_x)
     """
+    # imported here, not with the module: `import wbiv.cli` then leaves out
+    # scipy.linalg, a few tenths of a second that only `wbiv fit` needs
+    import scipy.linalg
+
     out = np.empty((dataset.q, dataset.d_z, dataset.d_x))
     for j in range(dataset.q):
         sl = dataset.cluster_slice(j)

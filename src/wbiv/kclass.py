@@ -8,6 +8,11 @@ with mu = kappa - 1 and Zt the full-sample residual of Z on W, which is
 algebraically identical to the joint regression of y on [X:W] but never forms
 an n-by-n projection. The exogenous coefficients then satisfy the W-block
 normal equation gamma = (W'W)^{-1} W'(y - X beta) for every kappa.
+
+kappa and beta are computed for a stack of Gram blocks of Y = [X : y]
+(Y'Y, U_W'Y and U_Zt'Y, with U_W and U_Zt orthonormal bases of span(W) and
+span(Zt)). The sample is a stack of one; the WREC bootstrap passes one item
+per sign vector through the same code.
 """
 
 from __future__ import annotations
@@ -16,9 +21,15 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from .data import ClusteredDataset, Hypothesis, PartialledDesign, check_nonsingular
+from .data import (
+    ClusteredDataset,
+    Hypothesis,
+    PartialledDesign,
+    nonsingular,
+    raise_singular,
+    stack_solve,
+)
 from .exceptions import InputError, NumericalError
 
 METHODS = ("tsls", "liml", "full", "ba")
@@ -26,6 +37,10 @@ METHODS = ("tsls", "liml", "full", "ba")
 # LIML kappa below 1 - LIML_CLAMP_TOL is impossible in exact arithmetic
 # (span(W) is contained in span([Z:W])) and gets clamped with a warning.
 LIML_CLAMP_TOL = 1e-8
+
+# What is singular when a stack item fails, as NumericalError messages name it.
+LIML_PENCIL = "residual quadratic form in the LIML eigenproblem"
+KCLASS_SYSTEM = "k-class system matrix (near-unidentified model)"
 
 
 @dataclass(frozen=True)
@@ -56,46 +71,103 @@ class RestrictedOlsFit:
     resid: np.ndarray
 
 
-def _solve_sym(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    try:
-        c, low = scipy.linalg.cho_factor(a)
-        return scipy.linalg.cho_solve((c, low), b)
-    except scipy.linalg.LinAlgError:
-        pass
-    # Indefinite systems (mu > 0 can make the bracket indefinite): plain solve
-    # with a conditioning guard.
-    check_nonsingular(a, what)
-    return np.linalg.solve(a, b)
+def kclass_forms(ut: np.ndarray, cross: np.ndarray | None = None, uw: np.ndarray | None = None):
+    """(Y'P_Zt Y, Y'M_W Y) for a stack of Gram blocks ut = U_Zt'Y, cross =
+    Y'Y and uw = U_W'Y. Without ``cross`` the M_W form is None: TSLS needs
+    only the P_Zt form."""
+    p = ut.transpose(0, 2, 1) @ ut
+    if cross is None:
+        return p, None
+    return p, cross - uw.transpose(0, 2, 1) @ uw
 
 
-def _kclass_moments(y: np.ndarray, X: np.ndarray, design: PartialledDesign, need_m: bool):
-    """Quadratic forms of (X, y) under P_Zt and, when needed, M_[Z:W]."""
-    u_zt, u_w = design.basis_Zt, design.basis_W
-    a_x = u_zt.T @ X
-    a_y = u_zt.T @ y
-    xpx = a_x.T @ a_x
-    xpy = a_x.T @ a_y
-    if not need_m:
-        return xpx, xpy, None, None
-    b_x = u_w.T @ X
-    b_y = u_w.T @ y
-    xmx = X.T @ X - b_x.T @ b_x - a_x.T @ a_x
-    xmy = X.T @ y - b_x.T @ b_y - a_x.T @ a_y
-    return xpx, xpy, xmx, xmy
+def _smallest_pencil_root(a: np.ndarray, b: np.ndarray):
+    """Smallest root of det(a - lambda b) = 0 for a stack of symmetric
+    pencils with b positive definite: (lambda, ok).
 
-
-def smallest_generalized_eigenvalue(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric-definite pencil (a, b).
-
-    Solved through a triangular factorization of b; both matrices are tiny
-    ((1 + d_x) square) so the dense path is exact enough and fast. A b that
-    is not positive definite, or a non-finite entry, is a NumericalError.
+    A 2 x 2 pencil has a closed-form root; a larger one is reduced to the
+    eigenvalues of b^{-1} a in one stacked solve and one stacked eigvals.
     """
-    try:
-        vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError("singular residual quadratic form in the LIML eigenproblem") from exc
-    return float(vals[0])
+    if a.shape[-1] == 2:
+        ok = nonsingular(b)
+        det_b = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] ** 2
+        c1 = a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0] - 2.0 * a[:, 0, 1] * b[:, 0, 1]
+        det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2
+        disc = np.maximum(c1 * c1 - 4.0 * det_b * det_a, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = (c1 - np.sqrt(disc)) / (2.0 * det_b)
+    else:
+        c, ok = stack_solve(b, a)
+        lam = np.linalg.eigvals(c).real.min(axis=1)
+    ok &= np.isfinite(lam)
+    return np.where(ok, lam, 0.0), ok
+
+
+def kclass_kappa(
+    method: str,
+    p: np.ndarray,
+    mw: np.ndarray | None,
+    n: int,
+    d_z: int,
+    d_w: int,
+    fuller_c: float = 1.0,
+):
+    """kappa of ``method`` for each item of a stack of :func:`kclass_forms`:
+    (kappa, ok).
+
+    tsls gives 1, ba gives n/(n - d_z + 2), liml the smallest root of the
+    pencil (Y'M_W Y, Y'M_[Z:W] Y), and full subtracts fuller_c/(n - d_z - d_w)
+    from the liml value. The default fuller_c = 1 is the usual
+    second-order-unbiased choice.
+    """
+    m = p.shape[0]
+    if method == "tsls":
+        return np.ones(m), np.ones(m, dtype=bool)
+    if method == "ba":
+        return np.full(m, n / (n - d_z + 2)), np.ones(m, dtype=bool)
+    kappa, ok = _smallest_pencil_root(mw, mw - p)
+    clamped = ok & (kappa < 1.0 - LIML_CLAMP_TOL)
+    if clamped.any():
+        warnings.warn(
+            f"clamped {int(clamped.sum())} LIML kappa value(s) below 1 to 1 (numerical noise)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        kappa = np.where(clamped, 1.0, kappa)
+    if method == "full":
+        if n <= d_z + d_w:
+            raise InputError("FULL requires n > d_z + d_w")
+        kappa = kappa - fuller_c / (n - d_z - d_w)
+    return kappa, ok
+
+
+def _kclass_system(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
+    """The k-class normal equations per item: (X'P_Zt X - mu X'M_[Z:W] X,
+    X'P_Zt y - mu X'M_[Z:W] y) with mu = kappa - 1. Without ``mw`` every
+    kappa is 1."""
+    d_x = p.shape[-1] - 1
+    if mw is None:
+        return p[:, :d_x, :d_x], p[:, :d_x, d_x]
+    mu = kappa - 1.0
+    m_zw = mw - p
+    return (
+        p[:, :d_x, :d_x] - mu[:, None, None] * m_zw[:, :d_x, :d_x],
+        p[:, :d_x, d_x] - mu[:, None] * m_zw[:, :d_x, d_x],
+    )
+
+
+def kclass_beta(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
+    """beta for each item of a stack of :func:`kclass_forms`: (beta, ok)."""
+    return stack_solve(*_kclass_system(kappa, p, mw))
+
+
+def _sample_forms(dataset: ClusteredDataset, design: PartialledDesign, with_w: bool):
+    """:func:`kclass_forms` of the sample, a stack of one."""
+    yx = np.column_stack([dataset.X, dataset.y])
+    ut = (design.basis_Zt.T @ yx)[None]
+    if not with_w:
+        return kclass_forms(ut)
+    return kclass_forms(ut, (yx.T @ yx)[None], (design.basis_W.T @ yx)[None])
 
 
 def kappa_value(
@@ -104,39 +176,13 @@ def kappa_value(
     design: PartialledDesign,
     fuller_c: float = 1.0,
 ) -> float:
-    """kappa for the requested estimator.
-
-    tsls gives 1, ba gives n/(n - d_z + 2), liml solves the minimum-eigenvalue
-    problem, and full subtracts fuller_c/(n - d_z - d_w) from the liml value.
-    The default fuller_c = 1 is the usual second-order-unbiased choice.
-    """
+    """kappa for the requested estimator (see :func:`kclass_kappa`)."""
     if method not in METHODS:
         raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
-    n, d_z, d_w = dataset.n, dataset.d_z, dataset.d_w
-    if method == "tsls":
-        return 1.0
-    if method == "ba":
-        return n / (n - d_z + 2)
-    # LIML: smallest generalized eigenvalue of (Y'M_W Y, Y'M_[Z:W] Y) with
-    # Y = [y : X].
-    yvec = np.column_stack([dataset.y, dataset.X])
-    bw = design.basis_W.T @ yvec
-    bt = design.basis_Zt.T @ yvec
-    a = yvec.T @ yvec - bw.T @ bw
-    b = a - bt.T @ bt
-    kappa = smallest_generalized_eigenvalue(a, b)
-    if kappa < 1.0 - LIML_CLAMP_TOL:
-        warnings.warn(
-            f"LIML kappa {kappa!r} below 1; clamping to 1 (numerical noise)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        kappa = 1.0
-    if method == "liml":
-        return kappa
-    if n <= d_z + d_w:
-        raise InputError("FULL requires n > d_z + d_w")
-    return kappa - fuller_c / (n - d_z - d_w)
+    p, mw = _sample_forms(dataset, design, method in ("liml", "full"))
+    kappa, ok = kclass_kappa(method, p, mw, dataset.n, dataset.d_z, dataset.d_w, fuller_c)
+    raise_singular({LIML_PENCIL: ok})
+    return float(kappa[0])
 
 
 def kclass_fit(
@@ -148,13 +194,10 @@ def kclass_fit(
     """Fit the k-class estimator with an explicit kappa."""
     y, X = dataset.y, dataset.X
     mu = kappa - 1.0
-    xpx, xpy, xmx, xmy = _kclass_moments(y, X, design, need_m=(mu != 0.0))
-    if mu != 0.0:
-        lhs = xpx - mu * xmx
-        rhs = xpy - mu * xmy
-    else:
-        lhs, rhs = xpx, xpy
-    beta = _solve_sym(lhs, rhs, "k-class system matrix (near-unidentified model)")
+    p, mw = _sample_forms(dataset, design, mu != 0.0)
+    beta, ok = kclass_beta(np.array([kappa]), p, mw)
+    raise_singular({KCLASS_SYSTEM: ok})
+    beta = beta[0]
     gamma = design.proj_w_coef(y - X @ beta)
     resid = y - X @ beta - dataset.W @ gamma
     return KClassFit(
@@ -192,14 +235,14 @@ def restricted_kclass_fit(
     lam = hypothesis.lambda_beta
     lam0 = hypothesis.lambda_0
     y, X, W = dataset.y, dataset.X, dataset.W
-    xpx, _, xmx, _ = _kclass_moments(y, X, design, need_m=(fit.mu != 0.0))
-    mmat = xpx if fit.mu == 0.0 else xpx - fit.mu * xmx
-    k = _solve_sym(mmat, lam, "k-class system matrix (near-unidentified model)")
-    denom = lam.T @ k
-    try:
-        gap = np.linalg.solve(denom, lam.T @ fit.beta_hat - lam0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular restriction projection") from exc
+    p, mw = _sample_forms(dataset, design, fit.mu != 0.0)
+    mmat, _ = _kclass_system(np.array([fit.kappa]), p, mw)
+    k, ok = stack_solve(mmat, lam[None])
+    raise_singular({KCLASS_SYSTEM: ok})
+    k = k[0]
+    gap, ok = stack_solve((lam.T @ k)[None], (lam.T @ fit.beta_hat - lam0)[None])
+    raise_singular({"restriction projection": ok})
+    gap = gap[0]
     beta_r = fit.beta_hat - k @ gap
     gamma_r = design.proj_w_coef(y - X @ beta_r)
     resid_r = y - X @ beta_r - W @ gamma_r

@@ -111,7 +111,7 @@ def run_tests(
 
     passes = {
         "wald": lambda members: wald_tests(
-            dataset, design, hypothesis, members, sign_set, alpha, estimator, fuller_c, None
+            dataset, design, hypothesis, members, sign_set, alpha, estimator, fuller_c
         ),
         "full-vector": full_vector,
         "score-wald": lambda members: {

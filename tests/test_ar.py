@@ -72,10 +72,6 @@ class TestArStatistics:
         stats = ar_statistics(partial_out_exogenous(ds), restricted_ols_fit(ds, [0.0]))
         assert stats.ar_cr_sq == pytest.approx(q, abs=1e-8)
 
-    def test_weighting_must_be_pd(self, t1, t1_design):
-        with pytest.raises(InputError):
-            ar_statistics(t1_design, restricted_ols_fit(t1, [0.0]), A_z=np.array([[0.0]]))
-
 
 class TestArBootstrap:
     def test_identity_and_flip_symmetry_exact(self, t1, t1_design):

@@ -20,6 +20,7 @@ from wbiv import (
     wrec_wald_test,
 )
 from wbiv.cli import main
+from wbiv.data import stack_solve
 from wbiv.registry import ALIASES, TESTS
 from wbiv.rng import substream
 from wbiv.simulate import _replicate
@@ -145,21 +146,59 @@ FULL_VECTOR_NAMES = ["ar", "ar-cr", "ar-cr-asymptotic", "lm", "cqlr"]
 
 @pytest.mark.parametrize("d_x, d_z, names", [
     (1, 1, ["ar", "ar-cr", "lm", "cqlr", "score-wald"]),
-    (1, 2, ["ar", "ar-cr", "lm", "cqlr"]),
-    (2, 3, ["ar", "ar-cr", "lm"]),
+    (1, 2, ["ar", "ar-cr", "ar-cr-asymptotic", "lm", "cqlr", "wald", "wald-cr"]),
+    (2, 3, ["ar", "ar-cr", "lm", "wald", "wald-cr"]),
 ])
 def test_every_statistic_is_its_own_iota_draw(d_x, d_z, names):
     # the last exhaustive sign vector is g = iota, so a tie between the
-    # statistic and the critical value resolves the same way in every test
+    # statistic and the critical value resolves the same way in every test;
+    # ar-cr-asymptotic squares the ar-cr statistic
     signs = make_sign_set(7, "exhaustive")
     assert np.all(signs.vectors[-1] == 1.0)
     differ = []
     for seed in range(4):
         ds = random_dataset(seed, q=7, n_per=15, d_x=d_x, d_z=d_z)
-        out = run_tests(ds, names, Hypothesis.full_vector([B0] * d_x), sign_set=signs)
-        differ += [(seed, name) for name in names
-                   if out[name].statistic != out[name].boot_stats[-1]]
+        for estimator in ("tsls", "liml", "full", "ba"):
+            out = run_tests(ds, names, Hypothesis.full_vector([B0] * d_x),
+                            estimator=estimator, sign_set=signs)
+            for name in names:
+                if name == "ar-cr-asymptotic":
+                    same = out[name].statistic_sq == out["ar-cr"].boot_stats[-1] ** 2
+                else:
+                    same = out[name].statistic == out[name].boot_stats[-1]
+                if not same:
+                    differ.append((seed, estimator, name))
     assert differ == []
+
+
+def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
+    # one exactly singular item in a stack of three, at d = 1 and at d = 2:
+    # it is flagged and reads 0, and the other items are solved
+    for d, singular in ((1, [[0.0]]), (2, [[1.0, 2.0], [2.0, 4.0]])):
+        a = np.array([2.0 * np.eye(d), singular, 4.0 * np.eye(d)])
+        x, ok = stack_solve(a, np.ones((3, d)))
+        assert ok.tolist() == [True, False, True]
+        np.testing.assert_array_equal(x, [[0.5] * d, [0.0] * d, [0.25] * d])
+    # e is orthogonal to W, to the first instrument and, cluster by cluster,
+    # to the second, so every TSLS cluster score is a multiple of (1, 0): the
+    # 2 x 2 restricted covariance of the iota draw has rank one
+    rng = substream(5, "singular-iota")
+    q, n_per = 3, 10
+    n = q * n_per
+    cluster = np.repeat(np.arange(q), n_per)
+    z = rng.standard_normal((n, 2))
+    zt = z - z.mean(axis=0)
+    x = rng.standard_normal((n, 2)) + z @ np.array([[1.0, 0.3], [0.2, 1.0]])
+    c = np.column_stack([np.ones(n), zt[:, 0]] + [zt[:, 1] * (cluster == j) for j in range(q)])
+    r = rng.standard_normal(n)
+    e = r - c @ np.linalg.lstsq(c, r, rcond=None)[0]
+    ds = build_dataset(x @ np.array([0.5, -0.3]) + e, x, z, np.ones(n), cluster)
+    hyp = Hypothesis.full_vector([0.5, -0.3])
+    out = run_tests(ds, ["wald", "wald-cr"], hyp)
+    assert isinstance(out["wald-cr"], NumericalError)
+    assert str(out["wald-cr"]) == "singular restricted covariance (q <= d_r or degenerate scores)"
+    assert out["wald"] is out["wald-cr"]
+    assert run_tests(ds, ["wald"], hyp)["wald"].n_singular == 0
 
 
 def _counting(monkeypatch, module, name):

@@ -16,7 +16,6 @@ from wbiv import (
     partial_out_exogenous,
     restricted_kclass_fit,
     score_bootstrap_wald_test,
-    wald_statistic,
     wrec_run,
     wrec_wald_test,
 )
@@ -134,24 +133,19 @@ class TestBootstrapSample:
 
 
 class TestWaldStatistic:
+    # the sample statistic is wrec_run's g = iota draw
     def test_zero_at_exact_null(self, t1, t1_design):
         fit = kclass_fit(t1, t1_design, 1.0)
         hyp = Hypothesis.wald(np.eye(1), [fit.beta_hat[0]])
-        assert wald_statistic(fit, hyp) == 0.0
+        assert wrec_run(t1, hyp).statistic == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_norm(self, t1, t1_design):
         fit = kclass_fit(t1, t1_design, 1.0)
         hyp = Hypothesis.wald(np.eye(1), [fit.beta_hat[0] - 0.5])
-        assert wald_statistic(fit, hyp) == pytest.approx(np.sqrt(6) * 0.5, abs=1e-12)
+        assert wrec_run(t1, hyp).statistic == pytest.approx(np.sqrt(6) * 0.5, abs=1e-12)
 
-    def test_t1_oracle(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
-        assert wald_statistic(fit, H0) == pytest.approx(E.T_N, abs=1e-10)
-
-    def test_non_pd_weighting_rejected(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
-        with pytest.raises(InputError):
-            wald_statistic(fit, H0, A_r=np.array([[-1.0]]))
+    def test_t1_oracle(self, t1):
+        assert wrec_run(t1, H0).statistic == pytest.approx(E.T_N, abs=1e-10)
 
 
 class TestWrecDistributions:

@@ -56,7 +56,7 @@ def bootstrap_cce_matrix(design, X_star, resid_star, lambda_beta):
 
 
 def direct_distributions(dataset, hypothesis, method, sign_set, fuller_c=1.0):
-    """Plain and studentized bootstrap draws of ``wrec_run`` at A_r = I, one
+    """Plain and studentized bootstrap draws of ``wrec_run``, one
     refit per sign vector: (boot_n, boot_cr, n_singular).
 
     A draw whose refit or bootstrap CCE is singular counts once in
