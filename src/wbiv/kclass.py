@@ -94,8 +94,10 @@ def _smallest_pencil_root(a: np.ndarray, b: np.ndarray):
         c1 = a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0] - 2.0 * a[:, 0, 1] * b[:, 0, 1]
         det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2
         disc = np.maximum(c1 * c1 - 4.0 * det_b * det_a, 0.0)
+        # the smaller root (c1 - sqrt(disc)) / (2 det_b), written without
+        # the cancellation of c1 - sqrt(disc) when the roots are far apart
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam = (c1 - np.sqrt(disc)) / (2.0 * det_b)
+            lam = 2.0 * det_a / (c1 + np.sqrt(disc))
     else:
         c, ok = stack_solve(b, a)
         lam = np.linalg.eigvals(c).real.min(axis=1)
@@ -113,32 +115,39 @@ def kclass_kappa(
     fuller_c: float = 1.0,
 ):
     """kappa of ``method`` for each item of a stack of :func:`kclass_forms`:
-    (kappa, ok).
+    (kappa, ok, clamped).
 
     tsls gives 1, ba gives n/(n - d_z + 2), liml the smallest root of the
     pencil (Y'M_W Y, Y'M_[Z:W] Y), and full subtracts fuller_c/(n - d_z - d_w)
     from the liml value. The default fuller_c = 1 is the usual
-    second-order-unbiased choice.
+    second-order-unbiased choice. A liml value below 1 - LIML_CLAMP_TOL is
+    set to 1 and flagged in ``clamped``, which :func:`warn_clamped` reports.
     """
     m = p.shape[0]
+    none = np.zeros(m, dtype=bool)
     if method == "tsls":
-        return np.ones(m), np.ones(m, dtype=bool)
+        return np.ones(m), ~none, none
     if method == "ba":
-        return np.full(m, n / (n - d_z + 2)), np.ones(m, dtype=bool)
+        return np.full(m, n / (n - d_z + 2)), ~none, none
     kappa, ok = _smallest_pencil_root(mw, mw - p)
     clamped = ok & (kappa < 1.0 - LIML_CLAMP_TOL)
+    kappa = np.where(clamped, 1.0, kappa)
+    if method == "full":
+        if n <= d_z + d_w:
+            raise InputError("FULL requires n > d_z + d_w")
+        kappa = kappa - fuller_c / (n - d_z - d_w)
+    return kappa, ok, clamped
+
+
+def warn_clamped(clamped: np.ndarray) -> None:
+    """One RuntimeWarning for the LIML kappa values :func:`kclass_kappa`
+    clamped to 1."""
     if clamped.any():
         warnings.warn(
             f"clamped {int(clamped.sum())} LIML kappa value(s) below 1 to 1 (numerical noise)",
             RuntimeWarning,
             stacklevel=3,
         )
-        kappa = np.where(clamped, 1.0, kappa)
-    if method == "full":
-        if n <= d_z + d_w:
-            raise InputError("FULL requires n > d_z + d_w")
-        kappa = kappa - fuller_c / (n - d_z - d_w)
-    return kappa, ok
 
 
 def _kclass_system(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
@@ -180,7 +189,10 @@ def kappa_value(
     if method not in METHODS:
         raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
     p, mw = _sample_forms(dataset, design, method in ("liml", "full"))
-    kappa, ok = kclass_kappa(method, p, mw, dataset.n, dataset.d_z, dataset.d_w, fuller_c)
+    kappa, ok, clamped = kclass_kappa(
+        method, p, mw, dataset.n, dataset.d_z, dataset.d_w, fuller_c
+    )
+    warn_clamped(clamped)
     raise_singular({LIML_PENCIL: ok})
     return float(kappa[0])
 

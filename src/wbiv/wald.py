@@ -56,6 +56,7 @@ from .kclass import (
     kclass_forms,
     kclass_kappa,
     restricted_kclass_fit,
+    warn_clamped,
 )
 
 
@@ -189,7 +190,9 @@ class _MomentEngine:
     def distributions(self, signs: np.ndarray, hypothesis: Hypothesis, want_cr: bool):
         """The plain and, with ``want_cr``, the CCE-studentized statistic for
         each sign row, and the singular checks of every row (what -> ok
-        flags). A singular row reads 0.0."""
+        flags). A singular row reads 0.0. The last row is g = iota, the
+        sample, whose clamped LIML kappa the sample fit has already
+        reported; the clamp warning counts the other rows."""
         n, d_x = self.n, self.d_x
         lam, lam0 = hypothesis.lambda_beta, hypothesis.lambda_0
         g = np.asarray(signs, dtype=np.float64)
@@ -201,9 +204,10 @@ class _MomentEngine:
         if self.method != "tsls":
             cross = self._combine(self.pp_ss, self.ps_sym_by, g)  # [X* : y*]'[X* : y*]
         p, mw = kclass_forms(ut_all, cross, uw_all)
-        kappa, ok_kappa = kclass_kappa(
+        kappa, ok_kappa, clamped = kclass_kappa(
             self.method, p, mw, n, self.d_z, self.d_w, self.fuller_c
         )
+        warn_clamped(clamped[:-1])
         beta, ok_beta = kclass_beta(kappa, p, mw)
         checks = {LIML_PENCIL: ok_kappa, KCLASS_SYSTEM: ok_beta}
         dev = np.einsum("ma,ar->mr", beta, lam) - lam0[None]

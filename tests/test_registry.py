@@ -179,6 +179,9 @@ def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
         x, ok = stack_solve(a, np.ones((3, d)))
         assert ok.tolist() == [True, False, True]
         np.testing.assert_array_equal(x, [[0.5] * d, [0.0] * d, [0.25] * d])
+    # the rule is the reciprocal condition number, and a non-finite item fails it
+    near = [np.diag([1.0, 1e-14]), np.diag([-1.0, 1e-12]), np.full((2, 2), np.nan)]
+    assert stack_solve(np.array(near))[1].tolist() == [False, True, False]
     # e is orthogonal to W, to the first instrument and, cluster by cluster,
     # to the second, so every TSLS cluster score is a multiple of (1, 0): the
     # 2 x 2 restricted covariance of the iota draw has rank one
