@@ -78,6 +78,10 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
         for method in ESTIMATORS:
             argv = ["test", dz3, "--test", test, "--method", method, "--beta0", "0.5"]
             out.append((f"test {test} {method} dz3", argv + sampled))
+    for test in ("lm", "cqlr"):
+        out.append((f"test {test} dz3", ["test", dz3, "--test", test, "--beta0", "0.5"] + sampled))
+    argv = ["test", dx2, "--test", "lm", "--beta0", "0.5,0.5"]
+    out.append(("test lm dx2", argv + sampled))
     argv = ["test", dx2, "--test", "wald-cr", "--method", "full", "--lam", "1,0.5"]
     out.append(("test wald-cr full dx2", argv + sampled))
     argv = ["test", dx2, "--test", "wald", "--lam", "1,0,0"]
@@ -85,6 +89,8 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
     grid = ["--grid-lo", "-3", "--grid-hi", "3", "--step", "0.25", "--seed", "3"]
     for test in ("ar", "wald-cr", "lm"):
         out.append((f"cs {test}", ["cs", dz1, "--test", test, "--method", "liml"] + grid))
+    out.append(("test ar --beta0 nan", ["test", dz1, "--test", "ar", "--beta0", "nan"]))
+    out.append(("cs ar --step nan", ["cs", dz1, "--test", "ar", "--step", "nan"]))
     out.append(("fit liml", ["fit", dz3, "--method", "liml"]))
     out.append(("fit liml dx2", ["fit", dx2, "--method", "liml"]))
     out.append(("fit --cluster-dummies", ["fit", dz3, "--cluster-dummies"]))

@@ -8,15 +8,18 @@ empty or disconnected under weak identification; both are reported as-is.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .data import ClusteredDataset, Hypothesis, PartialledDesign, partial_out_exogenous
+from .data import (
+    ClusteredDataset, Hypothesis, PartialledDesign, check_finite, partial_out_exogenous
+)
 from .exceptions import InputError
 from .inference import AUTO_EXHAUSTIVE_MAX_Q, SignSet, make_sign_set, result_or_raise
 from .registry import TESTS, lookup, run_tests
+from .rng import map_chunks
 
 
 @dataclass(frozen=True)
@@ -99,13 +102,12 @@ def _test_one(
     return not result_or_raise(results[spec.test]).reject
 
 
-def _grid_chunk(args) -> list[bool]:
-    dataset, design, spec, values, indices, alpha, B, seed, sign_mode, q = args
-    out = []
-    for b, i in zip(values, indices):
-        signs = _grid_signs(q, B, seed, sign_mode, i)
-        out.append(_test_one(dataset, design, spec, float(b), alpha, signs))
-    return out
+def _grid_chunk(dataset, design, spec, grid, alpha, B, seed, sign_mode, indices) -> list[bool]:
+    return [
+        _test_one(dataset, design, spec, float(grid[i]), alpha,
+                  _grid_signs(dataset.q, B, seed, sign_mode, i))
+        for i in indices
+    ]
 
 
 def invert_confidence_set(
@@ -131,6 +133,7 @@ def invert_confidence_set(
     """
     if isinstance(test_spec, str):
         test_spec = TestSpec(test=test_spec)
+    check_finite(grid_lo=grid_lo, grid_hi=grid_hi, step=step)
     if step <= 0.0:
         raise InputError("step must be positive")
     if grid_hi < grid_lo:
@@ -145,25 +148,8 @@ def invert_confidence_set(
     npts = int(round((grid_hi - grid_lo) / step)) + 1
     grid = np.linspace(grid_lo, grid_hi, npts)
 
-    indices = np.arange(npts)
-    if workers > 1:
-        chunks = np.array_split(indices, workers * 4)
-        tasks = [
-            (dataset, design, test_spec, grid[c], c, alpha, B, seed, sign_mode, dataset.q)
-            for c in chunks
-            if c.size
-        ]
-        accepted = np.empty(npts, dtype=bool)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk, result in zip([t[4] for t in tasks], pool.map(_grid_chunk, tasks)):
-                accepted[chunk] = result
-    else:
-        accepted = np.array(
-            _grid_chunk(
-                (dataset, design, test_spec, grid, indices, alpha, B, seed, sign_mode, dataset.q)
-            )
-        )
-
+    chunk = partial(_grid_chunk, dataset, design, test_spec, grid, alpha, B, seed, sign_mode)
+    accepted = np.array(map_chunks(chunk, np.arange(npts), workers), dtype=bool)
     return ConfidenceSet(
         grid=grid,
         accepted=accepted,

@@ -31,6 +31,14 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return out
 
 
+def check_finite(**values) -> None:
+    """InputError naming the first of ``values`` (name -> number or array)
+    that holds a NaN or an infinity."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise InputError(f"non-finite input in {name}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -123,9 +131,7 @@ def build_dataset(y, X, Z, W, cluster_id) -> ClusteredDataset:
             raise InputError(f"{name} has {arr.shape[0]} rows, expected {n}")
     if labels.shape != (n,):
         raise InputError(f"cluster_id has shape {labels.shape}, expected ({n},)")
-    for name, arr in (("y", y), ("X", X), ("Z", Z), ("W", W)):
-        if not np.all(np.isfinite(arr)):
-            raise InputError(f"non-finite input in {name}")
+    check_finite(y=y, X=X, Z=Z, W=W)
 
     if X.shape[1] < 1 or Z.shape[1] < X.shape[1]:
         raise InputError(f"need d_z >= d_x >= 1, got d_x={X.shape[1]}, d_z={Z.shape[1]}")
@@ -375,6 +381,7 @@ class Hypothesis:
     def wald(lambda_beta, lambda_0) -> "Hypothesis":
         lam = _as_matrix(lambda_beta, "lambda_beta")
         lam0 = np.atleast_1d(np.asarray(lambda_0, dtype=np.float64))
+        check_finite(lambda_beta=lam, lambda_0=lam0)
         if lam.shape[1] != lam0.shape[0]:
             raise InputError("lambda_beta and lambda_0 disagree on the number of restrictions")
         if not 1 <= lam.shape[1] <= lam.shape[0]:
@@ -386,5 +393,6 @@ class Hypothesis:
     @staticmethod
     def full_vector(beta_0) -> "Hypothesis":
         b0 = np.atleast_1d(np.asarray(beta_0, dtype=np.float64))
+        check_finite(beta_0=b0)
         lam = np.eye(b0.shape[0])
         return Hypothesis(lambda_beta=_freeze(lam), lambda_0=_freeze(b0.copy()))

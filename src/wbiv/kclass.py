@@ -26,6 +26,7 @@ from .data import (
     ClusteredDataset,
     Hypothesis,
     PartialledDesign,
+    check_finite,
     nonsingular,
     raise_singular,
     stack_solve,
@@ -135,6 +136,7 @@ def kclass_kappa(
     if method == "full":
         if n <= d_z + d_w:
             raise InputError("FULL requires n > d_z + d_w")
+        check_finite(fuller_c=fuller_c)
         kappa = kappa - fuller_c / (n - d_z - d_w)
     return kappa, ok, clamped
 
@@ -266,6 +268,7 @@ def restricted_ols_fit(dataset: ClusteredDataset, beta_0) -> RestrictedOlsFit:
     b0 = np.atleast_1d(np.asarray(beta_0, dtype=np.float64))
     if b0.shape != (dataset.d_x,):
         raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
+    check_finite(beta_0=b0)
     u = dataset.y - dataset.X @ b0
     gamma, _, rank, _ = np.linalg.lstsq(dataset.W, u, rcond=None)
     if rank < dataset.d_w:

@@ -3,12 +3,14 @@
 Every stochastic component draws from a counter-based Philox generator whose
 key is a hash of a seed plus a tag path, e.g. ``(seed, cell_id, rep)``. The
 resulting stream depends only on the tag, never on worker scheduling, so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count. :func:`map_chunks` is the
+one process-pool path that spreads such work over workers.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -19,3 +21,15 @@ def substream(*parts) -> np.random.Generator:
     digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=16).digest()
     key = int.from_bytes(digest, "little")
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def map_chunks(func, items, workers: int) -> list:
+    """func(items), for a func that maps items to a list of results: in
+    this process at one worker, else joined in order over workers * 4
+    contiguous chunks on one process pool (func must then pickle)."""
+    if workers <= 1:
+        return func(items)
+    bounds = [b for b in np.array_split(np.arange(len(items)), workers * 4) if b.size]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(func, [items[b[0] : b[-1] + 1] for b in bounds])
+        return [out for part in parts for out in part]

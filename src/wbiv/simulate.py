@@ -20,8 +20,8 @@ tables are byte-identical for any worker count.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .data import ClusteredDataset, Hypothesis, build_dataset, partial_out_exoge
 from .exceptions import InputError, NumericalError
 from .inference import make_sign_set
 from .registry import ALIASES, ESTIMATOR, TESTS, lookup, run_tests
-from .rng import substream
+from .rng import map_chunks, substream
 
 # Cluster sizes and instrument-covariance scales for the 10-cluster design;
 # the 14-cluster extension appends four more clusters.
@@ -220,12 +220,13 @@ def _replicate(
     return out
 
 
-def _sim_chunk(args) -> list[dict]:
-    config, tests, seed, cell, reps, boot_reps, alpha = args
+def _sim_chunk(cells, tests, seed, boot_reps, alpha, items) -> list[dict]:
+    """The replicates of ``items``, (index into ``cells``, rep) pairs."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return [
-            _replicate(config, tests, seed, cell, rep, boot_reps, alpha) for rep in reps
+            _replicate(cells[c][0], tests, seed, cells[c][1], rep, boot_reps, alpha)
+            for c, rep in items
         ]
 
 
@@ -242,21 +243,12 @@ def _run_cells(
     if mc_reps < 100:
         raise InputError("need mc_reps >= 100 for a meaningful rejection table")
     tests = [_parse_test(t) for t in test_specs]
+    items = [(c, rep) for c in range(len(cells)) for rep in range(mc_reps)]
+    chunk = partial(_sim_chunk, list(cells), tests, seed, boot_reps, alpha)
+    every = map_chunks(chunk, items, workers)
     rows = []
-    for config, cell in cells:
-        rep_ids = np.arange(mc_reps)
-        if workers > 1:
-            chunks = [c for c in np.array_split(rep_ids, workers * 4) if c.size]
-            tasks = [
-                (config, tests, seed, cell, chunk.tolist(), boot_reps, alpha)
-                for chunk in chunks
-            ]
-            results = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_sim_chunk, tasks):
-                    results.extend(part)
-        else:
-            results = _sim_chunk((config, tests, seed, cell, rep_ids.tolist(), boot_reps, alpha))
+    for c, (config, _) in enumerate(cells):
+        results = every[c * mc_reps : (c + 1) * mc_reps]
         for name, est in tests:
             key = f"{name}:{est}"
             decisions = [r.get(key) for r in results]

@@ -6,8 +6,9 @@ scores before projecting, so they stay usable when identification is weak.
 They share the AR statistics' pass: the restricted fit, the cluster score
 sums and the inverse of the null-imposed CCE. The bootstrap flips only the
 score side: the Jacobian G_hat, the weighting Omega_hat^{-1} and the
-conditioning scalar rk are held at their sample values. Each sample
-statistic is the g = iota row of its own draws.
+conditioning scalar rk are held at their sample values. All draws'
+Gram matrices D*'A D* go through one :func:`data.stack_solve`, and each
+sample statistic is the g = iota row that :func:`score_tests` appends.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ar import ArStatistics, ar_squares, ar_statistics, signed_score_sums
-from .data import ClusteredDataset, PartialledDesign
+from .data import ClusteredDataset, PartialledDesign, raise_singular, stack_solve
 from .exceptions import InputError, NumericalError
 from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test
 from .kclass import RestrictedOlsFit, restricted_ols_fit
+
+# What is singular when the iota row fails, as the NumericalError names it.
+JACOBIAN_GRAM = "orthogonalized Jacobian quadratic form (near-unidentified model)"
 
 
 @dataclass(frozen=True)
@@ -29,14 +33,12 @@ class JacobianBundle:
     orthogonalized Jacobian draws with its conditioning statistic
     rk = n D_hat' omega_inv D_hat (d_x = 1 only).
 
-    ``omega_inv`` is the inverse null-imposed CCE of :class:`ArStatistics`
-    and ``omega_inv_sqrt`` its Cholesky root L (L'L = omega_inv); the LM
-    statistic and its rank rule do not depend on which root is used.
+    ``omega_inv`` is the inverse null-imposed CCE of :class:`ArStatistics`,
+    the weighting A of every draw's Gram matrix D*'A D* and of D*'A f*.
     """
 
     G_hat: np.ndarray            # (d_z, d_x)
     omega_inv: np.ndarray        # (d_z, d_z)
-    omega_inv_sqrt: np.ndarray   # (d_z, d_z)
     score_sums: np.ndarray       # (q, d_z)
     jacobian_sums: np.ndarray    # (q, d_z, d_x) per-cluster sums of Zt X'
     D_hat: np.ndarray | None = None   # (d_z, d_x)
@@ -54,9 +56,9 @@ def _apply(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sum(mat[:, k].reshape(shape) * x[:, k, None] for k in range(mat.shape[1]))
 
 
-def _corrections(bundle: JacobianBundle, signs: np.ndarray, n: int):
-    """Mean scores f*(g) and the corrections Gamma*(g) Omega^{-1} f*(g) that
-    D*(g) = G - Gamma*(g) Omega^{-1} f*(g) subtracts, per sign row;
+def _orthogonalized(bundle: JacobianBundle, signs: np.ndarray, n: int):
+    """Per sign row: the mean scores f*(g), Omega^{-1} f*(g) and the
+    orthogonalized Jacobian D*(g) = G - Gamma*(g) Omega^{-1} f*(g), with
     Gamma*(g) = sum_j g_j [Zt X']_j s_j' / n."""
     s, gsums = bundle.score_sums, bundle.jacobian_sums
     q, d_z, d_x = gsums.shape
@@ -64,76 +66,68 @@ def _corrections(bundle: JacobianBundle, signs: np.ndarray, n: int):
     cross = (gsums[:, :, :, None] * s[:, None, None, :]).reshape(q, -1)
     gamma = (signed_score_sums(signs, cross) / n).reshape(-1, d_z, d_x, d_z)
     omega_inv_f = _apply(bundle.omega_inv, f)
-    return f, sum(gamma[..., y] * omega_inv_f[:, y, None, None] for y in range(d_z))
+    corr = sum(gamma[..., y] * omega_inv_f[:, y, None, None] for y in range(d_z))
+    return f, omega_inv_f, bundle.G_hat[None] - corr
 
 
 def _jacobian_bundle(design: PartialledDesign, stats: ArStatistics) -> JacobianBundle:
-    singular = "singular score covariance (q < d_z or degenerate scores)"
+    if design.q <= design.d_z:
+        # q = d_z makes Gamma_hat Omega^{-1} f_hat = G_hat an identity, so
+        # D_hat is rounding noise; below it Omega is singular
+        raise NumericalError("rank-deficient orthogonalized Jacobian (q <= d_z)")
     omega_inv = stats.A_cr
     if omega_inv is None:
         if stats.score_sums.any():
-            raise NumericalError(singular)
+            raise NumericalError("singular score covariance (degenerate scores)")
         # Exact null fit: every score is zero, so every statistic and draw is
         # 0 under any weighting; the identity stands in for the missing
         # inverse CCE and keeps the Jacobian's rank.
         omega_inv = np.eye(design.d_z)
-    try:
-        root = np.linalg.cholesky(omega_inv).T
-    except np.linalg.LinAlgError:
-        raise NumericalError(singular) from None
     bundle = JacobianBundle(
         G_hat=design.Q_ZX,
         omega_inv=omega_inv,
-        omega_inv_sqrt=root,
         score_sums=stats.score_sums,
         jacobian_sums=design.Q_ZX_j * design.cluster_sizes[:, None, None],
     )
-    d_hat = design.Q_ZX - _corrections(bundle, np.ones((1, design.q)), design.n)[1][0]
+    d_hat = _orthogonalized(bundle, np.ones((1, design.q)), design.n)[2][0]
     rk = float(ar_squares(d_hat.T, design.n, omega_inv)[0]) if d_hat.shape[1] == 1 else None
     return replace(bundle, D_hat=d_hat, rk=rk)
 
 
 def _lm_boot_distribution(
     bundle: JacobianBundle, signs: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """LM*(g) and the squared AR*(g) quadratic forms over the sign set.
-
-    LM*(g) = n || P_{L D*(g)} L f*(g) ||^2 with L the root of Omega^{-1},
-    through one stacked thin QR. A draw whose orthogonalized Jacobian is
-    rank deficient relative to the size of the two terms it is the
-    difference of (they cancel identically when q = d_z) counts as 0 and in
-    the returned number of singular draws.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LM*(g) = n b'(D*'A D*)^{-1} b with b = D*'A f* and A = Omega^{-1},
+    the squared AR*(g) quadratic forms and the ok flags of the stacked
+    solve over the sign rows. A draw whose Gram matrix is singular reads 0.0.
     """
-    root = bundle.omega_inv_sqrt
-    f, corr = _corrections(bundle, signs, n)
-    root_g = root @ bundle.G_hat
-    root_corr = _apply(root, corr)
-    scale = np.linalg.norm(root_g) + np.sqrt(sum(c * c for c in root_corr.reshape(len(f), -1).T))
-    qr_q, qr_r = np.linalg.qr(root_g - root_corr)
-    diag = np.abs(np.diagonal(qr_r, axis1=1, axis2=2)).min(axis=1)
-    singular = diag <= 1e-12 * np.maximum(scale, 1e-300)
-    h = _apply(root, f)
-    proj = sum(qr_q[:, z] * h[:, z, None] for z in range(h.shape[1]))    # (m, d_x)
-    lm = n * sum(p * p for p in proj.T)
-    return np.where(singular, 0.0, lm), ar_squares(f, n, bundle.omega_inv), int(singular.sum())
+    f, a_f, d = _orthogonalized(bundle, signs, n)
+    a_d = _apply(bundle.omega_inv, d)
+    d_z = f.shape[1]
+    gram = sum(d[:, z, :, None] * a_d[:, z, None, :] for z in range(d_z))   # (m, d_x, d_x)
+    b = sum(d[:, z] * a_f[:, z, None] for z in range(d_z))                  # (m, d_x)
+    x, ok = stack_solve(gram, b)
+    lm = n * np.maximum(sum(b[:, k] * x[:, k] for k in range(b.shape[1])), 0.0)
+    return lm, ar_squares(f, n, bundle.omega_inv), ok
 
 
-def _iota_row(bundle: JacobianBundle, n: int) -> tuple[float, float]:
-    """The sample LM and squared AR statistics: the g = iota draw. Its
-    rank-deficient Jacobian fails the test."""
-    lm, ar_sq, n_singular = _lm_boot_distribution(bundle, np.ones((1, len(bundle.score_sums))), n)
-    if n_singular:
-        raise NumericalError("rank-deficient orthogonalized Jacobian")
-    return float(lm[0]), float(ar_sq[0])
+def _iota_draws(bundle: JacobianBundle, signs: np.ndarray, n: int):
+    """The draws over ``signs`` and, appended as the last row, the sample's
+    g = iota draw: (LM, squared AR, number of singular draws other than
+    iota). A singular iota row is a NumericalError."""
+    rows = np.vstack([signs, np.ones((1, signs.shape[1]))])
+    lm, ar_sq, ok = _lm_boot_distribution(bundle, rows, n)
+    raise_singular({JACOBIAN_GRAM: ok}, row=-1)
+    return lm, ar_sq, int((~ok[:-1]).sum())
 
 
 def lm_statistic(
     design: PartialledDesign, restricted_ols: RestrictedOlsFit
 ) -> tuple[float, JacobianBundle]:
     """Score statistic projecting the standardized mean score onto the
-    standardized orthogonalized Jacobian."""
+    standardized orthogonalized Jacobian: the draw at g = iota alone."""
     bundle = _jacobian_bundle(design, ar_statistics(design, restricted_ols))
-    return _iota_row(bundle, design.n)[0], bundle
+    return float(_iota_draws(bundle, np.empty((0, design.q)), design.n)[0][-1]), bundle
 
 
 def cqlr_statistic(ar_cr_sq, lm, rk: float):
@@ -164,18 +158,16 @@ def score_tests(
     if dataset.q <= dataset.d_z:
         raise InputError("score-projection bootstrap needs q > d_z")
     bundle = _jacobian_bundle(design, stats)
-    lm, ar_sq = _iota_row(bundle, dataset.n)
-    lm_star, ar_sq_star, n_singular = _lm_boot_distribution(
-        bundle, sign_set.vectors, dataset.n
-    )
-    out = {}
-    if "lm" in names:
-        out["lm"] = finish_test("lm", lm, lm_star, sign_set, alpha, n_singular=n_singular)
+    lm, ar_sq, n_singular = _iota_draws(bundle, sign_set.vectors, dataset.n)
+    draws = {"lm": lm}
     if "cqlr" in names:
-        lr = cqlr_statistic(ar_sq, lm, bundle.rk)
-        lr_star = cqlr_statistic(ar_sq_star, lm_star, bundle.rk)
-        out["cqlr"] = finish_test("cqlr", lr, lr_star, sign_set, alpha, n_singular=n_singular)
-    return out
+        draws["cqlr"] = cqlr_statistic(ar_sq, lm, bundle.rk)
+    return {
+        name: finish_test(
+            name, float(draws[name][-1]), draws[name][:-1], sign_set, alpha, n_singular=n_singular
+        )
+        for name in names
+    }
 
 
 def lm_cqlr_bootstrap_test(

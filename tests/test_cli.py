@@ -142,6 +142,25 @@ class TestTest:
         err = capsys.readouterr().err
         assert err.startswith("wbiv: error:") and flag in err
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "--test", "ar", "--beta0", "nan"],
+        ["test", "--test", "ar", "--beta0", "inf"],
+        ["test", "--test", "wald-cr", "--beta0", "nan"],
+        ["test", "--test", "score-wald", "--beta0", "nan"],
+        ["test", "--test", "ar-cr", "--beta0", "nan"],
+        ["test", "--test", "cqlr", "--beta0", "nan"],
+        ["test", "--test", "wald", "--lam", "nan"],
+        ["test", "--test", "wald", "--method", "full", "--fuller-c", "nan"],
+        ["fit", "--method", "full", "--fuller-c", "nan"],
+        ["cs", "--step", "nan"],
+        ["cs", "--grid-lo", "nan"],
+        ["cs", "--grid-hi", "inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_a_non_finite_value_is_an_input_error(self, sim_csv, capsys, argv):
+        assert main([argv[0], str(sim_csv)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wbiv: error:") and "non-finite" in err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant instrument: collinear with the intercept after partialling
         path = tmp_path / "bad.csv"

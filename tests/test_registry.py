@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from wbiv.data import stack_solve
 from wbiv.registry import ALIASES, TESTS
 from wbiv.rng import substream
 from wbiv.simulate import _replicate
+from wbiv.weakiv import JACOBIAN_GRAM, JacobianBundle, _iota_draws, _lm_boot_distribution
 
 ALPHA = 0.1
 B0 = 0.3
@@ -202,6 +205,20 @@ def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
     assert str(out["wald-cr"]) == "singular restricted covariance (q <= d_r or degenerate scores)"
     assert out["wald"] is out["wald-cr"]
     assert run_tests(ds, ["wald"], hyp)["wald"].n_singular == 0
+    # the score side: G_hat has two equal columns and no Jacobian correction
+    # enters, so every orthogonalized Jacobian D*(g) = G_hat has rank one
+    s = substream(5, "singular-jacobian").standard_normal((5, 3))
+    bundle = JacobianBundle(
+        G_hat=np.repeat([[1.0], [-2.0], [0.5]], 2, axis=1),
+        omega_inv=np.linalg.inv(s.T @ s / 50),
+        score_sums=s,
+        jacobian_sums=np.zeros((5, 3, 2)),
+    )
+    signs = make_sign_set(5, "exhaustive").vectors
+    lm, _, ok = _lm_boot_distribution(bundle, signs, 50)
+    assert not lm.any() and int((~ok).sum()) == len(signs)
+    with pytest.raises(NumericalError, match=re.escape(f"singular {JACOBIAN_GRAM}")):
+        _iota_draws(bundle, signs, 50)
 
 
 def _counting(monkeypatch, module, name):

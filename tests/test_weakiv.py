@@ -77,7 +77,7 @@ class TestLmStatistic:
         ds = random_dataset(seed, q=5, n_per=11, d_z=2)
         design = partial_out_exogenous(ds)
         _, bundle = lm_statistic(design, restricted_ols_fit(ds, [0.1]))
-        u = bundle.omega_inv_sqrt @ bundle.D_hat
+        u = np.linalg.cholesky(bundle.omega_inv).T @ bundle.D_hat
         p = u @ np.linalg.solve(u.T @ u, u.T)
         np.testing.assert_allclose(p, p @ p, atol=1e-10)
         np.testing.assert_allclose(p, p.T, atol=1e-10)
