@@ -86,11 +86,15 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
     out.append(("test wald-cr full dx2", argv + sampled))
     argv = ["test", dx2, "--test", "wald", "--lam", "1,0,0"]
     out.append(("test wald dx2 --lam mismatch", argv + sampled))
+    argv = ["test", dz1, "--test", "score-wald", "--lam", "2", "--lambda0", "1"]
+    out.append(("test score-wald --lam 2 --lambda0 1", argv + sampled))
     grid = ["--grid-lo", "-3", "--grid-hi", "3", "--step", "0.25", "--seed", "3"]
-    for test in ("ar", "wald-cr", "lm"):
+    for test in ("ar", "wald-cr", "lm", "score-wald"):
         out.append((f"cs {test}", ["cs", dz1, "--test", test, "--method", "liml"] + grid))
     out.append(("test ar --beta0 nan", ["test", dz1, "--test", "ar", "--beta0", "nan"]))
     out.append(("cs ar --step nan", ["cs", dz1, "--test", "ar", "--step", "nan"]))
+    out.append(("cs ar --grid-lo -inf", ["cs", dz1, "--test", "ar", "--grid-lo", "-inf"]))
+    out.append(("simulate size --pi0 nan", ["simulate", "size", "--pi0", "nan"]))
     out.append(("fit liml", ["fit", dz3, "--method", "liml"]))
     out.append(("fit liml dx2", ["fit", dx2, "--method", "liml"]))
     out.append(("fit --cluster-dummies", ["fit", dz3, "--cluster-dummies"]))

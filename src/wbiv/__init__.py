@@ -7,6 +7,7 @@ from .ar import (
     ar_bootstrap_test,
     ar_statistics,
     chi2_quantile,
+    score_bootstrap_wald_test,
 )
 from .cce import CceBundle, cce_matrix, cluster_score_sums
 from .confidence import ConfidenceSet, TestSpec, invert_confidence_set
@@ -49,7 +50,6 @@ from .simulate import (
 from .wald import (
     EfficientFirstStage,
     efficient_first_stage,
-    score_bootstrap_wald_test,
     wrec_run,
     wrec_wald_test,
 )

@@ -4,16 +4,20 @@ The null-imposed scores are f_ij = Zt_ij * eps_bar_ij with eps_bar the
 residual from restricted OLS of (y - X beta_0) on W. Both weightings are
 invariant to the cluster sign flips, so the bootstrap only flips the
 per-cluster score sums.
+
+The score-form Wald test of lambda beta = lambda_0 (d_x = d_z = 1) is the
+unstudentized AR test at beta_0 = lambda_0 / lambda with its statistic,
+critical value and draws scaled by the positive constant |lambda / Q_ZX|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cce import cluster_score_sums
-from .data import ClusteredDataset, PartialledDesign, stack_solve
+from .data import ClusteredDataset, Hypothesis, PartialledDesign, stack_solve
 from .exceptions import InputError, NumericalError
 from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test, result_or_raise
 from .kclass import RestrictedOlsFit, restricted_ols_fit
@@ -133,22 +137,36 @@ def chi2_quantile(p: float, df: int) -> float:
     return float(scipy.stats.chi2.ppf(p, df))
 
 
+def score_wald_null(dataset: ClusteredDataset, hypothesis: Hypothesis) -> np.ndarray:
+    """The full-vector null beta_0 = lambda_0 / lambda of score-wald's
+    restriction lambda beta = lambda_0, exactly lambda_0 at lambda = 1. An
+    InputError unless d_x = d_z = 1."""
+    if dataset.d_x != 1 or dataset.d_z != 1:
+        raise InputError("score bootstrap requires d_x = d_z = 1")
+    return hypothesis.lambda_0 / hypothesis.lambda_beta[0]
+
+
 def ar_tests(
     dataset: ClusteredDataset,
+    design: PartialledDesign,
     stats: ArStatistics,
     names,
     sign_set: SignSet,
     alpha: float,
+    lam: float = 1.0,
 ) -> dict:
-    """The ar, ar-cr and ar-cr-asymptotic tests among ``names`` from one set
-    of AR statistics. ar-cr maps to an InputError unless q > d_z, and the
-    CCE-weighted tests map to a NumericalError when the null-imposed CCE is
-    singular."""
+    """The ar, ar-cr, ar-cr-asymptotic and score-wald tests among ``names``
+    from one set of AR statistics. ar-cr maps to an InputError unless
+    q > d_z, score-wald (whose restriction is lam beta = lam beta_0) to one
+    when Q_ZX = 0, and the CCE-weighted tests to a NumericalError when the
+    null-imposed CCE is singular."""
     out = {}
     for name in names:
         if name == "ar-cr" and dataset.q <= dataset.d_z:
             out[name] = InputError("studentized AR needs more clusters than instruments (q > d_z)")
-        elif name != "ar" and stats.ar_cr_n is None:
+        elif name == "score-wald" and design.Q_ZX[0, 0] == 0.0:
+            out[name] = InputError("unidentified Jacobian (Zt'X = 0)")
+        elif name in ("ar-cr", "ar-cr-asymptotic") and stats.ar_cr_n is None:
             out[name] = NumericalError("singular null-imposed CCE (q <= d_z or degenerate scores)")
         elif name == "ar-cr-asymptotic":
             df = stats.f_hat.shape[0]
@@ -163,6 +181,14 @@ def ar_tests(
             statistic = stats.ar_cr_n if studentize else stats.ar_n
             boot = ar_bootstrap_distribution(stats, sign_set.vectors, dataset.n, studentize)
             out[name] = finish_test(name, statistic, boot, sign_set, alpha)
+            if name == "score-wald":
+                # decided on the unscaled norms, where a tie resolves as in
+                # ar, and scaled afterwards for reporting
+                res, scale = out[name], abs(lam / float(design.Q_ZX[0, 0]))
+                out[name] = replace(
+                    res, statistic=scale * res.statistic, boot_stats=scale * res.boot_stats,
+                    critical_value=scale * res.critical_value, estimator="tsls",
+                )
     return out
 
 
@@ -178,7 +204,7 @@ def ar_bootstrap_test(
     sign_set, design = prepare_test(dataset, sign_set, design, alpha)
     name = "ar-cr" if studentize else "ar"
     stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
-    return result_or_raise(ar_tests(dataset, stats, [name], sign_set, alpha)[name])
+    return result_or_raise(ar_tests(dataset, design, stats, [name], sign_set, alpha)[name])
 
 
 def ar_asymptotic_cr_test(
@@ -192,4 +218,25 @@ def ar_asymptotic_cr_test(
     sign_set, design = prepare_test(dataset, None, design, alpha)
     name = "ar-cr-asymptotic"
     stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
-    return result_or_raise(ar_tests(dataset, stats, [name], sign_set, alpha)[name])
+    return result_or_raise(ar_tests(dataset, design, stats, [name], sign_set, alpha)[name])
+
+
+def score_bootstrap_wald_test(
+    dataset: ClusteredDataset,
+    hypothesis: Hypothesis,
+    alpha: float = 0.1,
+    sign_set: SignSet | None = None,
+    design: PartialledDesign | None = None,
+) -> BootstrapTestResult:
+    """Score-form bootstrap for the unstudentized TSLS Wald statistic.
+
+    Only defined for d_x = d_z = 1: the Jacobian is a scalar that multiplies
+    both the statistic and every bootstrap draw, so the test is the ar test
+    at beta_0 = lambda_0 / lambda scaled by |lambda / Q_ZX|, with its
+    decision on a shared sign set.
+    """
+    beta_0 = score_wald_null(dataset, hypothesis)
+    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
+    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
+    lam, name = float(hypothesis.lambda_beta[0, 0]), "score-wald"
+    return result_or_raise(ar_tests(dataset, design, stats, [name], sign_set, alpha, lam)[name])

@@ -28,6 +28,7 @@ from .simulate import (
 )
 
 TEST_HELP = "one of " + ", ".join(TESTS)
+NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.IGNORECASE)
 
 
 class _UsageError(Exception):
@@ -164,7 +165,8 @@ def _emit(args, record):
 def _hypothesis(args, d_x: int) -> Hypothesis:
     """The null of ``wbiv test``; an option the test would ignore is an error."""
     beta0 = _floats(args.beta0) if args.beta0 else [0.0] * d_x
-    if lookup(args.test, TESTS) in FULL_VECTOR:
+    lookup(args.test, TESTS)
+    if args.test in FULL_VECTOR:
         if args.lam or args.lambda0 is not None:
             raise InputError(f"{args.test} tests the full vector beta = beta0; drop --lam/--lambda0")
         if len(beta0) != d_x:
@@ -294,13 +296,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     before it: ``--beta0 -0.5,1`` becomes ``--beta0=-0.5,1``.
 
     argparse before Python 3.13 reads such a value as an option unless it
-    is a plain negative number, so a comma list such as ``-1,0`` or a float
-    such as ``-1e-3`` would be refused.
+    is a plain negative number, so a comma list such as ``-1,0``, a float
+    such as ``-1e-3`` and ``-inf``, ``-infinity`` or ``-nan`` (any case)
+    would be refused.
     """
     out = []
     for arg in argv:
         flag = out[-1] if out else ""
-        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and re.match(r"-\.?\d", arg):
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and NEGATIVE.match(arg):
             out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)

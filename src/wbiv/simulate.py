@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClusteredDataset, Hypothesis, build_dataset, partial_out_exogenous
+from .data import ClusteredDataset, Hypothesis, build_dataset, check_finite, partial_out_exogenous
 from .exceptions import InputError, NumericalError
 from .inference import make_sign_set
 from .registry import ALIASES, ESTIMATOR, TESTS, lookup, run_tests
@@ -69,6 +69,7 @@ class DgpConfig:
     size_scale: int = 1
 
     def __post_init__(self):
+        check_finite(pi0=self.pi0, beta_true=self.beta_true, gamma_true=self.gamma_true)
         if self.q not in (10, 14):
             raise InputError("the simulation design is defined for q in {10, 14}")
         if self.strong_clusters not in (1, 3, 6):

@@ -27,6 +27,9 @@ draw at g = iota, which :func:`wrec_run` appends to the sign rows, so each
 statistic is bitwise its own iota draw, as in the randomization-test view
 of Canay, Santos and Shaikh (2021). A singular draw reads 0.0 and counts in
 ``n_singular``; a singular iota draw is a NumericalError.
+
+The score-form Wald bootstrap (score-wald) is not a WREC test: it is the
+unstudentized AR test scaled by a constant, and lives in :mod:`ar`.
 """
 
 from __future__ import annotations
@@ -35,18 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import _ar_norms
-from .cce import cce_sandwich, cluster_score_sums
+from .cce import cce_sandwich
 from .data import ClusteredDataset, Hypothesis, PartialledDesign, cluster_cross, raise_singular
 from .exceptions import InputError, NumericalError
-from .inference import (
-    BootstrapTestResult,
-    SignSet,
-    bootstrap_pvalue,
-    critical_value,
-    finish_test,
-    prepare_test,
-)
+from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test
 from .kclass import (
     KCLASS_SYSTEM,
     LIML_PENCIL,
@@ -333,53 +328,3 @@ def wrec_wald_test(
     return wald_tests(
         dataset, design, hypothesis, [name], sign_set, alpha, method, fuller_c
     )[name]
-
-
-def score_bootstrap_wald_test(
-    dataset: ClusteredDataset,
-    hypothesis: Hypothesis,
-    alpha: float = 0.1,
-    sign_set: SignSet | None = None,
-    design: PartialledDesign | None = None,
-) -> BootstrapTestResult:
-    """Score-form bootstrap for the unstudentized TSLS Wald statistic.
-
-    Only defined for d_x = d_z = 1: the Jacobian is a scalar that multiplies
-    both the statistic and every bootstrap draw, which is what makes the
-    decision identical to the unstudentized AR bootstrap on a shared sign
-    set.
-    """
-    if dataset.d_x != 1 or dataset.d_z != 1:
-        raise InputError("score bootstrap requires d_x = d_z = 1")
-    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
-    lam = float(hypothesis.lambda_beta[0, 0])
-    if lam == 0.0:
-        raise InputError("degenerate restriction (lambda = 0)")
-    q_zx = float(design.Q_ZX[0, 0])
-    if q_zx == 0.0:
-        raise InputError("unidentified Jacobian (Zt'X = 0)")
-
-    fit = fit_method(dataset, design, "tsls")
-    fit = restricted_kclass_fit(dataset, design, fit, hypothesis)
-    s = cluster_score_sums(design, fit.resid_restricted)
-
-    # The statistic is |lambda / Q_ZtX| times an AR-form norm; decide on the
-    # unscaled values (computed through the shared fixed-order pipeline, so
-    # ties against the g = iota draw resolve exactly as in the AR test) and
-    # scale afterwards for reporting.
-    one = np.eye(1)
-    stat0 = float(_ar_norms(s, np.ones((1, dataset.q)), dataset.n, one)[0])
-    boot0 = _ar_norms(s, sign_set.vectors, dataset.n, one)
-    cv0 = critical_value(boot0, alpha)
-    scale = abs(lam / q_zx)
-    return BootstrapTestResult(
-        test="score-wald",
-        statistic=scale * stat0,
-        critical_value=scale * cv0,
-        pvalue=bootstrap_pvalue(boot0, stat0),
-        reject=bool(stat0 > cv0),
-        alpha=alpha,
-        boot_stats=scale * boot0,
-        sign_set=sign_set,
-        estimator="tsls",
-    )

@@ -20,6 +20,7 @@ import pytest
 import t1_expected as E
 import wbiv
 from conftest import random_dataset
+from score_reference import score_wald_reference
 from wbiv import (
     Hypothesis,
     ar_bootstrap_test,
@@ -31,6 +32,7 @@ from wbiv import (
     make_sign_set,
     partial_out_exogenous,
     restricted_ols_fit,
+    run_tests,
     score_bootstrap_wald_test,
     wrec_run,
 )
@@ -91,9 +93,14 @@ def test_criterion_01_identity_sign_vector():
 
 
 def test_criterion_02_score_ar_decision_equivalence():
-    """Score-form Wald and unstudentized AR agree on every shared sign set."""
+    """Score-form Wald and unstudentized AR agree on every shared sign set.
+
+    The score-form Wald statistic comes from the restricted TSLS fit of
+    ``score_reference``, independently of the AR test's restricted OLS fit;
+    the registry's score-wald, which reads the AR pass, must agree too."""
     hyp = Hypothesis.wald(np.eye(1), [0.0])
     agree = 0
+    registry_agree = 0
     rejects = 0
     total = 1000
     for k in range(total):
@@ -101,14 +108,16 @@ def test_criterion_02_score_ar_decision_equivalence():
         pi = (0.15, 0.6, 1.3)[k % 3]  # from weak to strong identification
         ds = random_dataset(20_000 + k, q=q, n_per=12, rho=0.5, pi_scale=pi)
         signs = make_sign_set(q, "exhaustive")
-        score = score_bootstrap_wald_test(ds, hyp, alpha=ALPHA, sign_set=signs)
+        score = score_wald_reference(ds, hyp, alpha=ALPHA, sign_set=signs)
         ar = ar_bootstrap_test(ds, [0.0], alpha=ALPHA, sign_set=signs)
+        registry = run_tests(ds, ["score-wald"], hyp, sign_set=signs, alpha=ALPHA)
         agree += score.reject == ar.reject
+        registry_agree += registry["score-wald"].reject == ar.reject
         rejects += score.reject
-    ok = agree == total and 0 < rejects < total
+    ok = agree == total and registry_agree == total and 0 < rejects < total
     assert report(
         2, "score/AR decision equivalence",
-        ok, f"{agree}/{total} agree, {rejects} rejections",
+        ok, f"{agree}/{total} agree ({registry_agree} via the registry), {rejects} rejections",
     )
 
 

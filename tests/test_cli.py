@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import T1_CLUSTER, T1_X, T1_Y, T1_Z
-from wbiv.cli import main
+from wbiv.cli import _join_negative_values, main
 
 
 @pytest.fixture
@@ -60,6 +60,26 @@ def two_x_csv(tmp_path):
         lines.append(",".join(repr(float(v)) for v in cells) + f",s{cluster[i]}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# A non-finite option value and the input it is reported as.
+NON_FINITE = [
+    (["test", "--test", "ar", "--beta0", "nan"], "beta_0"),
+    (["test", "--test", "ar", "--beta0", "inf"], "beta_0"),
+    (["test", "--test", "wald-cr", "--beta0", "nan"], "lambda_0"),
+    (["test", "--test", "score-wald", "--beta0", "nan"], "lambda_0"),
+    (["test", "--test", "ar-cr", "--beta0", "nan"], "beta_0"),
+    (["test", "--test", "cqlr", "--beta0", "nan"], "beta_0"),
+    (["test", "--test", "wald", "--lam", "nan"], "lambda_beta"),
+    (["test", "--test", "wald", "--method", "full", "--fuller-c", "nan"], "fuller_c"),
+    (["fit", "--method", "full", "--fuller-c", "nan"], "fuller_c"),
+    (["cs", "--step", "nan"], "step"),
+    (["cs", "--grid-lo", "nan"], "grid_lo"),
+    (["cs", "--grid-hi", "inf"], "grid_hi"),
+    (["cs", "--grid-lo", "-inf"], "grid_lo"),
+    (["simulate", "size", "--pi0", "nan"], "pi0"),
+    (["simulate", "power", "--beta-grid", "nan"], "beta_true"),
+]
 
 
 class TestFit:
@@ -142,24 +162,13 @@ class TestTest:
         err = capsys.readouterr().err
         assert err.startswith("wbiv: error:") and flag in err
 
-    @pytest.mark.parametrize("argv", [
-        ["test", "--test", "ar", "--beta0", "nan"],
-        ["test", "--test", "ar", "--beta0", "inf"],
-        ["test", "--test", "wald-cr", "--beta0", "nan"],
-        ["test", "--test", "score-wald", "--beta0", "nan"],
-        ["test", "--test", "ar-cr", "--beta0", "nan"],
-        ["test", "--test", "cqlr", "--beta0", "nan"],
-        ["test", "--test", "wald", "--lam", "nan"],
-        ["test", "--test", "wald", "--method", "full", "--fuller-c", "nan"],
-        ["fit", "--method", "full", "--fuller-c", "nan"],
-        ["cs", "--step", "nan"],
-        ["cs", "--grid-lo", "nan"],
-        ["cs", "--grid-hi", "inf"],
-    ], ids=lambda argv: " ".join(argv))
-    def test_a_non_finite_value_is_an_input_error(self, sim_csv, capsys, argv):
-        assert main([argv[0], str(sim_csv)] + argv[1:]) == 1
+    @pytest.mark.parametrize("argv, field", NON_FINITE, ids=[" ".join(a) for a, _ in NON_FINITE])
+    def test_a_non_finite_value_is_an_input_error(self, sim_csv, capsys, argv, field):
+        if argv[0] != "simulate":  # the simulator draws its own data
+            argv = [argv[0], str(sim_csv)] + argv[1:]
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("wbiv: error:") and "non-finite" in err
+        assert err.startswith("wbiv: error:") and f"non-finite input in {field}\n" in err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant instrument: collinear with the intercept after partialling
@@ -284,3 +293,10 @@ class TestNegativeValues:
                 "--step", "0.1"]
         out = json.loads(self._same_as_joined(argv, "--grid-lo", "-2e-1", capsys))
         assert out["grid_lo"] == -0.2 and out["grid_points"] == 5
+
+    def test_non_finite_words_in_any_case(self):
+        argv = ["--grid-lo", "-Inf", "--beta0", "-nan,1", "--lam", "-INFINITY", "-B", "199",
+                "--out", "-info"]
+        assert _join_negative_values(argv) == [
+            "--grid-lo=-Inf", "--beta0=-nan,1", "--lam=-INFINITY", "-B", "199", "--out", "-info",
+        ]

@@ -248,3 +248,26 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
     assert (len(fits), len(sums), len(jacobians)) == (1, 1, 1)
     run_tests(ds, FULL_VECTOR_NAMES[:3], Hypothesis.full_vector([B0]), sign_set=signs)
     assert (len(fits), len(sums), len(jacobians)) == (2, 2, 1)
+    # score-wald (d_x = d_z = 1) reads the same pass as the other members
+    ds1 = random_dataset(8, q=7, n_per=15)
+    names = FULL_VECTOR_NAMES + ["score-wald"]
+    out = run_tests(ds1, names, Hypothesis.full_vector([B0]), sign_set=signs)
+    assert not any(isinstance(res, Exception) for res in out.values())
+    assert (len(fits), len(sums), len(jacobians)) == (3, 3, 2)
+
+
+def test_score_wald_scales_with_lambda():
+    # lambda = 2, lambda_0 = 1 and lambda = 1, lambda_0 = 0.5 are one null;
+    # the statistic, critical value and draws scale by |lambda|, and the
+    # decision and p-value are taken before the scaling
+    ds = random_dataset(9, q=7, n_per=15)
+    signs = make_sign_set(7, "exhaustive")
+    one, two = (
+        run_tests(ds, ["score-wald"], Hypothesis.wald(lam * np.ones((1, 1)), [lam / 2]),
+                  sign_set=signs)["score-wald"]
+        for lam in (1.0, 2.0)
+    )
+    assert two.statistic == 2.0 * one.statistic
+    assert two.critical_value == 2.0 * one.critical_value
+    assert np.array_equal(two.boot_stats, 2.0 * one.boot_stats)
+    assert (two.pvalue, two.reject) == (one.pvalue, one.reject)

@@ -16,6 +16,7 @@ from wbiv import (
     make_sign_set,
     partial_out_exogenous,
     restricted_kclass_fit,
+    run_tests,
     score_bootstrap_wald_test,
     wrec_run,
     wrec_wald_test,
@@ -23,6 +24,7 @@ from wbiv import (
 from wbiv.data import cluster_cross
 from wbiv.rng import substream
 from wbiv.simulate import DgpConfig, simulate_dgp
+from score_reference import score_wald_reference
 from wrec_reference import bootstrap_sample, direct_distributions
 
 H0 = Hypothesis.wald(np.eye(1), [0.0])
@@ -266,6 +268,7 @@ class TestScoreBootstrap:
         ds = random_dataset(seed, q=5, n_per=12, rho=0.6, pi_scale=0.7)
         signs = make_sign_set(5, "exhaustive")
         alpha = 0.15
-        score = score_bootstrap_wald_test(ds, H0, alpha=alpha, sign_set=signs)
+        score = score_wald_reference(ds, H0, alpha=alpha, sign_set=signs)
         ar = ar_bootstrap_test(ds, [0.0], alpha=alpha, sign_set=signs)
-        assert score.reject == ar.reject
+        registry = run_tests(ds, ["score-wald"], H0, sign_set=signs, alpha=alpha)["score-wald"]
+        assert score.reject == ar.reject == registry.reject
