@@ -78,7 +78,7 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
         for method in ESTIMATORS:
             argv = ["test", dz3, "--test", test, "--method", method, "--beta0", "0.5"]
             out.append((f"test {test} {method} dz3", argv + sampled))
-    for test in ("lm", "cqlr"):
+    for test in ("ar-cr", "lm", "cqlr"):
         out.append((f"test {test} dz3", ["test", dz3, "--test", test, "--beta0", "0.5"] + sampled))
     argv = ["test", dx2, "--test", "lm", "--beta0", "0.5,0.5"]
     out.append(("test lm dx2", argv + sampled))
@@ -90,7 +90,8 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
     out.append(("test score-wald --lam 2 --lambda0 1", argv + sampled))
     grid = ["--grid-lo", "-3", "--grid-hi", "3", "--step", "0.25", "--seed", "3"]
     for test in ("ar", "wald-cr", "lm", "score-wald"):
-        out.append((f"cs {test}", ["cs", dz1, "--test", test, "--method", "liml"] + grid))
+        method = ["--method", "liml"] if test == "wald-cr" else []  # only wald/wald-cr take one
+        out.append((f"cs {test}", ["cs", dz1, "--test", test] + method + grid))
     out.append(("test ar --beta0 nan", ["test", dz1, "--test", "ar", "--beta0", "nan"]))
     out.append(("cs ar --step nan", ["cs", dz1, "--test", "ar", "--step", "nan"]))
     out.append(("cs ar --grid-lo -inf", ["cs", dz1, "--test", "ar", "--grid-lo", "-inf"]))

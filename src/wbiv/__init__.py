@@ -1,14 +1,7 @@
 """Wild cluster bootstrap inference for linear IV regressions with few,
 possibly heterogeneous clusters."""
 
-from .ar import (
-    ArStatistics,
-    ar_asymptotic_cr_test,
-    ar_bootstrap_test,
-    ar_statistics,
-    chi2_quantile,
-    score_bootstrap_wald_test,
-)
+from .ar import ArStatistics, ar_statistics, chi2_quantile
 from .cce import CceBundle, cce_matrix, cluster_score_sums
 from .confidence import ConfidenceSet, TestSpec, invert_confidence_set
 from .data import (
@@ -39,7 +32,14 @@ from .kclass import (
     restricted_kclass_fit,
     restricted_ols_fit,
 )
-from .registry import run_tests
+from .registry import (
+    ar_asymptotic_cr_test,
+    ar_bootstrap_test,
+    lm_cqlr_bootstrap_test,
+    run_tests,
+    score_bootstrap_wald_test,
+    wrec_wald_test,
+)
 from .simulate import (
     DgpConfig,
     RejectionTable,
@@ -47,12 +47,7 @@ from .simulate import (
     run_size_experiment,
     simulate_dgp,
 )
-from .wald import (
-    EfficientFirstStage,
-    efficient_first_stage,
-    wrec_run,
-    wrec_wald_test,
-)
-from .weakiv import JacobianBundle, cqlr_statistic, lm_cqlr_bootstrap_test, lm_statistic
+from .wald import EfficientFirstStage, efficient_first_stage, wrec_run
+from .weakiv import JacobianBundle, cqlr_statistic, lm_statistic
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 The null-imposed scores are f_ij = Zt_ij * eps_bar_ij with eps_bar the
 residual from restricted OLS of (y - X beta_0) on W. Both weightings are
 invariant to the cluster sign flips, so the bootstrap only flips the
-per-cluster score sums.
+per-cluster score sums. Every sum over a draw row follows the draw-stack
+rule of :mod:`data`, so the sample statistic is its own g = iota draw.
 
 The score-form Wald test of lambda beta = lambda_0 (d_x = d_z = 1) is the
 unstudentized AR test at beta_0 = lambda_0 / lambda with its statistic,
@@ -19,8 +20,8 @@ import numpy as np
 from .cce import cluster_score_sums
 from .data import ClusteredDataset, Hypothesis, PartialledDesign, stack_solve
 from .exceptions import InputError, NumericalError
-from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test, result_or_raise
-from .kclass import RestrictedOlsFit, restricted_ols_fit
+from .inference import SignSet, finish_test
+from .kclass import RestrictedOlsFit
 
 
 @dataclass(frozen=True)
@@ -45,38 +46,14 @@ class ArStatistics:
         return None if self.ar_cr_n is None else self.ar_cr_n**2
 
 
-def signed_score_sums(signs: np.ndarray, score_sums: np.ndarray) -> np.ndarray:
-    """sum_j g_j s_j for every sign row, accumulated in fixed cluster order.
-
-    Elementwise accumulation (never a matmul) so rows with identical signs
-    produce bitwise-identical sums; the all-ones row therefore reproduces the
-    sample value exactly, which is what makes ties between a statistic and
-    its own bootstrap draw resolve consistently.
-    """
-    out = np.zeros((signs.shape[0], score_sums.shape[1]))
-    for j in range(score_sums.shape[0]):
-        out += signs[:, j : j + 1] * score_sums[j]
-    return out
-
-
-def _row_quadratic(f: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Row-wise f' A f with a fixed accumulation order (same bitwise caveat)."""
-    d = weight.shape[0]
-    out = np.zeros(f.shape[0])
-    for z in range(d):
-        for v in range(d):
-            out += f[:, z] * weight[z, v] * f[:, v]
-    return out
-
-
 def ar_squares(f: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
     """n f' A f for every row of the mean scores ``f``: the squared AR
     statistics that the LM side's CQLR combination also reads."""
-    return n * np.maximum(_row_quadratic(f, weight), 0.0)
+    return n * np.maximum(np.einsum("mv,mv->m", np.einsum("mz,zv->mv", f, weight), f), 0.0)
 
 
 def _ar_norms(score_sums: np.ndarray, signs: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
-    return np.sqrt(ar_squares(signed_score_sums(signs, score_sums) / n, n, weight))
+    return np.sqrt(ar_squares(np.einsum("mj,jz->mz", signs, score_sums) / n, n, weight))
 
 
 def ar_statistics(design: PartialledDesign, restricted_ols: RestrictedOlsFit) -> ArStatistics:
@@ -84,7 +61,7 @@ def ar_statistics(design: PartialledDesign, restricted_ols: RestrictedOlsFit) ->
     s = cluster_score_sums(design, restricted_ols.resid)
     n = design.n
     iota = np.ones((1, design.q))
-    f_hat = signed_score_sums(iota, s)[0] / n
+    f_hat = np.einsum("mj,jz->mz", iota, s)[0] / n
     # computed through the bootstrap pipeline so AR*(iota) == AR_n bitwise
     ar_n = float(_ar_norms(s, iota, n, np.eye(design.d_z))[0])
 
@@ -147,13 +124,8 @@ def score_wald_null(dataset: ClusteredDataset, hypothesis: Hypothesis) -> np.nda
 
 
 def ar_tests(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    stats: ArStatistics,
-    names,
-    sign_set: SignSet,
-    alpha: float,
-    lam: float = 1.0,
+    dataset: ClusteredDataset, design: PartialledDesign, stats: ArStatistics, names,
+    sign_set: SignSet, alpha: float, lam: float = 1.0,
 ) -> dict:
     """The ar, ar-cr, ar-cr-asymptotic and score-wald tests among ``names``
     from one set of AR statistics. ar-cr maps to an InputError unless
@@ -190,53 +162,3 @@ def ar_tests(
                     critical_value=scale * res.critical_value, estimator="tsls",
                 )
     return out
-
-
-def ar_bootstrap_test(
-    dataset: ClusteredDataset,
-    beta_0,
-    studentize: bool = False,
-    sign_set: SignSet | None = None,
-    alpha: float = 0.1,
-    design: PartialledDesign | None = None,
-) -> BootstrapTestResult:
-    """Sign-flip bootstrap AR test of the full-vector null beta = beta_0."""
-    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
-    name = "ar-cr" if studentize else "ar"
-    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
-    return result_or_raise(ar_tests(dataset, design, stats, [name], sign_set, alpha)[name])
-
-
-def ar_asymptotic_cr_test(
-    dataset: ClusteredDataset,
-    beta_0,
-    alpha: float = 0.1,
-    design: PartialledDesign | None = None,
-) -> AsymptoticArResult:
-    """Reject when the squared CCE-weighted AR statistic exceeds the
-    chi-squared quantile with d_z degrees of freedom."""
-    sign_set, design = prepare_test(dataset, None, design, alpha)
-    name = "ar-cr-asymptotic"
-    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
-    return result_or_raise(ar_tests(dataset, design, stats, [name], sign_set, alpha)[name])
-
-
-def score_bootstrap_wald_test(
-    dataset: ClusteredDataset,
-    hypothesis: Hypothesis,
-    alpha: float = 0.1,
-    sign_set: SignSet | None = None,
-    design: PartialledDesign | None = None,
-) -> BootstrapTestResult:
-    """Score-form bootstrap for the unstudentized TSLS Wald statistic.
-
-    Only defined for d_x = d_z = 1: the Jacobian is a scalar that multiplies
-    both the statistic and every bootstrap draw, so the test is the ar test
-    at beta_0 = lambda_0 / lambda scaled by |lambda / Q_ZX|, with its
-    decision on a shared sign set.
-    """
-    beta_0 = score_wald_null(dataset, hypothesis)
-    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
-    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
-    lam, name = float(hypothesis.lambda_beta[0, 0]), "score-wald"
-    return result_or_raise(ar_tests(dataset, design, stats, [name], sign_set, alpha, lam)[name])

@@ -16,10 +16,10 @@ import numpy as np
 from .confidence import TestSpec, invert_confidence_set
 from .data import Hypothesis, assumption_diagnostics, cluster_first_stage, partial_out_exogenous
 from .exceptions import InputError, NumericalError
-from .inference import make_sign_set, result_or_raise
+from .inference import make_sign_set
 from .io import load_config, load_csv, render, write_results
 from .kclass import METHODS, fit_method
-from .registry import FULL_VECTOR, TESTS, lookup, run_tests
+from .registry import ESTIMATOR, FULL_VECTOR, TESTS, lookup, run_test
 from .simulate import (
     DgpConfig,
     default_power_grid,
@@ -95,8 +95,8 @@ def build_parser() -> _Parser:
     _add_io_args(p_test)
     _add_common(p_test)
     p_test.add_argument("--test", required=True, help=TEST_HELP)
-    p_test.add_argument("--method", choices=METHODS, default="tsls")
-    p_test.add_argument("--fuller-c", type=float, default=1.0)
+    p_test.add_argument("--method", choices=METHODS)  # None when not given: see _estimator
+    p_test.add_argument("--fuller-c", type=float)
     p_test.add_argument("--beta0", help="comma-separated null value(s) of beta (default 0)")
     p_test.add_argument("--lam", help="comma-separated lambda vector (Wald; default unit)")
     p_test.add_argument("--lambda0", type=float, help="restriction target (Wald; default 0)")
@@ -109,8 +109,8 @@ def build_parser() -> _Parser:
     _add_io_args(p_cs)
     _add_common(p_cs)
     p_cs.add_argument("--test", default="ar", help=TEST_HELP)
-    p_cs.add_argument("--method", choices=METHODS, default="tsls")
-    p_cs.add_argument("--fuller-c", type=float, default=1.0)
+    p_cs.add_argument("--method", choices=METHODS)
+    p_cs.add_argument("--fuller-c", type=float)
     p_cs.add_argument("--grid-lo", type=float, default=-10.0)
     p_cs.add_argument("--grid-hi", type=float, default=10.0)
     p_cs.add_argument("--step", type=float, default=0.01)
@@ -187,6 +187,16 @@ def _hypothesis(args, d_x: int) -> Hypothesis:
     return Hypothesis.wald(np.ones((1, 1)), [beta0[0]])
 
 
+def _estimator(args) -> tuple[str, float]:
+    """--method and --fuller-c of ``wbiv test`` and ``wbiv cs``, tsls and 1
+    when not given. Only the wald family fits an estimator; for another
+    test, giving either is an error."""
+    given = args.method is not None or args.fuller_c is not None
+    if given and lookup(args.test, TESTS) not in ESTIMATOR:
+        raise InputError(f"{args.test} takes no --method/--fuller-c (only wald and wald-cr do)")
+    return args.method or "tsls", 1.0 if args.fuller_c is None else args.fuller_c
+
+
 def _cmd_fit(args) -> dict:
     dataset = _load(args)
     design = partial_out_exogenous(dataset)
@@ -212,17 +222,16 @@ def _cmd_fit(args) -> dict:
 def _cmd_test(args):
     dataset = _load(args)
     hyp = _hypothesis(args, dataset.d_x)
+    method, fuller_c = _estimator(args)
     sign_set = make_sign_set(dataset.q, args.signs, B=args.boot_reps, seed=args.seed)
-    results = run_tests(
-        dataset, [args.test], hyp, estimator=args.method, fuller_c=args.fuller_c,
-        sign_set=sign_set, alpha=args.alpha,
-    )
-    return result_or_raise(results[args.test])
+    return run_test(dataset, args.test, hyp, estimator=method, fuller_c=fuller_c,
+                    sign_set=sign_set, alpha=args.alpha)
 
 
 def _cmd_cs(args):
     dataset = _load(args)
-    spec = TestSpec(test=args.test, estimator=args.method, fuller_c=args.fuller_c)
+    method, fuller_c = _estimator(args)
+    spec = TestSpec(test=args.test, estimator=method, fuller_c=fuller_c)
     return invert_confidence_set(
         dataset, spec, grid_lo=args.grid_lo, grid_hi=args.grid_hi, step=args.step,
         alpha=args.alpha, B=args.boot_reps, seed=args.seed,

@@ -17,8 +17,8 @@ from .data import (
     ClusteredDataset, Hypothesis, PartialledDesign, check_finite, partial_out_exogenous
 )
 from .exceptions import InputError
-from .inference import AUTO_EXHAUSTIVE_MAX_Q, SignSet, make_sign_set, result_or_raise
-from .registry import TESTS, lookup, run_tests
+from .inference import AUTO_EXHAUSTIVE_MAX_Q, SignSet, make_sign_set
+from .registry import TESTS, lookup, run_test
 from .rng import map_chunks
 
 
@@ -94,12 +94,9 @@ def _test_one(
     sign_set: SignSet,
 ) -> bool:
     """True when H0: beta = b is *not* rejected."""
-    results = run_tests(
-        dataset, [spec.test], Hypothesis.full_vector([b]),
-        estimator=spec.estimator, fuller_c=spec.fuller_c, sign_set=sign_set, alpha=alpha,
-        design=design,
-    )
-    return not result_or_raise(results[spec.test]).reject
+    result = run_test(dataset, spec.test, Hypothesis.full_vector([b]), estimator=spec.estimator,
+                      fuller_c=spec.fuller_c, sign_set=sign_set, alpha=alpha, design=design)
+    return not result.reject
 
 
 def _grid_chunk(dataset, design, spec, grid, alpha, B, seed, sign_mode, indices) -> list[bool]:

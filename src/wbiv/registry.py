@@ -8,7 +8,8 @@ inverse null-imposed CCE for the full-vector tests ar, ar-cr,
 ar-cr-asymptotic, lm and cqlr (with the Jacobian side only when lm or cqlr
 is asked for) and for score-wald, the ar test at beta_0 = lambda_0 / lambda
 scaled by |lambda / Q_ZX|. The simulation study's labels are aliases of
-registry names.
+registry names. :func:`run_test` runs one of them, as the CLI, confidence
+sets and the public per-test functions at the end do.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ar import ar_statistics, ar_tests, score_wald_null
+from .ar import AsymptoticArResult, ar_statistics, ar_tests, score_wald_null
 from .data import ClusteredDataset, Hypothesis, PartialledDesign
 from .exceptions import InputError, NumericalError
-from .inference import SignSet, prepare_test
+from .inference import BootstrapTestResult, SignSet, prepare_test, result_or_raise
 from .kclass import METHODS, restricted_ols_fit
 from .wald import wald_tests
 from .weakiv import score_tests
@@ -125,3 +126,63 @@ def run_tests(
         members = [name for name in names if TESTS[name] == fam]
         out.update(_failing_together(passes[fam], members))
     return out
+
+
+def run_test(dataset: ClusteredDataset, name: str, hypothesis: Hypothesis, **options):
+    """:func:`run_tests` of the one test ``name``, with the same options; its
+    failure is raised."""
+    return result_or_raise(run_tests(dataset, [name], hypothesis, **options)[name])
+
+
+def ar_bootstrap_test(
+    dataset: ClusteredDataset, beta_0, studentize: bool = False, sign_set: SignSet | None = None,
+    alpha: float = 0.1, design: PartialledDesign | None = None,
+) -> BootstrapTestResult:
+    """Sign-flip bootstrap AR test of the full-vector null beta = beta_0."""
+    name, hyp = "ar-cr" if studentize else "ar", Hypothesis.full_vector(beta_0)
+    return run_test(dataset, name, hyp, sign_set=sign_set, alpha=alpha, design=design)
+
+
+def ar_asymptotic_cr_test(
+    dataset: ClusteredDataset, beta_0, alpha: float = 0.1, design: PartialledDesign | None = None,
+) -> AsymptoticArResult:
+    """Reject when the squared CCE-weighted AR statistic exceeds the
+    chi-squared quantile with d_z degrees of freedom."""
+    hyp = Hypothesis.full_vector(beta_0)
+    return run_test(dataset, "ar-cr-asymptotic", hyp, alpha=alpha, design=design)
+
+
+def score_bootstrap_wald_test(
+    dataset: ClusteredDataset, hypothesis: Hypothesis, alpha: float = 0.1,
+    sign_set: SignSet | None = None, design: PartialledDesign | None = None,
+) -> BootstrapTestResult:
+    """Score-form bootstrap for the unstudentized TSLS Wald statistic, only
+    defined for d_x = d_z = 1: the ar test at beta_0 = lambda_0 / lambda,
+    scaled by |lambda / Q_ZX|."""
+    return run_test(dataset, "score-wald", hypothesis, sign_set=sign_set, alpha=alpha,
+                    design=design)
+
+
+def lm_cqlr_bootstrap_test(
+    dataset: ClusteredDataset, beta_0, statistic: str = "lm", sign_set: SignSet | None = None,
+    alpha: float = 0.1, design: PartialledDesign | None = None,
+) -> BootstrapTestResult:
+    """Sign-flip bootstrap LM or conditional QLR test of beta = beta_0."""
+    if statistic not in SCORE:
+        raise InputError(f"statistic must be 'lm' or 'cqlr', got {statistic!r}")
+    hyp = Hypothesis.full_vector(beta_0)
+    return run_test(dataset, statistic, hyp, sign_set=sign_set, alpha=alpha, design=design)
+
+
+def wrec_wald_test(
+    dataset: ClusteredDataset, hypothesis: Hypothesis, method: str = "tsls",
+    studentize: bool = False, sign_set: SignSet | None = None, alpha: float = 0.1,
+    fuller_c: float = 1.0, design: PartialledDesign | None = None,
+) -> BootstrapTestResult:
+    """WREC bootstrap Wald test of lambda' beta = lambda_0: unweighted or,
+    with ``studentize`` (which requires q > d_r), weighted by its own CCE
+    inverse A_r_CR, as is every bootstrap draw."""
+    return run_test(
+        dataset, "wald-cr" if studentize else "wald", hypothesis, estimator=method,
+        fuller_c=fuller_c, sign_set=sign_set, alpha=alpha, design=design,
+    )

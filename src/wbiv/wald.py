@@ -23,7 +23,8 @@ observation-level refit per sign vector (``tests/wrec_reference.py``).
 The draws go through the same stacked algebra as a sample fit: the k-class
 routine of :mod:`kclass` and the CCE sandwich of :mod:`cce`, with the one
 singular rule of :func:`data.stack_solve`. The sample statistics are the
-draw at g = iota, which :func:`wrec_run` appends to the sign rows, so each
+draw at g = iota, which :func:`wrec_run` appends to the sign rows, and every
+sum over a draw row follows the draw-stack rule of :mod:`data`, so each
 statistic is bitwise its own iota draw, as in the randomization-test view
 of Canay, Santos and Shaikh (2021). A singular draw reads 0.0 and counts in
 ``n_singular``; a singular iota draw is a NumericalError.
@@ -41,7 +42,7 @@ import numpy as np
 from .cce import cce_sandwich
 from .data import ClusteredDataset, Hypothesis, PartialledDesign, cluster_cross, raise_singular
 from .exceptions import InputError, NumericalError
-from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test
+from .inference import SignSet, finish_test, prepare_test
 from .kclass import (
     KCLASS_SYSTEM,
     LIML_PENCIL,
@@ -119,14 +120,6 @@ def efficient_first_stage(
 # ---------------------------------------------------------------------------
 
 
-def _contract(by: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k by[..., k] coef[i, k] for each row i of ``coef``, one matrix
-    product per row so a row's bits do not depend on the other rows:
-    shape (m,) + by.shape[:-1]."""
-    flat = by.reshape(-1, by.shape[-1]).T
-    return (coef[:, None, :] @ flat).reshape((-1,) + by.shape[:-1])
-
-
 class _MomentEngine:
     """Per-cluster cross-moment reduction of the bootstrap.
 
@@ -175,13 +168,6 @@ class _MomentEngine:
         ps_by = cluster_cross(p_mat, s_mat, starts)
         self.ps_sym_by = ps_by + ps_by.transpose(0, 2, 1)
 
-    @staticmethod
-    def _combine(base: np.ndarray, by: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """base + sum_j g_j by[j] per sign row. einsum sums over the clusters
-        row by row, never through a BLAS matmul, so a row's bits do not
-        depend on the other rows."""
-        return base[None] + np.einsum("mj,j...->m...", g, by)
-
     def distributions(self, signs: np.ndarray, hypothesis: Hypothesis, want_cr: bool):
         """The plain and, with ``want_cr``, the CCE-studentized statistic for
         each sign row, and the singular checks of every row (what -> ok
@@ -192,12 +178,13 @@ class _MomentEngine:
         lam, lam0 = hypothesis.lambda_beta, hypothesis.lambda_0
         g = np.asarray(signs, dtype=np.float64)
 
-        ut_all = self._combine(self.ut_p, self.ut_s_by, g)       # U_Zt'[X* : y*]
+        # U_Zt'[X* : y*], U_W'[X* : y*] and [X* : y*]'[X* : y*]: base + sum_j g_j by[j]
+        ut_all = self.ut_p + np.einsum("mj,j...->m...", g, self.ut_s_by)
         uw_all = cross = None
         if want_cr or self.method != "tsls":
-            uw_all = self._combine(self.uw_p, self.uw_s_by, g)   # U_W'[X* : y*]
+            uw_all = self.uw_p + np.einsum("mj,j...->m...", g, self.uw_s_by)
         if self.method != "tsls":
-            cross = self._combine(self.pp_ss, self.ps_sym_by, g)  # [X* : y*]'[X* : y*]
+            cross = self.pp_ss + np.einsum("mj,j...->m...", g, self.ps_sym_by)
         p, mw = kclass_forms(ut_all, cross, uw_all)
         kappa, ok_kappa, clamped = kclass_kappa(
             self.method, p, mw, n, self.d_z, self.d_w, self.fuller_c
@@ -218,16 +205,16 @@ class _MomentEngine:
         coef = np.column_stack([-beta, np.ones(len(beta))])
         gamma = self.design.w_coef((uw_all @ coef[:, :, None])[:, :, 0])
         # Per-cluster bootstrap scores: only the own-cluster sign enters.
-        flipped = g[:, :, None] * _contract(self.zt_s_by, coef)
-        scores = _contract(self.zpw_by, np.column_stack([coef, -gamma])) + flipped
+        flipped = g[:, :, None] * np.einsum("jzk,mk->mjz", self.zt_s_by, coef)
+        scores = np.einsum("jzk,mk->mjz", self.zpw_by, np.column_stack([coef, -gamma])) + flipped
         omega = scores.transpose(0, 2, 1) @ scores / n
-        q_zx = self._combine(self.zt_p[:, :d_x], self.zt_s_by[:, :, :d_x], g) / n
+        zt_x_by = self.zt_s_by[:, :, :d_x]
+        q_zx = (self.zt_p[:, :d_x] + np.einsum("mj,j...->m...", g, zt_x_by)) / n
         bundle, cce_checks = cce_sandwich(q_zx, self.design.Q_ZZ, omega, lam)
         checks.update(cce_checks)
         valid &= np.logical_and.reduce(list(cce_checks.values()))
-        stats_cr = np.sqrt(
-            n * np.maximum(np.einsum("mr,mrs,ms->m", dev, bundle.A_r_CR, dev), 0.0)
-        )
+        a_dev = np.einsum("mr,mrs->ms", dev, bundle.A_r_CR)
+        stats_cr = np.sqrt(n * np.maximum(np.einsum("ms,ms->m", a_dev, dev), 0.0))
         stats_cr[~valid] = 0.0
         return stats, stats_cr, checks
 
@@ -280,14 +267,8 @@ def wrec_run(
 
 
 def wald_tests(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    hypothesis: Hypothesis,
-    names,
-    sign_set: SignSet,
-    alpha: float,
-    method: str,
-    fuller_c: float,
+    dataset: ClusteredDataset, design: PartialledDesign, hypothesis: Hypothesis, names,
+    sign_set: SignSet, alpha: float, method: str, fuller_c: float,
 ) -> dict:
     """The wald and wald-cr tests among ``names`` from one WREC pass, which
     computes the CCE side only when wald-cr is asked for."""
@@ -305,26 +286,3 @@ def wald_tests(
         )
         for name in names
     }
-
-
-def wrec_wald_test(
-    dataset: ClusteredDataset,
-    hypothesis: Hypothesis,
-    method: str = "tsls",
-    studentize: bool = False,
-    sign_set: SignSet | None = None,
-    alpha: float = 0.1,
-    fuller_c: float = 1.0,
-    design: PartialledDesign | None = None,
-) -> BootstrapTestResult:
-    """WREC bootstrap Wald test of lambda' beta = lambda_0.
-
-    The statistic is || sqrt(n) (lambda' beta_hat - lambda_0) ||, unweighted
-    or, with ``studentize``, weighted by its own CCE inverse A_r_CR, as is
-    every bootstrap draw (which requires q > d_r).
-    """
-    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
-    name = "wald-cr" if studentize else "wald"
-    return wald_tests(
-        dataset, design, hypothesis, [name], sign_set, alpha, method, fuller_c
-    )[name]

@@ -8,7 +8,8 @@ sums and the inverse of the null-imposed CCE. The bootstrap flips only the
 score side: the Jacobian G_hat, the weighting Omega_hat^{-1} and the
 conditioning scalar rk are held at their sample values. All draws'
 Gram matrices D*'A D* go through one :func:`data.stack_solve`, and each
-sample statistic is the g = iota row that :func:`score_tests` appends.
+sample statistic is the g = iota row that :func:`score_tests` appends;
+every sum over a draw row follows the draw-stack rule of :mod:`data`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ar import ArStatistics, ar_squares, ar_statistics, signed_score_sums
+from .ar import ArStatistics, ar_squares, ar_statistics
 from .data import ClusteredDataset, PartialledDesign, raise_singular, stack_solve
 from .exceptions import InputError, NumericalError
-from .inference import BootstrapTestResult, SignSet, finish_test, prepare_test
-from .kclass import RestrictedOlsFit, restricted_ols_fit
+from .inference import SignSet, finish_test
+from .kclass import RestrictedOlsFit
 
 # What is singular when the iota row fails, as the NumericalError names it.
 JACOBIAN_GRAM = "orthogonalized Jacobian quadratic form (near-unidentified model)"
@@ -45,28 +46,16 @@ class JacobianBundle:
     rk: float | None = None
 
 
-def _apply(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ x[i] for every row x[i] of x (shape (m, k, ...)).
-
-    Like every reduction over the draws here, the sum runs elementwise in a
-    fixed order, so a row's bits do not depend on the other rows and the
-    g = iota draw reproduces the sample value exactly.
-    """
-    shape = (1, -1) + (1,) * (x.ndim - 2)
-    return sum(mat[:, k].reshape(shape) * x[:, k, None] for k in range(mat.shape[1]))
-
-
 def _orthogonalized(bundle: JacobianBundle, signs: np.ndarray, n: int):
     """Per sign row: the mean scores f*(g), Omega^{-1} f*(g) and the
     orthogonalized Jacobian D*(g) = G - Gamma*(g) Omega^{-1} f*(g), with
     Gamma*(g) = sum_j g_j [Zt X']_j s_j' / n."""
-    s, gsums = bundle.score_sums, bundle.jacobian_sums
-    q, d_z, d_x = gsums.shape
-    f = signed_score_sums(signs, s) / n                                   # (m, d_z)
-    cross = (gsums[:, :, :, None] * s[:, None, None, :]).reshape(q, -1)
-    gamma = (signed_score_sums(signs, cross) / n).reshape(-1, d_z, d_x, d_z)
-    omega_inv_f = _apply(bundle.omega_inv, f)
-    corr = sum(gamma[..., y] * omega_inv_f[:, y, None, None] for y in range(d_z))
+    s = bundle.score_sums
+    f = np.einsum("mj,jz->mz", signs, s) / n
+    cross = bundle.jacobian_sums[:, :, :, None] * s[:, None, None, :]   # (q, d_z, d_x, d_z)
+    gamma = np.einsum("mj,jzxy->mzxy", signs, cross) / n
+    omega_inv_f = np.einsum("zy,my->mz", bundle.omega_inv, f)
+    corr = np.einsum("mzxy,my->mzx", gamma, omega_inv_f)
     return f, omega_inv_f, bundle.G_hat[None] - corr
 
 
@@ -102,12 +91,11 @@ def _lm_boot_distribution(
     solve over the sign rows. A draw whose Gram matrix is singular reads 0.0.
     """
     f, a_f, d = _orthogonalized(bundle, signs, n)
-    a_d = _apply(bundle.omega_inv, d)
-    d_z = f.shape[1]
-    gram = sum(d[:, z, :, None] * a_d[:, z, None, :] for z in range(d_z))   # (m, d_x, d_x)
-    b = sum(d[:, z] * a_f[:, z, None] for z in range(d_z))                  # (m, d_x)
+    a_d = np.einsum("zy,myx->mzx", bundle.omega_inv, d)
+    gram = np.einsum("mza,mzb->mab", d, a_d)
+    b = np.einsum("mzx,mz->mx", d, a_f)
     x, ok = stack_solve(gram, b)
-    lm = n * np.maximum(sum(b[:, k] * x[:, k] for k in range(b.shape[1])), 0.0)
+    lm = n * np.maximum(np.einsum("mk,mk->m", b, x), 0.0)
     return lm, ar_squares(f, n, bundle.omega_inv), ok
 
 
@@ -143,12 +131,8 @@ def cqlr_statistic(ar_cr_sq, lm, rk: float):
 
 
 def score_tests(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    stats: ArStatistics,
-    names,
-    sign_set: SignSet,
-    alpha: float,
+    dataset: ClusteredDataset, design: PartialledDesign, stats: ArStatistics, names,
+    sign_set: SignSet, alpha: float,
 ) -> dict:
     """The lm and cqlr tests among ``names`` from the AR statistics' scores
     and one set of score-side draws; the CQLR draws condition on the
@@ -168,19 +152,3 @@ def score_tests(
         )
         for name in names
     }
-
-
-def lm_cqlr_bootstrap_test(
-    dataset: ClusteredDataset,
-    beta_0,
-    statistic: str = "lm",
-    sign_set: SignSet | None = None,
-    alpha: float = 0.1,
-    design: PartialledDesign | None = None,
-) -> BootstrapTestResult:
-    """Sign-flip bootstrap LM or conditional QLR test of beta = beta_0."""
-    if statistic not in ("lm", "cqlr"):
-        raise InputError(f"statistic must be 'lm' or 'cqlr', got {statistic!r}")
-    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
-    stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
-    return score_tests(dataset, design, stats, [statistic], sign_set, alpha)[statistic]

@@ -149,16 +149,24 @@ class TestTest:
         assert err.startswith("wbiv: error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("options, flag", [
-        (["--test", "wald", "--beta0", "0.5", "--lam", "1"], "--beta0"),
-        (["--test", "ar", "--lam", "1"], "--lam"),
-        (["--test", "lm", "--lambda0", "0.5"], "--lambda0"),
-        (["--test", "wald", "--lambda0", "0.5"], "--lambda0"),
-        (["--test", "wald", "--beta0", "0.5,7"], "--beta0"),
+    @pytest.mark.parametrize("argv, flag", [
+        (["test", "--test", "wald", "--beta0", "0.5", "--lam", "1"], "--beta0"),
+        (["test", "--test", "ar", "--lam", "1"], "--lam"),
+        (["test", "--test", "lm", "--lambda0", "0.5"], "--lambda0"),
+        (["test", "--test", "wald", "--lambda0", "0.5"], "--lambda0"),
+        (["test", "--test", "wald", "--beta0", "0.5,7"], "--beta0"),
+        (["test", "--test", "ar", "--method", "liml", "--fuller-c", "3"], "--method"),
+        (["test", "--test", "lm", "--fuller-c", "3"], "--fuller-c"),
+        (["test", "--test", "score-wald", "--method", "liml"], "--method"),
+        (["test", "--test", "ar-cr-asymptotic", "--method", "tsls"], "--method"),
+        (["cs", "--test", "ar", "--method", "full"], "--method"),
+        (["cs", "--test", "lm", "--fuller-c", "3"], "--fuller-c"),
     ], ids=["beta0 with lam", "lam full vector", "lambda0 full vector", "lambda0 without lam",
-            "two beta0 values for one regressor"])
-    def test_an_option_the_test_would_ignore_is_an_input_error(self, sim_csv, capsys, options, flag):
-        assert main(["test", str(sim_csv)] + options) == 1
+            "two beta0 values for one regressor", "method full vector", "fuller-c full vector",
+            "method score-wald", "explicit tsls full vector", "cs method full vector",
+            "cs fuller-c full vector"])
+    def test_an_option_the_test_would_ignore_is_an_input_error(self, sim_csv, capsys, argv, flag):
+        assert main([argv[0], str(sim_csv)] + argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith("wbiv: error:") and flag in err
 

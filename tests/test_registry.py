@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -12,21 +13,32 @@ from wbiv import (
     TestSpec,
     ar_asymptotic_cr_test,
     ar_bootstrap_test,
+    ar_statistics,
     build_dataset,
     lm_cqlr_bootstrap_test,
     make_sign_set,
+    partial_out_exogenous,
+    restricted_ols_fit,
     run_size_experiment,
     run_tests,
     score_bootstrap_wald_test,
     simulate_dgp,
+    wrec_run,
     wrec_wald_test,
 )
+from wbiv.ar import ar_bootstrap_distribution
 from wbiv.cli import main
 from wbiv.data import stack_solve
 from wbiv.registry import ALIASES, TESTS
 from wbiv.rng import substream
 from wbiv.simulate import _replicate
-from wbiv.weakiv import JACOBIAN_GRAM, JacobianBundle, _iota_draws, _lm_boot_distribution
+from wbiv.weakiv import (
+    JACOBIAN_GRAM,
+    JacobianBundle,
+    _iota_draws,
+    _jacobian_bundle,
+    _lm_boot_distribution,
+)
 
 ALPHA = 0.1
 B0 = 0.3
@@ -172,6 +184,36 @@ def test_every_statistic_is_its_own_iota_draw(d_x, d_z, names):
                 if not same:
                     differ.append((seed, estimator, name))
     assert differ == []
+
+
+@pytest.mark.parametrize("d_x, d_z", [(1, 1), (1, 2), (1, 3), (2, 3)])
+def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
+    # the draw-stack rule of wbiv.data: every row of the exhaustive set,
+    # the last one g = iota included, computed alone (a stack of one) is
+    # bitwise that row of the full 128-row stack
+    signs = make_sign_set(7, "exhaustive")
+    one = dataclasses.replace(signs, vectors=signs.vectors[:1])
+    for seed in range(4):
+        ds = random_dataset(seed, q=7, n_per=15, d_x=d_x, d_z=d_z)
+        design = partial_out_exogenous(ds)
+        hyp = Hypothesis.full_vector([B0] * d_x)
+        stats = ar_statistics(design, restricted_ols_fit(ds, hyp.lambda_0))
+        draws = {
+            f"ar studentize={s}": lambda g, s=s: ar_bootstrap_distribution(stats, g, ds.n, s)
+            for s in (False, True)
+        }
+        bundle = _jacobian_bundle(design, stats)
+        draws["lm"] = lambda g: _lm_boot_distribution(bundle, g, ds.n)[0]
+        for what, draw in draws.items():
+            full = draw(signs.vectors)
+            alone = [draw(signs.vectors[i : i + 1])[0] for i in range(signs.size)]
+            assert np.array_equal(alone, full), (seed, what)
+        # wrec_run appends g = iota to the sign rows: a stack of 2, then 129
+        for estimator in ("tsls", "liml"):
+            short, long = (wrec_run(ds, hyp, estimator, s, design=design) for s in (one, signs))
+            assert (short.statistic, short.statistic_cr) == (long.statistic, long.statistic_cr)
+            assert short.boot_stats[0] == long.boot_stats[0]
+            assert short.boot_stats_cr[0] == long.boot_stats_cr[0]
 
 
 def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
