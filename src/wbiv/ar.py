@@ -1,10 +1,12 @@
-"""Full-vector Anderson-Rubin tests and their sign-flip bootstrap.
+"""Full-vector Anderson-Rubin statistics and their sign-flip bootstrap.
 
 The null-imposed scores are f_ij = Zt_ij * eps_bar_ij with eps_bar the
 residual from restricted OLS of (y - X beta_0) on W. Both weightings are
 invariant to the cluster sign flips, so the bootstrap only flips the
-per-cluster score sums. Every sum over a draw row follows the draw-stack
-rule of :mod:`data`, so the sample statistic is its own g = iota draw.
+per-cluster score sums s_j into the signed means f*(g) of
+:func:`signed_means`. The tests run in :func:`weakiv.full_vector_tests`;
+:func:`ar_statistics` (g = iota) and :func:`ar_bootstrap_distribution` are
+its rows on their own, bitwise the same by the draw-stack rule of :mod:`data`.
 
 The score-form Wald test of lambda beta = lambda_0 (d_x = d_z = 1) is the
 unstudentized AR test at beta_0 = lambda_0 / lambda with its statistic,
@@ -13,14 +15,13 @@ critical value and draws scaled by the positive constant |lambda / Q_ZX|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cce import cluster_score_sums
 from .data import ClusteredDataset, Hypothesis, PartialledDesign, stack_solve
-from .exceptions import InputError, NumericalError
-from .inference import SignSet, finish_test
+from .exceptions import InputError
 from .kclass import RestrictedOlsFit
 
 
@@ -52,23 +53,32 @@ def ar_squares(f: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
     return n * np.maximum(np.einsum("mv,mv->m", np.einsum("mz,zv->mv", f, weight), f), 0.0)
 
 
-def _ar_norms(score_sums: np.ndarray, signs: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
-    return np.sqrt(ar_squares(np.einsum("mj,jz->mz", signs, score_sums) / n, n, weight))
+def signed_means(score_sums: np.ndarray, signs: np.ndarray, n: int) -> np.ndarray:
+    """The signed score means f*(g) = sum_j g_j s_j / n, one row per sign
+    row g: the stack every full-vector statistic reads."""
+    return np.einsum("mj,jz->mz", signs, score_sums) / n
+
+
+def null_scores(
+    design: PartialledDesign, restricted_ols: RestrictedOlsFit
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The per-cluster score sums s (q, d_z) and the inverse of the
+    null-imposed CCE s's / n, None when that matrix is singular."""
+    s = cluster_score_sums(design, restricted_ols.resid)
+    a_cr, ok = stack_solve((s.T @ s / design.n)[None])
+    return s, (a_cr[0] if ok[0] else None)
 
 
 def ar_statistics(design: PartialledDesign, restricted_ols: RestrictedOlsFit) -> ArStatistics:
-    """Compute AR_n and, when the null CCE is invertible, AR_CR_n."""
-    s = cluster_score_sums(design, restricted_ols.resid)
-    n = design.n
-    iota = np.ones((1, design.q))
-    f_hat = np.einsum("mj,jz->mz", iota, s)[0] / n
-    # computed through the bootstrap pipeline so AR*(iota) == AR_n bitwise
-    ar_n = float(_ar_norms(s, iota, n, np.eye(design.d_z))[0])
-
-    a_cr, ok = stack_solve((s.T @ s / n)[None])
-    a_cr = a_cr[0] if ok[0] else None
-    ar_cr_n = None if a_cr is None else float(_ar_norms(s, iota, n, a_cr)[0])
-    return ArStatistics(f_hat=f_hat, ar_n=ar_n, ar_cr_n=ar_cr_n, A_cr=a_cr, score_sums=s)
+    """Compute AR_n and, when the null CCE is invertible, AR_CR_n: the
+    g = iota row alone."""
+    s, a_cr = null_scores(design, restricted_ols)
+    f = signed_means(s, np.ones((1, design.q)), design.n)
+    ar_n, ar_cr_n = (
+        None if w is None else float(np.sqrt(ar_squares(f, design.n, w))[0])
+        for w in (np.eye(design.d_z), a_cr)
+    )
+    return ArStatistics(f_hat=f[0], ar_n=ar_n, ar_cr_n=ar_cr_n, A_cr=a_cr, score_sums=s)
 
 
 def ar_bootstrap_distribution(
@@ -79,7 +89,8 @@ def ar_bootstrap_distribution(
 ) -> np.ndarray:
     """AR*(g) over the sign set; the weighting stays at its sample value."""
     weight = stats.A_cr if studentize else np.eye(stats.f_hat.shape[0])
-    return _ar_norms(stats.score_sums, np.asarray(signs, dtype=np.float64), n, weight)
+    f = signed_means(stats.score_sums, np.asarray(signs, dtype=np.float64), n)
+    return np.sqrt(ar_squares(f, n, weight))
 
 
 @dataclass(frozen=True)
@@ -121,44 +132,3 @@ def score_wald_null(dataset: ClusteredDataset, hypothesis: Hypothesis) -> np.nda
     if dataset.d_x != 1 or dataset.d_z != 1:
         raise InputError("score bootstrap requires d_x = d_z = 1")
     return hypothesis.lambda_0 / hypothesis.lambda_beta[0]
-
-
-def ar_tests(
-    dataset: ClusteredDataset, design: PartialledDesign, stats: ArStatistics, names,
-    sign_set: SignSet, alpha: float, lam: float = 1.0,
-) -> dict:
-    """The ar, ar-cr, ar-cr-asymptotic and score-wald tests among ``names``
-    from one set of AR statistics. ar-cr maps to an InputError unless
-    q > d_z, score-wald (whose restriction is lam beta = lam beta_0) to one
-    when Q_ZX = 0, and the CCE-weighted tests to a NumericalError when the
-    null-imposed CCE is singular."""
-    out = {}
-    for name in names:
-        if name == "ar-cr" and dataset.q <= dataset.d_z:
-            out[name] = InputError("studentized AR needs more clusters than instruments (q > d_z)")
-        elif name == "score-wald" and design.Q_ZX[0, 0] == 0.0:
-            out[name] = InputError("unidentified Jacobian (Zt'X = 0)")
-        elif name in ("ar-cr", "ar-cr-asymptotic") and stats.ar_cr_n is None:
-            out[name] = NumericalError("singular null-imposed CCE (q <= d_z or degenerate scores)")
-        elif name == "ar-cr-asymptotic":
-            df = stats.f_hat.shape[0]
-            cv = chi2_quantile(1.0 - alpha, df)
-            stat_sq = stats.ar_cr_n**2
-            out[name] = AsymptoticArResult(
-                statistic_sq=float(stat_sq), critical_value=cv, reject=bool(stat_sq > cv),
-                alpha=alpha, df=df,
-            )
-        else:
-            studentize = name == "ar-cr"
-            statistic = stats.ar_cr_n if studentize else stats.ar_n
-            boot = ar_bootstrap_distribution(stats, sign_set.vectors, dataset.n, studentize)
-            out[name] = finish_test(name, statistic, boot, sign_set, alpha)
-            if name == "score-wald":
-                # decided on the unscaled norms, where a tie resolves as in
-                # ar, and scaled afterwards for reporting
-                res, scale = out[name], abs(lam / float(design.Q_ZX[0, 0]))
-                out[name] = replace(
-                    res, statistic=scale * res.statistic, boot_stats=scale * res.boot_stats,
-                    critical_value=scale * res.critical_value, estimator="tsls",
-                )
-    return out

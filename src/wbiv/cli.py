@@ -240,11 +240,14 @@ def _cmd_cs(args):
 
 
 def _cmd_simulate(args):
+    strongs = _floats(args.strong)
+    if not all(strong.is_integer() for strong in strongs):
+        raise InputError(f"--strong takes whole cluster counts, got {args.strong}")
     configs = [
         DgpConfig(q=args.q, d_z=args.dz, pi0=pi0, rho=rho, strong_clusters=int(strong))
         for pi0 in _floats(args.pi0)
         for rho in _floats(args.rho)
-        for strong in _floats(args.strong)
+        for strong in strongs
     ]
     tests = args.tests.split(",")
     if args.mode == "size":

@@ -17,9 +17,14 @@ from .data import (
     ClusteredDataset, Hypothesis, PartialledDesign, check_finite, partial_out_exogenous
 )
 from .exceptions import InputError
-from .inference import AUTO_EXHAUSTIVE_MAX_Q, SignSet, make_sign_set
+from .inference import AUTO_EXHAUSTIVE_MAX_Q, make_sign_set
 from .registry import TESTS, lookup, run_test
 from .rng import map_chunks
+
+# Each grid point runs one bootstrap test, a millisecond or more, so a
+# million points is already a run of many minutes; a larger count is a
+# typo in --step or the bounds, refused before linspace allocates its array.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -77,32 +82,16 @@ def mask_to_intervals(grid: np.ndarray, accepted: np.ndarray) -> tuple:
     return tuple(intervals)
 
 
-def _grid_signs(q: int, B: int, seed, sign_mode: str, index: int) -> SignSet:
-    if q <= AUTO_EXHAUSTIVE_MAX_Q:
-        return make_sign_set(q, "exhaustive")
-    if sign_mode == "shared":
-        return make_sign_set(q, "sampled", B=B, seed=(seed, "cs-shared"))
-    return make_sign_set(q, "sampled", B=B, seed=(seed, "cs", index))
-
-
-def _test_one(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    spec: TestSpec,
-    b: float,
-    alpha: float,
-    sign_set: SignSet,
-) -> bool:
-    """True when H0: beta = b is *not* rejected."""
-    result = run_test(dataset, spec.test, Hypothesis.full_vector([b]), estimator=spec.estimator,
-                      fuller_c=spec.fuller_c, sign_set=sign_set, alpha=alpha, design=design)
-    return not result.reject
-
-
-def _grid_chunk(dataset, design, spec, grid, alpha, B, seed, sign_mode, indices) -> list[bool]:
+def _grid_chunk(dataset, design, spec, grid, alpha, shared, B, seed, indices) -> list[bool]:
+    """Whether H0: beta = b survives at the grid points b of ``indices``,
+    each tested with the ``shared`` sign set or, without one, a fresh draw
+    keyed by its grid index."""
     return [
-        _test_one(dataset, design, spec, float(grid[i]), alpha,
-                  _grid_signs(dataset.q, B, seed, sign_mode, i))
+        not run_test(
+            dataset, spec.test, Hypothesis.full_vector([float(grid[i])]),
+            estimator=spec.estimator, fuller_c=spec.fuller_c, alpha=alpha, design=design,
+            sign_set=shared or make_sign_set(dataset.q, "sampled", B=B, seed=(seed, "cs", i)),
+        ).reject
         for i in indices
     ]
 
@@ -126,7 +115,7 @@ def invert_confidence_set(
     between a fresh draw per grid point (keyed by the grid index, the
     default) and one shared draw, which is what exact test-equivalence
     comparisons need. For small q the exhaustive set is used everywhere and
-    the two modes coincide.
+    the two modes coincide. A shared or exhaustive set is built once.
     """
     if isinstance(test_spec, str):
         test_spec = TestSpec(test=test_spec)
@@ -139,13 +128,19 @@ def invert_confidence_set(
         raise InputError("grid inversion supports a single endogenous regressor")
     if sign_mode not in ("fresh", "shared"):
         raise InputError(f"unknown sign_mode {sign_mode!r}")
+    steps = (grid_hi - grid_lo) / step
+    if steps > MAX_GRID_POINTS - 1:  # an infinite count too
+        raise InputError(f"grid of more than {MAX_GRID_POINTS} points; raise step or narrow it")
     if design is None:
         design = partial_out_exogenous(dataset)
 
-    npts = int(round((grid_hi - grid_lo) / step)) + 1
+    npts = int(round(steps)) + 1
     grid = np.linspace(grid_lo, grid_hi, npts)
 
-    chunk = partial(_grid_chunk, dataset, design, test_spec, grid, alpha, B, seed, sign_mode)
+    shared = None
+    if sign_mode == "shared" or dataset.q <= AUTO_EXHAUSTIVE_MAX_Q:
+        shared = make_sign_set(dataset.q, "auto", B=B, seed=(seed, "cs-shared"))
+    chunk = partial(_grid_chunk, dataset, design, test_spec, grid, alpha, shared, B, seed)
     accepted = np.array(map_chunks(chunk, np.arange(npts), workers), dtype=bool)
     return ConfidenceSet(
         grid=grid,

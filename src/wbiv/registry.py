@@ -1,13 +1,13 @@
 """The test registry: every test by name, for the CLI, confidence-set
 inversion and the Monte Carlo harness alike.
 
-Tests come in two families whose members share one pass over the data:
-one WREC run for wald and wald-cr (with the CCE side only when wald-cr is
-asked for); and one restricted fit, one set of cluster score sums and one
-inverse null-imposed CCE for the full-vector tests ar, ar-cr,
-ar-cr-asymptotic, lm and cqlr (with the Jacobian side only when lm or cqlr
-is asked for) and for score-wald, the ar test at beta_0 = lambda_0 / lambda
-scaled by |lambda / Q_ZX|. The simulation study's labels are aliases of
+Tests come in two families whose members share one pass over the data,
+and each pass reads its sample statistics from the g = iota row it appends
+to the sign rows: :func:`wald.wald_tests`, one WREC run for wald and
+wald-cr, and :func:`weakiv.full_vector_tests`, one restricted fit and one
+stack of signed score means for ar, ar-cr, ar-cr-asymptotic, lm, cqlr and
+score-wald, the ar test at beta_0 = lambda_0 / lambda scaled by
+|lambda / Q_ZX|. The simulation study's labels are aliases of
 registry names. :func:`run_test` runs one of them, as the CLI, confidence
 sets and the public per-test functions at the end do.
 """
@@ -18,13 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .ar import AsymptoticArResult, ar_statistics, ar_tests, score_wald_null
+from .ar import AsymptoticArResult, score_wald_null
 from .data import ClusteredDataset, Hypothesis, PartialledDesign
 from .exceptions import InputError, NumericalError
 from .inference import BootstrapTestResult, SignSet, prepare_test, result_or_raise
-from .kclass import METHODS, restricted_ols_fit
+from .kclass import METHODS
 from .wald import wald_tests
-from .weakiv import score_tests
+from .weakiv import SCORE, full_vector_tests
 
 # Tests whose null is the full vector beta = beta_0, read as lambda_0 of a
 # hypothesis with lambda = I, and families that fit the chosen estimator.
@@ -35,7 +35,6 @@ FAMILIES = {
     "full-vector": FULL_VECTOR + ("score-wald",),
 }
 TESTS = {name: fam for fam, names in FAMILIES.items() for name in names}
-SCORE = ("lm", "cqlr")
 
 ALIASES = {
     "WB-US": "wald",
@@ -56,15 +55,6 @@ def lookup(name: str, table: dict) -> str:
     return table[name]
 
 
-def _failing_together(run, members) -> dict:
-    """run(members) for tests that share one pass; a NumericalError or
-    InputError it raises becomes every member's result."""
-    try:
-        return run(members)
-    except (NumericalError, InputError) as exc:
-        return dict.fromkeys(members, exc)
-
-
 def run_tests(
     dataset: ClusteredDataset,
     names: Sequence[str],
@@ -80,14 +70,17 @@ def run_tests(
 
     Invalid arguments raise InputError: an unknown name or estimator, alpha
     outside (0, 1), a sign set for another cluster count, a lambda whose
-    row count is not d_x, a full-vector test of a hypothesis whose lambda
-    is not the identity, or score-wald unless d_x = d_z = 1. Otherwise a
+    row count is not d_x (a beta_0 whose length is not, for a full-vector
+    test), a full-vector test of a hypothesis whose lambda is not the
+    identity, or score-wald unless d_x = d_z = 1. Otherwise a
     test that fails maps to the NumericalError or InputError it raised, and
     a failure in a family's shared pass fails all of its tests; the other
     tests still report.
     """
     d_lam = hypothesis.lambda_beta.shape[0]
     if d_lam != dataset.d_x:
+        if any(name in FULL_VECTOR for name in names):
+            raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
         raise InputError(f"lambda has {d_lam} row(s) but the data have d_x = {dataset.d_x}")
     identity = np.array_equal(hypothesis.lambda_beta, np.eye(dataset.d_x))
     for name in names:
@@ -101,30 +94,21 @@ def run_tests(
         beta_0 = score_wald_null(dataset, hypothesis)
     sign_set, design = prepare_test(dataset, sign_set, design, alpha)
 
-    def full_vector(members):
-        # one restricted fit and one set of AR statistics; a failure on the
-        # LM side fails lm and cqlr, never the AR tests
-        stats = ar_statistics(design, restricted_ols_fit(dataset, beta_0))
-        score = [name for name in members if name in SCORE]
-        ar = [name for name in members if name not in score]
-        lam = float(hypothesis.lambda_beta[0, 0])  # score-wald's lambda
-        out = ar_tests(dataset, design, stats, ar, sign_set, alpha, lam)
-        if score:
-            out.update(_failing_together(
-                lambda score: score_tests(dataset, design, stats, score, sign_set, alpha), score
-            ))
-        return out
-
     passes = {
         "wald": lambda members: wald_tests(
             dataset, design, hypothesis, members, sign_set, alpha, estimator, fuller_c
         ),
-        "full-vector": full_vector,
+        "full-vector": lambda members: full_vector_tests(
+            dataset, design, beta_0, members, sign_set, alpha, float(hypothesis.lambda_beta[0, 0])
+        ),
     }
     out = {}
     for fam in dict.fromkeys(TESTS[name] for name in names):
         members = [name for name in names if TESTS[name] == fam]
-        out.update(_failing_together(passes[fam], members))
+        try:
+            out.update(passes[fam](members))
+        except (NumericalError, InputError) as exc:
+            out.update(dict.fromkeys(members, exc))
     return out
 
 

@@ -72,6 +72,8 @@ class DgpConfig:
         check_finite(pi0=self.pi0, beta_true=self.beta_true, gamma_true=self.gamma_true)
         if self.q not in (10, 14):
             raise InputError("the simulation design is defined for q in {10, 14}")
+        if self.d_z < 1:
+            raise InputError(f"need d_z >= 1 instruments, got {self.d_z}")
         if self.strong_clusters not in (1, 3, 6):
             raise InputError("strong_clusters must be 1, 3, or 6")
         if not 0.0 <= self.rho < 1.0:

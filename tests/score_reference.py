@@ -24,7 +24,7 @@ from wbiv import (
     partial_out_exogenous,
     restricted_kclass_fit,
 )
-from wbiv.ar import _ar_norms
+from wbiv.ar import ar_squares, signed_means
 
 
 def score_wald_reference(dataset, hypothesis, alpha=0.1, sign_set=None):
@@ -42,11 +42,14 @@ def score_wald_reference(dataset, hypothesis, alpha=0.1, sign_set=None):
     fit = restricted_kclass_fit(dataset, design, fit, hypothesis)
     s = cluster_score_sums(design, fit.resid_restricted)
 
-    # decide on the unscaled norms, computed through the fixed-order pipeline
-    # so that a tie against the g = iota draw resolves as in the AR test
-    one = np.eye(1)
-    stat0 = float(_ar_norms(s, np.ones((1, dataset.q)), dataset.n, one)[0])
-    boot0 = _ar_norms(s, sign_set.vectors, dataset.n, one)
+    # decide on the unscaled norms, computed with the package's signed score
+    # means and quadratic form so that a tie against the g = iota draw
+    # resolves as in the AR test
+    def norms(signs):
+        return np.sqrt(ar_squares(signed_means(s, signs, dataset.n), dataset.n, np.eye(1)))
+
+    stat0 = float(norms(np.ones((1, dataset.q)))[0])
+    boot0 = norms(sign_set.vectors)
     cv0 = critical_value(boot0, alpha)
     scale = abs(float(hypothesis.lambda_beta[0, 0]) / q_zx)
     return BootstrapTestResult(

@@ -81,6 +81,15 @@ NON_FINITE = [
     (["simulate", "power", "--beta-grid", "nan"], "beta_true"),
 ]
 
+# An option value that cannot be run, refused before any work, and the
+# text it is reported with. The grids are refused before they are built.
+REFUSED = [
+    (["cs", "--test", "ar", "--step", "1e-300"], "grid of more than"),
+    (["cs", "--test", "ar", "--grid-hi", "1e300", "--step", "1e-9"], "grid of more than"),
+    (["simulate", "size", "--dz", "-1"], "need d_z >= 1"),
+    (["simulate", "size", "--strong", "1.5"], "--strong takes whole cluster counts"),
+]
+
 
 class TestFit:
     def test_fit_json(self, t1_csv, tmp_path, capsys):
@@ -177,6 +186,17 @@ class TestTest:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("wbiv: error:") and f"non-finite input in {field}\n" in err
+
+    @pytest.mark.parametrize("argv, message", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+    def test_a_value_that_cannot_run_is_an_input_error(self, sim_csv, capsys, argv, message):
+        if argv[0] == "simulate":
+            argv = argv + ["--tests", "WB-AR-US", "--reps", "100", "-B", "19"]
+        else:
+            argv = [argv[0], str(sim_csv)] + argv[1:]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wbiv: error:") and message in err
+        assert "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant instrument: collinear with the intercept after partialling

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
-from wbiv import InputError, fit_method, invert_confidence_set, partial_out_exogenous
+from wbiv import (
+    Hypothesis, InputError, fit_method, invert_confidence_set, make_sign_set,
+    partial_out_exogenous,
+)
 from wbiv.confidence import TestSpec, mask_to_intervals
+from wbiv.registry import run_test
 
 
 def intervals_to_mask(grid: np.ndarray, intervals) -> np.ndarray:
@@ -69,6 +73,21 @@ class TestInversion:
         two = invert_confidence_set(ds, "ar", workers=2, **kw)
         np.testing.assert_array_equal(one.accepted, two.accepted)
         assert one.intervals == two.intervals
+
+    def test_shared_mode_tests_every_point_with_one_sign_set(self):
+        # q = 13 forces sampled signs; shared mode reuses the (seed, "cs-shared") draw
+        ds = random_dataset(28, q=13, n_per=6)
+        kw = dict(grid_lo=-1.0, grid_hi=2.0, step=0.125, alpha=0.1, B=19, seed=3)
+        cs = invert_confidence_set(ds, "ar", sign_mode="shared", **kw)
+        signs = make_sign_set(13, "sampled", B=19, seed=(3, "cs-shared"))
+        expected = [
+            not run_test(ds, "ar", Hypothesis.full_vector([b]), sign_set=signs, alpha=0.1).reject
+            for b in cs.grid
+        ]
+        np.testing.assert_array_equal(cs.accepted, expected)
+        # fresh draws per point accept another set here, so the mask pins the shared set
+        fresh = invert_confidence_set(ds, "ar", sign_mode="fresh", **kw)
+        assert not np.array_equal(fresh.accepted, cs.accepted)
 
     def test_rejects_bad_options(self):
         ds = random_dataset(1, q=3, n_per=10)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -26,7 +27,7 @@ from wbiv import (
     wrec_run,
     wrec_wald_test,
 )
-from wbiv.ar import ar_bootstrap_distribution
+from wbiv.ar import ar_bootstrap_distribution, signed_means
 from wbiv.cli import main
 from wbiv.data import stack_solve
 from wbiv.registry import ALIASES, TESTS
@@ -35,9 +36,9 @@ from wbiv.simulate import _replicate
 from wbiv.weakiv import (
     JACOBIAN_GRAM,
     JacobianBundle,
-    _iota_draws,
     _jacobian_bundle,
-    _lm_boot_distribution,
+    _lm_rows,
+    _score_draws,
 )
 
 ALPHA = 0.1
@@ -150,6 +151,16 @@ def test_shared_pass_failure_fails_the_whole_family():
     assert out["ar"].test == "ar"
 
 
+@pytest.mark.parametrize("call", [
+    lambda ds: ar_bootstrap_test(ds, [0.0, 0.0]),
+    lambda ds: lm_cqlr_bootstrap_test(ds, [0.0, 0.0], "lm"),
+], ids=["ar_bootstrap_test", "lm_cqlr_bootstrap_test"])
+def test_a_wrong_length_beta_0_is_named_as_beta_0(call):
+    ds = random_dataset(1, q=5, n_per=10)
+    with pytest.raises(InputError, match=re.escape("beta_0 must have length d_x=1")):
+        call(ds)
+
+
 def test_full_vector_tests_need_an_identity_lambda():
     ds = random_dataset(7, q=5, n_per=10)
     with pytest.raises(InputError, match="full vector"):
@@ -193,6 +204,7 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
     # bitwise that row of the full 128-row stack
     signs = make_sign_set(7, "exhaustive")
     one = dataclasses.replace(signs, vectors=signs.vectors[:1])
+    names = FULL_VECTOR_NAMES if d_x == 1 else ["ar", "ar-cr", "ar-cr-asymptotic", "lm"]
     for seed in range(4):
         ds = random_dataset(seed, q=7, n_per=15, d_x=d_x, d_z=d_z)
         design = partial_out_exogenous(ds)
@@ -202,13 +214,22 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
             f"ar studentize={s}": lambda g, s=s: ar_bootstrap_distribution(stats, g, ds.n, s)
             for s in (False, True)
         }
-        bundle = _jacobian_bundle(design, stats)
-        draws["lm"] = lambda g: _lm_boot_distribution(bundle, g, ds.n)[0]
+        bundle = _jacobian_bundle(design, stats.score_sums, stats.A_cr)
+        draws["lm"] = lambda g: _lm_rows(bundle, g, signed_means(stats.score_sums, g, ds.n),
+                                         ds.n)[0]
         for what, draw in draws.items():
             full = draw(signs.vectors)
             alone = [draw(signs.vectors[i : i + 1])[0] for i in range(signs.size)]
             assert np.array_equal(alone, full), (seed, what)
-        # wrec_run appends g = iota to the sign rows: a stack of 2, then 129
+        # the full-vector pass and wrec_run append g = iota to the sign
+        # rows: a stack of 2, then 129
+        short, long = (run_tests(ds, names, hyp, sign_set=s, design=design) for s in (one, signs))
+        for name in names:
+            if name == "ar-cr-asymptotic":
+                assert short[name].statistic_sq == long[name].statistic_sq
+                continue
+            assert short[name].statistic == long[name].statistic, (seed, name)
+            assert short[name].boot_stats[0] == long[name].boot_stats[0], (seed, name)
         for estimator in ("tsls", "liml"):
             short, long = (wrec_run(ds, hyp, estimator, s, design=design) for s in (one, signs))
             assert (short.statistic, short.statistic_cr) == (long.statistic, long.statistic_cr)
@@ -257,10 +278,12 @@ def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
         jacobian_sums=np.zeros((5, 3, 2)),
     )
     signs = make_sign_set(5, "exhaustive").vectors
-    lm, _, ok = _lm_boot_distribution(bundle, signs, 50)
+    f = signed_means(s, signs, 50)
+    lm, ok, _ = _lm_rows(bundle, signs, f, 50)
     assert not lm.any() and int((~ok).sum()) == len(signs)
+    # the last exhaustive row is g = iota, which the pass reads as the sample
     with pytest.raises(NumericalError, match=re.escape(f"singular {JACOBIAN_GRAM}")):
-        _iota_draws(bundle, signs, 50)
+        _score_draws(bundle, signs, f, 50)
 
 
 def _counting(monkeypatch, module, name):
@@ -277,12 +300,14 @@ def _counting(monkeypatch, module, name):
 
 def test_full_vector_tests_share_one_pass(monkeypatch):
     import wbiv.ar
-    import wbiv.registry
     import wbiv.weakiv
 
-    fits = _counting(monkeypatch, wbiv.registry, "restricted_ols_fit")
+    fits = _counting(monkeypatch, wbiv.weakiv, "restricted_ols_fit")
     sums = _counting(monkeypatch, wbiv.ar, "cluster_score_sums")
     jacobians = _counting(monkeypatch, wbiv.weakiv, "_jacobian_bundle")
+    # f*(g), wherever the pass would form it
+    stacks = _counting(monkeypatch, wbiv.weakiv, "signed_means")
+    stacks_ar = _counting(monkeypatch, wbiv.ar, "signed_means")
     ds = random_dataset(8, q=7, n_per=15, d_z=2)
     signs = make_sign_set(7, "exhaustive")
     out = run_tests(ds, FULL_VECTOR_NAMES, Hypothesis.full_vector([B0]), sign_set=signs)
@@ -296,6 +321,14 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
     out = run_tests(ds1, names, Hypothesis.full_vector([B0]), sign_set=signs)
     assert not any(isinstance(res, Exception) for res in out.values())
     assert (len(fits), len(sums), len(jacobians)) == (3, 3, 2)
+    assert len(stacks) + len(stacks_ar) == 3
+    # one stack of signed score means per call, for every set of members
+    for k in range(1, len(names) + 1):
+        for members in itertools.combinations(names, k):
+            before = len(stacks) + len(stacks_ar)
+            out = run_tests(ds1, list(members), Hypothesis.full_vector([B0]), sign_set=signs)
+            assert not any(isinstance(res, Exception) for res in out.values())
+            assert len(stacks) + len(stacks_ar) == before + 1, members
 
 
 def test_score_wald_scales_with_lambda():

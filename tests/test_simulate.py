@@ -42,6 +42,9 @@ class TestDgpConfig:
             DgpConfig(strong_clusters=2)
         with pytest.raises(InputError):
             DgpConfig(rho=1.0)
+        for d_z in (0, -1):
+            with pytest.raises(InputError, match="d_z >= 1"):
+                DgpConfig(d_z=d_z)
 
 
 class TestSimulateDgp:

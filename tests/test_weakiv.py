@@ -16,8 +16,9 @@ from wbiv import (
     partial_out_exogenous,
     restricted_ols_fit,
 )
+from wbiv.ar import ar_squares, signed_means
 from wbiv.rng import substream
-from wbiv.weakiv import _lm_boot_distribution
+from wbiv.weakiv import _lm_rows
 
 
 def full_quadratic_form(bundle, n):
@@ -132,7 +133,9 @@ class TestLmCqlrBootstrap:
         rng = substream(seed, "flip")
         g = rng.integers(0, 2, size=(1, 5)) * 2.0 - 1.0
         both = np.vstack([g, -g])
-        lm_star, ar_sq_star, _ = _lm_boot_distribution(bundle, both, ds.n)
+        f = signed_means(bundle.score_sums, both, ds.n)
+        lm_star = _lm_rows(bundle, both, f, ds.n)[0]
+        ar_sq_star = ar_squares(f, ds.n, bundle.omega_inv)
         assert lm_star[0] == pytest.approx(lm_star[1], abs=1e-10)
         assert ar_sq_star[0] == pytest.approx(ar_sq_star[1], abs=1e-10)
 
