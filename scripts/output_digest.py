@@ -49,15 +49,18 @@ def write_csv(path: Path, cols: dict, cluster: np.ndarray) -> None:
 
 
 def make_csvs(tmp: Path) -> dict:
-    """d_x = 1 at d_z = 1 and 3, and d_x = 2 at d_z = 3, all q = 10."""
+    """d_x = 1 at d_z = 1 and 3, and d_x = 2 at d_z = 3, all q = 10; and
+    d_x = d_z = 1 at q = 14, where sign sets are sampled."""
     one = simulate_dgp(DgpConfig(d_z=1, pi0=2.0, rho=0.5), substream(11, "digest-dz1"))
     three = simulate_dgp(DgpConfig(d_z=3, pi0=2.0, rho=0.5), substream(12, "digest-dz3"))
     other = simulate_dgp(DgpConfig(d_z=3, pi0=1.0, rho=0.3), substream(13, "digest-dx2"))
+    many = simulate_dgp(DgpConfig(q=14, d_z=1, pi0=2.0, rho=0.5), substream(14, "digest-q14"))
     out = {}
     for name, ds, xs in (
         ("dz1", one, [one.X[:, 0]]),
         ("dz3", three, [three.X[:, 0]]),
         ("dx2", three, [three.X[:, 0], other.X[:, 0]]),
+        ("q14", many, [many.X[:, 0]]),
     ):
         cols = {"y": ds.y}
         cols.update((f"x{k + 1}", x) for k, x in enumerate(xs))
@@ -89,9 +92,11 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
     argv = ["test", dz1, "--test", "score-wald", "--lam", "2", "--lambda0", "1"]
     out.append(("test score-wald --lam 2 --lambda0 1", argv + sampled))
     grid = ["--grid-lo", "-3", "--grid-hi", "3", "--step", "0.25", "--seed", "3"]
-    for test in ("ar", "wald-cr", "lm", "score-wald"):
+    for test in ("ar", "wald-cr", "lm", "score-wald", "ar-cr", "cqlr"):
         method = ["--method", "liml"] if test == "wald-cr" else []  # only wald/wald-cr take one
         out.append((f"cs {test}", ["cs", dz1, "--test", test] + method + grid))
+    argv = ["cs", str(csv["q14"]), "--test", "ar", "-B", "199", "--sign-mode", "fresh"]
+    out.append(("cs ar q14 fresh", argv + grid))
     out.append(("test ar --beta0 nan", ["test", dz1, "--test", "ar", "--beta0", "nan"]))
     out.append(("cs ar --step nan", ["cs", dz1, "--test", "ar", "--step", "nan"]))
     out.append(("cs ar --grid-lo -inf", ["cs", dz1, "--test", "ar", "--grid-lo", "-inf"]))

@@ -1,16 +1,14 @@
 """Full-vector Anderson-Rubin statistics and their sign-flip bootstrap.
 
-The null-imposed scores are f_ij = Zt_ij * eps_bar_ij with eps_bar the
-residual from restricted OLS of (y - X beta_0) on W. Both weightings are
-invariant to the cluster sign flips, so the bootstrap only flips the
-per-cluster score sums s_j into the signed means f*(g) of
-:func:`signed_means`. The tests run in :func:`weakiv.full_vector_tests`;
-:func:`ar_statistics` (g = iota) and :func:`ar_bootstrap_distribution` are
-its rows on their own, bitwise the same by the draw-stack rule of :mod:`data`.
-
-The score-form Wald test of lambda beta = lambda_0 (d_x = d_z = 1) is the
-unstudentized AR test at beta_0 = lambda_0 / lambda with its statistic,
-critical value and draws scaled by the positive constant |lambda / Q_ZX|.
+The null-imposed scores are f_ij(b) = Zt_ij (e_y - e_X b)_ij, with e_y and
+e_X the residuals of y and X on W, so the cluster score sums are affine in
+the null: s_j(b) = a_j - C_j b (:func:`null_scores`). Both weightings are
+invariant to cluster sign flips, so the bootstrap flips only those sums:
+f*(g, b) = F_a(g) - F_C(g) b, with the signed means F of a and C formed once
+per block of nulls (:func:`signed_means`, :func:`at_nulls`). The tests run in
+:func:`weakiv.full_vector_tests`; :func:`ar_statistics` (g = iota) and
+:func:`ar_bootstrap_distribution` are its rows for one null on their own,
+bitwise the same by the draw-stack rule of :mod:`data`.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cce import cluster_score_sums
-from .data import ClusteredDataset, Hypothesis, PartialledDesign, stack_solve
-from .exceptions import InputError
+from .data import PartialledDesign, stack_solve
 from .kclass import RestrictedOlsFit
 
 
@@ -40,45 +37,60 @@ class ArStatistics:
     ar_n: float
     ar_cr_n: float | None
     A_cr: np.ndarray | None
-    score_sums: np.ndarray  # (q, d_z) per-cluster sums of f_ij
+    score_sums: np.ndarray    # (q, d_z) per-cluster sums of f_ij
+    score_pieces: np.ndarray  # (q, d_z, 1 + d_x) per-cluster sums of Zt [e_y : e_X]
+    beta_0: np.ndarray
 
     @property
     def ar_cr_sq(self) -> float | None:
         return None if self.ar_cr_n is None else self.ar_cr_n**2
 
 
-def ar_squares(f: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
-    """n f' A f for every row of the mean scores ``f``: the squared AR
-    statistics that the LM side's CQLR combination also reads."""
-    return n * np.maximum(np.einsum("mv,mv->m", np.einsum("mz,zv->mv", f, weight), f), 0.0)
+def ar_squares(f: np.ndarray, n: int, weight: np.ndarray | None = None) -> np.ndarray:
+    """n f' A f for every row of the mean scores ``f`` (..., m, d_z), A the
+    weighting (..., d_z, d_z) of its null, or I when None: the squared AR norms."""
+    quad = np.einsum("...mv,...mv->...m", f, f) if weight is None else sum(
+        np.einsum("...mz,...z->...m", f, weight[..., v]) * f[..., v] for v in range(f.shape[-1]))
+    return n * np.maximum(quad, 0.0)
 
 
 def signed_means(score_sums: np.ndarray, signs: np.ndarray, n: int) -> np.ndarray:
-    """The signed score means f*(g) = sum_j g_j s_j / n, one row per sign
-    row g: the stack every full-vector statistic reads."""
-    return np.einsum("mj,jz->mz", signs, score_sums) / n
+    """sum_j g_j x_j / n for every sign row g, of per-cluster sums x (q, ...)
+    such as the score sums or their affine pieces. ``signs`` is one set of
+    rows (m, q), or one set per null (P or 1, m, q)."""
+    x = np.ascontiguousarray(score_sums.reshape(score_sums.shape[0], -1).T)
+    out = np.einsum("...mj,kj->...mk", signs, x) / n
+    return out.reshape(signs.shape[:-1] + score_sums.shape[1:])
 
 
-def null_scores(
-    design: PartialledDesign, restricted_ols: RestrictedOlsFit
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The per-cluster score sums s (q, d_z) and the inverse of the
-    null-imposed CCE s's / n, None when that matrix is singular."""
-    s = cluster_score_sums(design, restricted_ols.resid)
-    a_cr, ok = stack_solve((s.T @ s / design.n)[None])
-    return s, (a_cr[0] if ok[0] else None)
+def at_nulls(pieces: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """x_0 - sum_k x_k b_k at each null b, a row of ``beta`` (P, d_x), of an
+    affine function of b held as its pieces (..., 1 + d_x) over two data
+    axes, with or without a leading null axis: shape (P, ., .)."""
+    terms = (pieces[..., k + 1] * beta[:, None, None, k] for k in range(beta.shape[1]))
+    return pieces[..., 0] - sum(terms)
+
+
+def null_scores(design: PartialledDesign, restricted_ols: RestrictedOlsFit):
+    """The pieces a : C (q, d_z, 1 + d_x), cluster sums of Zt [e_y : e_X]; the
+    score sums s(b) = a - C b (P, q, d_z) at each null b of the fit; and the
+    inverse null-imposed CCE (s's / n)^{-1} of each null, I where singular, with ok flags."""
+    pieces = cluster_score_sums(design, np.column_stack([restricted_ols.e_y, restricted_ols.e_X]))
+    s = at_nulls(pieces, np.atleast_2d(restricted_ols.beta_0))
+    a_cr, ok = stack_solve(np.einsum("...jz,...jy->...zy", s, s) / design.n)
+    return pieces, s, np.where(ok[:, None, None], a_cr, np.eye(design.d_z)), ok
 
 
 def ar_statistics(design: PartialledDesign, restricted_ols: RestrictedOlsFit) -> ArStatistics:
-    """Compute AR_n and, when the null CCE is invertible, AR_CR_n: the
-    g = iota row alone."""
-    s, a_cr = null_scores(design, restricted_ols)
-    f = signed_means(s, np.ones((1, design.q)), design.n)
-    ar_n, ar_cr_n = (
-        None if w is None else float(np.sqrt(ar_squares(f, design.n, w))[0])
-        for w in (np.eye(design.d_z), a_cr)
-    )
-    return ArStatistics(f_hat=f[0], ar_n=ar_n, ar_cr_n=ar_cr_n, A_cr=a_cr, score_sums=s)
+    """Compute AR_n and, when the null CCE is invertible, AR_CR_n at the fit's
+    one null: the g = iota row alone."""
+    pieces, s, a_cr, ok = null_scores(design, restricted_ols)
+    beta = np.atleast_2d(restricted_ols.beta_0)
+    f = at_nulls(signed_means(pieces, np.ones((1, design.q)), design.n), beta)
+    ar_n = float(np.sqrt(ar_squares(f, design.n))[0, 0])
+    ar_cr_n = float(np.sqrt(ar_squares(f, design.n, a_cr))[0, 0]) if ok[0] else None
+    return ArStatistics(f_hat=f[0, 0], ar_n=ar_n, ar_cr_n=ar_cr_n, A_cr=a_cr[0] if ok[0] else None,
+                        score_sums=s[0], score_pieces=pieces, beta_0=beta[0])
 
 
 def ar_bootstrap_distribution(
@@ -88,9 +100,9 @@ def ar_bootstrap_distribution(
     studentize: bool,
 ) -> np.ndarray:
     """AR*(g) over the sign set; the weighting stays at its sample value."""
-    weight = stats.A_cr if studentize else np.eye(stats.f_hat.shape[0])
-    f = signed_means(stats.score_sums, np.asarray(signs, dtype=np.float64), n)
-    return np.sqrt(ar_squares(f, n, weight))
+    f = at_nulls(signed_means(stats.score_pieces, np.asarray(signs, dtype=np.float64), n),
+                 stats.beta_0[None])
+    return np.sqrt(ar_squares(f, n, stats.A_cr[None] if studentize else None))[0]
 
 
 @dataclass(frozen=True)
@@ -123,12 +135,3 @@ def chi2_quantile(p: float, df: int) -> float:
     import scipy.stats
 
     return float(scipy.stats.chi2.ppf(p, df))
-
-
-def score_wald_null(dataset: ClusteredDataset, hypothesis: Hypothesis) -> np.ndarray:
-    """The full-vector null beta_0 = lambda_0 / lambda of score-wald's
-    restriction lambda beta = lambda_0, exactly lambda_0 at lambda = 1. An
-    InputError unless d_x = d_z = 1."""
-    if dataset.d_x != 1 or dataset.d_z != 1:
-        raise InputError("score bootstrap requires d_x = d_z = 1")
-    return hypothesis.lambda_0 / hypothesis.lambda_beta[0]

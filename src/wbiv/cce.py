@@ -31,8 +31,8 @@ class CceBundle:
 
 
 def cluster_score_sums(design: PartialledDesign, residuals: np.ndarray) -> np.ndarray:
-    """Per-cluster sums of Zt_ij * eps_ij, shape (q, d_z)."""
-    zr = design.Z_tilde * residuals[:, None]
+    """Per-cluster sums of Zt_ij eps_ij': (q, d_z), or (q, d_z, k) for (n, k) eps."""
+    zr = np.einsum("iz,i...->iz...", design.Z_tilde, residuals)
     return np.add.reduceat(zr, design.cluster_starts[:-1], axis=0)
 
 

@@ -17,14 +17,17 @@ from .data import (
     ClusteredDataset, Hypothesis, PartialledDesign, check_finite, partial_out_exogenous
 )
 from .exceptions import InputError
-from .inference import AUTO_EXHAUSTIVE_MAX_Q, make_sign_set
-from .registry import TESTS, lookup, run_test
+from .inference import AUTO_EXHAUSTIVE_MAX_Q, make_sign_set, result_or_raise
+from .registry import TESTS, lookup, run_tests
 from .rng import map_chunks
 
-# Each grid point runs one bootstrap test, a millisecond or more, so a
-# million points is already a run of many minutes; a larger count is a
-# typo in --step or the bounds, refused before linspace allocates its array.
+# A grid point costs tens of microseconds in a stacked full-vector pass and
+# milliseconds in a WREC run; more than a million points is a typo in --step
+# or the bounds, refused before linspace allocates its array.
 MAX_GRID_POINTS = 1_000_000
+# Grid points run in blocks of at most this many stack items (nulls times
+# sign rows, g = iota included), which bounds the memory of one pass.
+BLOCK_ITEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,31 +72,26 @@ class ConfidenceSet:
 
 def mask_to_intervals(grid: np.ndarray, accepted: np.ndarray) -> tuple:
     """Maximal runs of accepted grid points as [lo, hi] pairs."""
-    intervals = []
-    start = None
-    for i, ok in enumerate(accepted):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            intervals.append((float(grid[start]), float(grid[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(grid[start]), float(grid[len(accepted) - 1])))
-    return tuple(intervals)
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], accepted, [False]])))
+    return tuple((float(grid[lo]), float(grid[hi - 1])) for lo, hi in edges.reshape(-1, 2))
 
 
 def _grid_chunk(dataset, design, spec, grid, alpha, shared, B, seed, indices) -> list[bool]:
-    """Whether H0: beta = b survives at the grid points b of ``indices``,
-    each tested with the ``shared`` sign set or, without one, a fresh draw
-    keyed by its grid index."""
-    return [
-        not run_test(
-            dataset, spec.test, Hypothesis.full_vector([float(grid[i])]),
-            estimator=spec.estimator, fuller_c=spec.fuller_c, alpha=alpha, design=design,
-            sign_set=shared or make_sign_set(dataset.q, "sampled", B=B, seed=(seed, "cs", i)),
-        ).reject
-        for i in indices
-    ]
+    """Whether H0: beta = b survives at the grid points b of ``indices``, run
+    in blocks of at most BLOCK_ITEMS stack items, each point tested with the
+    ``shared`` sign set or, without one, a fresh draw keyed by its grid index."""
+    size = max(1, BLOCK_ITEMS // ((shared.size if shared else B) + 1))
+    out = []
+    for block in (indices[start : start + size] for start in range(0, len(indices), size)):
+        signs = shared or [make_sign_set(dataset.q, "sampled", B=B, seed=(seed, "cs", i))
+                           for i in block]
+        results = run_tests(
+            dataset, [spec.test], [Hypothesis.full_vector([float(grid[i])]) for i in block],
+            estimator=spec.estimator, fuller_c=spec.fuller_c, sign_set=signs, alpha=alpha,
+            design=design,
+        )
+        out += [not result_or_raise(res[spec.test]).reject for res in results]
+    return out
 
 
 def invert_confidence_set(

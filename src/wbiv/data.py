@@ -233,45 +233,46 @@ def nonsingular(a: np.ndarray) -> np.ndarray:
     eigenvalues, which one stacked ``eigvalsh`` gives at a fraction of the
     cost of an SVD on the small items the bootstrap draws stack.
     """
-    ok = np.isfinite(a).all(axis=(1, 2))
-    s = np.abs(np.linalg.eigvalsh(np.where(ok[:, None, None], a, 0.0)))
-    s_min, s_max = s.min(axis=1), s.max(axis=1)
+    ok = np.isfinite(a).all(axis=(-2, -1))
+    s = np.abs(np.linalg.eigvalsh(np.where(ok[..., None, None], a, 0.0)))
+    s_min, s_max = s.min(axis=-1), s.max(axis=-1)
     return ok & (s_max > 0.0) & (s_min >= SINGULAR_RCOND * s_max)
 
 
 # The draw-stack rule. A bootstrap statistic is its own g = iota draw, so a
 # draw row's bits must not depend on the other rows or on how many rows
-# share its stack. Every reduction over a draw row is therefore either a
-# two-operand np.einsum at numpy's default optimize=False (a row gave the
-# same bits alone and in stacks of up to 4096 rows in every probe) or a
+# share its stack, nor on the other nulls of a stack with a leading null
+# axis. Every reduction over a draw row is therefore either a two-operand
+# np.einsum at numpy's default optimize=False (a row gave the same bits
+# alone and in stacks of up to 4096 rows and 40 nulls in every probe) or a
 # product taken item by item, as ``@`` on 3-D stacks and :func:`stack_solve`
-# are. It is never a BLAS product across the draw axis, and never an einsum
-# of three or more operands: at d = 2, "mz,zv,mv->m" gave a 1-row stack
-# other bits than the same row of a longer stack in a fifth of random cases.
+# are. It is never a BLAS product across the draw or null axis, and never
+# an einsum of three or more operands: at d = 2, "mz,zv,mv->m" gave a 1-row
+# stack other bits than the same row of a longer stack in a fifth of cases.
 
 
 def stack_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Solve a[i] x[i] = b[i] for a stack of symmetric systems: (x, ok).
 
-    ``b`` holds one vector (shape (m, d)) or one matrix (shape (m, d, k)) per
-    item; without it x[i] is the inverse of a[i]. Item i is singular, with
+    ``a`` has shape (..., d, d), and ``b`` holds one vector (..., d) or one
+    matrix (..., d, k) per item; without it x[i] is the inverse of a[i]. Item i is singular, with
     ok[i] False and x[i] zero, when :func:`nonsingular` flags a[i] or x[i]
     is not finite. Each item is solved on its own, so its bits do not depend
     on the other items.
     """
-    vector = b is not None and b.ndim == 2
+    vector = b is not None and b.ndim == a.ndim - 1
     if vector:
-        b = b[:, :, None]
+        b = b[..., None]
     ok = nonsingular(a)
     # a singular item is replaced by the identity, and its x by 0
-    a = np.where(ok[:, None, None], a, np.eye(a.shape[-1]))
+    a = np.where(ok[..., None, None], a, np.eye(a.shape[-1]))
     if b is None:
         x = np.linalg.inv(a)
     else:
         x = b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
-    ok &= np.isfinite(x).all(axis=(1, 2))
-    x = np.where(ok[:, None, None], x, 0.0)
-    return (x[:, :, 0] if vector else x), ok
+    ok &= np.isfinite(x).all(axis=(-2, -1))
+    x = np.where(ok[..., None, None], x, 0.0)
+    return (x[..., 0] if vector else x), ok
 
 
 def raise_singular(checks: dict, row: int = 0) -> None:

@@ -65,11 +65,17 @@ class KClassFit:
 
 @dataclass(frozen=True)
 class RestrictedOlsFit:
-    """Null-restricted OLS of (y - X beta_0) on W."""
+    """Null-restricted OLS of (y - X b) on W at the null b = ``beta_0`` or each
+    row of a block (P, d_x): its residual is e_y - e_X b for every b."""
 
     beta_0: np.ndarray
     gamma_bar_r: np.ndarray
-    resid: np.ndarray
+    e_y: np.ndarray    # (n,) M_W y
+    e_X: np.ndarray    # (n, d_x) M_W X
+
+    @property
+    def resid(self) -> np.ndarray:
+        return self.e_y - self.beta_0 @ self.e_X.T
 
 
 def kclass_forms(ut: np.ndarray, cross: np.ndarray | None = None, uw: np.ndarray | None = None):
@@ -264,13 +270,15 @@ def restricted_kclass_fit(
 
 
 def restricted_ols_fit(dataset: ClusteredDataset, beta_0) -> RestrictedOlsFit:
-    """OLS of (y - X beta_0) on W; the residual is W-orthogonal by construction."""
+    """OLS of [y : X] on W, for the null ``beta_0`` (d_x,) or a block of nulls
+    (P, d_x); the residuals are W-orthogonal by construction."""
     b0 = np.atleast_1d(np.asarray(beta_0, dtype=np.float64))
-    if b0.shape != (dataset.d_x,):
+    if b0.ndim > 2 or b0.shape[-1] != dataset.d_x:
         raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
     check_finite(beta_0=b0)
-    u = dataset.y - dataset.X @ b0
-    gamma, _, rank, _ = np.linalg.lstsq(dataset.W, u, rcond=None)
+    yx = np.column_stack([dataset.y, dataset.X])
+    coef, _, rank, _ = np.linalg.lstsq(dataset.W, yx, rcond=None)
     if rank < dataset.d_w:
         raise NumericalError("singular W'W (collinear exogenous regressors)")
-    return RestrictedOlsFit(beta_0=b0, gamma_bar_r=gamma, resid=u - dataset.W @ gamma)
+    e = yx - dataset.W @ coef
+    return RestrictedOlsFit(b0, coef[:, 0] - b0 @ coef[:, 1:].T, e_y=e[:, 0], e_X=e[:, 1:])

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ar import AsymptoticArResult, score_wald_null
+from .ar import AsymptoticArResult
 from .data import ClusteredDataset, Hypothesis, PartialledDesign
 from .exceptions import InputError, NumericalError
 from .inference import BootstrapTestResult, SignSet, prepare_test, result_or_raise
@@ -58,15 +58,19 @@ def lookup(name: str, table: dict) -> str:
 def run_tests(
     dataset: ClusteredDataset,
     names: Sequence[str],
-    hypothesis: Hypothesis,
+    hypothesis: Hypothesis | list,
     *,
     estimator: str = "tsls",
     fuller_c: float = 1.0,
-    sign_set: SignSet | None = None,
+    sign_set: SignSet | list | None = None,
     alpha: float = 0.1,
     design: PartialledDesign | None = None,
-) -> dict:
+) -> dict | list:
     """Run the named tests of one hypothesis on one dataset: name -> result.
+
+    A list of hypotheses is one block of nulls, one dict per null, with one
+    sign set or a list of one per null (all of one size). The full-vector
+    pass covers the block, and a null's results do not depend on the block.
 
     Invalid arguments raise InputError: an unknown name or estimator, alpha
     outside (0, 1), a sign set for another cluster count, a lambda whose
@@ -77,39 +81,52 @@ def run_tests(
     a failure in a family's shared pass fails all of its tests; the other
     tests still report.
     """
-    d_lam = hypothesis.lambda_beta.shape[0]
-    if d_lam != dataset.d_x:
-        if any(name in FULL_VECTOR for name in names):
-            raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
-        raise InputError(f"lambda has {d_lam} row(s) but the data have d_x = {dataset.d_x}")
-    identity = np.array_equal(hypothesis.lambda_beta, np.eye(dataset.d_x))
+    block = hypothesis if isinstance(hypothesis, list) else [hypothesis]
     for name in names:
         lookup(name, TESTS)
-        if name in FULL_VECTOR and not identity:
-            raise InputError(f"{name} tests the full vector beta = beta_0 (lambda = I)")
+    full_vector = [name for name in names if name in FULL_VECTOR]
+    for hyp in block:
+        d_lam = hyp.lambda_beta.shape[0]
+        if d_lam != dataset.d_x:
+            if full_vector:
+                raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
+            raise InputError(f"lambda has {d_lam} row(s) but the data have d_x = {dataset.d_x}")
+        if full_vector and not np.array_equal(hyp.lambda_beta, np.eye(dataset.d_x)):
+            raise InputError(f"{full_vector[0]} tests the full vector beta = beta_0 (lambda = I)")
     if estimator not in METHODS:
         raise InputError(f"unknown k-class method {estimator!r}; expected one of {METHODS}")
-    beta_0 = hypothesis.lambda_0
+    beta_0 = np.array([hyp.lambda_0 for hyp in block])
+    lam = np.array([hyp.lambda_beta[0, 0] for hyp in block])
     if "score-wald" in names:
-        beta_0 = score_wald_null(dataset, hypothesis)
-    sign_set, design = prepare_test(dataset, sign_set, design, alpha)
+        if dataset.d_x != 1 or dataset.d_z != 1:
+            raise InputError("score bootstrap requires d_x = d_z = 1")
+        beta_0 = beta_0 / lam[:, None]  # lambda beta = lambda_0 as beta = lambda_0 / lambda
+    sets = sign_set if isinstance(sign_set, list) else [sign_set] * len(block)
+    first, design = prepare_test(dataset, sets[0], design, alpha)
+    sets = [first if s is sets[0] else prepare_test(dataset, s, design, alpha)[0] for s in sets]
+    if len(sets) != len(block) or len({s.size for s in sets}) > 1:
+        raise InputError("a block takes one sign set per null, all of one size")
 
-    passes = {
-        "wald": lambda members: wald_tests(
-            dataset, design, hypothesis, members, sign_set, alpha, estimator, fuller_c
-        ),
-        "full-vector": lambda members: full_vector_tests(
-            dataset, design, beta_0, members, sign_set, alpha, float(hypothesis.lambda_beta[0, 0])
-        ),
-    }
-    out = {}
+    out = [{} for _ in block]
     for fam in dict.fromkeys(TESTS[name] for name in names):
         members = [name for name in names if TESTS[name] == fam]
-        try:
-            out.update(passes[fam](members))
-        except (NumericalError, InputError) as exc:
-            out.update(dict.fromkeys(members, exc))
-    return out
+        if fam == "wald":
+            results = [_family(members, wald_tests, dataset, design, hyp, members, signs, alpha,
+                               estimator, fuller_c) for hyp, signs in zip(block, sets)]
+        else:
+            results = _family(members, full_vector_tests, dataset, design, beta_0, members, sets,
+                              alpha, lam)
+        for res, got in zip(out, results if isinstance(results, list) else [results] * len(out)):
+            res.update(got)
+    return out if isinstance(hypothesis, list) else out[0]
+
+
+def _family(members: list, run, *args):
+    """run(*args), or each member mapped to the NumericalError or InputError raised."""
+    try:
+        return run(*args)
+    except (NumericalError, InputError) as exc:
+        return dict.fromkeys(members, exc)
 
 
 def run_test(dataset: ClusteredDataset, name: str, hypothesis: Hypothesis, **options):

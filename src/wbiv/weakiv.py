@@ -1,11 +1,11 @@
 """The one full-vector pass, and the cluster-robust LM and conditional QLR
 statistics it runs beside the AR tests.
 
-:func:`full_vector_tests` stacks the sign rows with g = iota last and forms
-the signed score means f*(g) once. Every statistic comes from that stack:
-the AR norms under I and the inverse null-imposed CCE, and the
-orthogonalized Jacobian D*(g), LM and CQLR. Each test's statistic is its
-last row, and D_hat and rk are read from that row.
+:func:`full_vector_tests` runs a block of nulls from one restricted fit and
+one stack of signed score means f*(g, b) over the nulls and the sign rows,
+g = iota last. Every statistic reads it: the AR norms under I and the
+inverse null-imposed CCE, and the orthogonalized Jacobian D*(g), LM and
+CQLR. Each test's statistic, and D_hat and rk, are read from the last row.
 
 LM and CQLR orthogonalize the Jacobian against the null-imposed scores
 before projecting, so they stay usable under weak identification. Their
@@ -18,14 +18,15 @@ draw row follows the draw-stack rule of :mod:`data`, so :func:`lm_statistic`
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
-from .ar import AsymptoticArResult, ar_squares, chi2_quantile, null_scores, signed_means
-from .data import ClusteredDataset, PartialledDesign, raise_singular, stack_solve
+from .ar import (
+    AsymptoticArResult, ar_squares, at_nulls, chi2_quantile, null_scores, signed_means
+)
+from .data import ClusteredDataset, PartialledDesign, stack_solve
 from .exceptions import InputError, NumericalError
-from .inference import SignSet, finish_test
+from .inference import finish_test
 from .kclass import RestrictedOlsFit, restricted_ols_fit
 
 # What is singular when the iota row fails, as the NumericalError names it.
@@ -40,7 +41,8 @@ CCE_WEIGHTED = ("ar-cr", "ar-cr-asymptotic")
 class JacobianBundle:
     """Sample pieces the score draws hold fixed, and the g = iota row of the
     orthogonalized Jacobian draws with its conditioning statistic
-    rk = n D_hat' omega_inv D_hat (d_x = 1 only).
+    rk = n D_hat' omega_inv D_hat (d_x = 1 only). A block's bundle has a
+    leading null axis on omega_inv, score_sums, D_hat and rk.
 
     ``omega_inv`` is the inverse null-imposed CCE, the weighting A of every
     draw's Gram matrix D*'A D* and of D*'A f*.
@@ -51,23 +53,14 @@ class JacobianBundle:
     score_sums: np.ndarray       # (q, d_z)
     jacobian_sums: np.ndarray    # (q, d_z, d_x) per-cluster sums of Zt X'
     D_hat: np.ndarray | None = None   # (d_z, d_x)
-    rk: float | None = None
+    rk: float | np.ndarray | None = None
 
 
-def _jacobian_bundle(
-    design: PartialledDesign, score_sums: np.ndarray, omega_inv: np.ndarray | None
-) -> JacobianBundle:
+def _jacobian_bundle(design: PartialledDesign, score_sums, omega_inv) -> JacobianBundle:
     if design.q <= design.d_z:
         # q = d_z makes Gamma_hat Omega^{-1} f_hat = G_hat an identity, so
         # D_hat is rounding noise; below it Omega is singular
         raise NumericalError("rank-deficient orthogonalized Jacobian (q <= d_z)")
-    if omega_inv is None:
-        if score_sums.any():
-            raise NumericalError("singular score covariance (degenerate scores)")
-        # Exact null fit: every score is zero, so every statistic and draw is
-        # 0 under any weighting; the identity stands in for the missing
-        # inverse CCE and keeps the Jacobian's rank.
-        omega_inv = np.eye(design.d_z)
     return JacobianBundle(
         G_hat=design.Q_ZX,
         omega_inv=omega_inv,
@@ -81,49 +74,59 @@ def _lm_rows(bundle: JacobianBundle, rows: np.ndarray, f: np.ndarray, n: int):
     with b = D*'A f*, the ok flags of the stacked solve, and the
     orthogonalized Jacobian D*(g) = G - Gamma*(g) A f*(g), where
     A = Omega^{-1} and Gamma*(g) = sum_j g_j [Zt X']_j s_j' / n. A draw
-    whose Gram matrix is singular reads 0.0."""
+    whose Gram matrix is singular reads 0.0. With a block bundle, ``rows``
+    and ``f`` take the leading null axis too."""
     s = bundle.score_sums
-    cross = bundle.jacobian_sums[:, :, :, None] * s[:, None, None, :]   # (q, d_z, d_x, d_z)
-    gamma = np.einsum("mj,jzxy->mzxy", rows, cross) / n
-    a_f = np.einsum("zy,my->mz", bundle.omega_inv, f)
-    d = bundle.G_hat[None] - np.einsum("mzxy,my->mzx", gamma, a_f)
-    a_d = np.einsum("zy,myx->mzx", bundle.omega_inv, d)
-    gram = np.einsum("mza,mzb->mab", d, a_d)
-    b = np.einsum("mzx,mz->mx", d, a_f)
+    cross = bundle.jacobian_sums[..., None] * s[..., :, None, None, :]   # (., q, d_z, d_x, d_z)
+    gamma = np.einsum("...mj,...jzxy->...mzxy", rows, cross) / n
+    a_f = np.einsum("...zy,...my->...mz", bundle.omega_inv, f)
+    d = bundle.G_hat - np.einsum("...mzxy,...my->...mzx", gamma, a_f)
+    a_d = np.einsum("...zy,...myx->...mzx", bundle.omega_inv, d)
+    gram = np.einsum("...mza,...mzb->...mab", d, a_d)
+    b = np.einsum("...mzx,...mz->...mx", d, a_f)
     x, ok = stack_solve(gram, b)
-    return n * np.maximum(np.einsum("mk,mk->m", b, x), 0.0), ok, d
+    return n * np.maximum(np.einsum("...k,...k->...", b, x), 0.0), ok, d
 
 
-def _score_draws(bundle: JacobianBundle, rows: np.ndarray, f: np.ndarray, n: int):
+def _score_draws(bundle: JacobianBundle, rows: np.ndarray, f: np.ndarray, n: int, cce_ok=True):
     """LM*(g) over ``rows``, whose last row is g = iota; the number of
-    singular draws other than iota; and the bundle with D_hat and rk read
-    from the iota row. A singular iota row is a NumericalError."""
+    singular draws other than iota; the bundle with D_hat and rk read from
+    the iota row; and the NumericalError that fails the score tests (a
+    singular iota row, or a singular null-imposed CCE, ``cce_ok`` False, with
+    a score not zero), or None: each per null for a block bundle."""
     lm, ok, d = _lm_rows(bundle, rows, f, n)
-    raise_singular({JACOBIAN_GRAM: ok}, row=-1)
-    d_hat = d[-1]
-    rk = float(ar_squares(d_hat.T, n, bundle.omega_inv)[0]) if d_hat.shape[1] == 1 else None
-    return lm, int((~ok[:-1]).sum()), replace(bundle, D_hat=d_hat, rk=rk)
+    d_hat = d[..., -1, :, :]
+    one_x = d_hat.shape[-1] == 1
+    rk = ar_squares(np.swapaxes(d_hat, -1, -2), n, bundle.omega_inv)[..., 0] if one_x else None
+    degenerate = ~np.asarray(cce_ok) & bundle.score_sums.any(axis=(-2, -1))
+    failure = np.where(degenerate, NumericalError("singular score covariance (degenerate scores)"),
+                       np.where(ok[..., -1], None, NumericalError(f"singular {JACOBIAN_GRAM}")))
+    return lm, (~ok[..., :-1]).sum(axis=-1), replace(bundle, D_hat=d_hat, rk=rk), failure
 
 
 def lm_statistic(
     design: PartialledDesign, restricted_ols: RestrictedOlsFit
 ) -> tuple[float, JacobianBundle]:
     """Score statistic projecting the standardized mean score onto the
-    standardized orthogonalized Jacobian: the draw at g = iota alone."""
-    s, omega_inv = null_scores(design, restricted_ols)
+    standardized orthogonalized Jacobian: the draw at g = iota alone, at the
+    fit's one null."""
+    pieces, s, omega_inv, ok = null_scores(design, restricted_ols)
     iota = np.ones((1, design.q))
-    bundle = _jacobian_bundle(design, s, omega_inv)
-    lm, _, bundle = _score_draws(bundle, iota, signed_means(s, iota, design.n), design.n)
-    return float(lm[-1]), bundle
+    f = at_nulls(signed_means(pieces, iota, design.n), np.atleast_2d(restricted_ols.beta_0))
+    bundle = _jacobian_bundle(design, s[0], omega_inv[0])
+    lm, _, bundle, failure = _score_draws(bundle, iota, f[0], design.n, ok[0])
+    if failure.item() is not None:
+        raise failure.item()
+    return float(lm[-1]), replace(bundle, rk=None if bundle.rk is None else float(bundle.rk))
 
 
-def cqlr_statistic(ar_cr_sq, lm, rk: float):
+def cqlr_statistic(ar_cr_sq, lm, rk):
     """Closed-form conditional QLR combination, elementwise over draws.
 
     ``ar_cr_sq`` is the squared CCE-weighted AR statistic (the quadratic
     form). Collapses to ar_cr_sq when lm equals it, and to lm as rk grows.
     """
-    if min(np.min(ar_cr_sq), np.min(lm), rk) < 0.0:
+    if min(np.min(ar_cr_sq), np.min(lm), np.min(rk)) < 0.0:
         raise InputError("cqlr inputs must be nonnegative")
     gap = ar_cr_sq - rk
     return 0.5 * (gap + np.sqrt(gap * gap + 4.0 * lm * rk))
@@ -131,64 +134,73 @@ def cqlr_statistic(ar_cr_sq, lm, rk: float):
 
 def full_vector_tests(
     dataset: ClusteredDataset, design: PartialledDesign, beta_0: np.ndarray, names,
-    sign_set: SignSet, alpha: float, lam: float,
-) -> dict:
-    """The full-vector tests among ``names`` from one restricted fit at
-    ``beta_0`` and one stack f*(g) over the sign rows and g = iota.
+    sign_sets: list, alpha: float, lam: np.ndarray,
+) -> list[dict]:
+    """The full-vector tests among ``names`` at each null of the block
+    ``beta_0`` (P, d_x), one dict per null. ``sign_sets`` holds each null's
+    sign set, all of one size, and ``lam`` (P,) its score-wald lambda.
 
     ar-cr maps to an InputError unless q > d_z, score-wald (restriction
     lam beta = lam beta_0) to one when Q_ZX = 0, and the CCE-weighted AR
-    tests to a NumericalError when the null-imposed CCE is singular. A
-    score-side failure fails lm and cqlr only. score-wald is decided on
-    the unscaled norms, where a tie resolves as in ar, then scaled by
-    |lam / Q_ZX|.
+    tests to a NumericalError at a null whose null-imposed CCE is singular.
+    A score-side failure fails lm and cqlr only. score-wald is decided as ar
+    on the unscaled norms, then scaled by |lam / Q_ZX|. ar-cr-asymptotic
+    alone reads only the g = iota row.
     """
-    n, d_z = dataset.n, dataset.d_z
-    s, a_cr = null_scores(design, restricted_ols_fit(dataset, beta_0))
-    rows = np.vstack([sign_set.vectors, np.ones((1, dataset.q))])
-    f = signed_means(s, rows, n)
+    n, q, d_z, P = dataset.n, dataset.q, dataset.d_z, beta_0.shape[0]
+    pieces, s, a_cr, cr_ok = null_scores(design, restricted_ols_fit(dataset, beta_0))
+    shared = all(signs is sign_sets[0] for signs in sign_sets)
+    width = 0 if set(names) == {"ar-cr-asymptotic"} else None
+    signs = np.array([ss.vectors[:width] for ss in (sign_sets[:1] if shared else sign_sets)])
+    rows = np.concatenate([signs, np.ones((len(signs), 1, q))], axis=1)
+    f = at_nulls(signed_means(pieces, rows, n), beta_0)
     # squared AR norms under A_cr (True) or I (False), each formed once
-    ar_sq = cache(lambda cr: ar_squares(f, n, a_cr if cr else np.eye(d_z)))
+    ar_sq = {cr: ar_squares(f, n, a_cr if cr else None)
+             for cr in {name in CCE_WEIGHTED + ("cqlr",) for name in names if name != "lm"}}
+    draws = {name: np.sqrt(ar_sq[name in CCE_WEIGHTED]) for name in names if name not in SCORE}
 
-    out, draws, n_singular = {}, {}, 0
-    for name in names:
-        if name == "ar-cr" and dataset.q <= d_z:
-            out[name] = InputError("studentized AR needs more clusters than instruments (q > d_z)")
-        elif name == "score-wald" and design.Q_ZX[0, 0] == 0.0:
-            out[name] = InputError("unidentified Jacobian (Zt'X = 0)")
-        elif name in CCE_WEIGHTED and a_cr is None:
-            out[name] = NumericalError("singular null-imposed CCE (q <= d_z or degenerate scores)")
-        elif name not in SCORE:
-            draws[name] = np.sqrt(ar_sq(name in CCE_WEIGHTED))
+    failed, n_singular = {}, 0
+    if "ar-cr" in names and q <= d_z:
+        exc = InputError("studentized AR needs more clusters than instruments (q > d_z)")
+        failed["ar-cr"] = [exc] * P
+    if "score-wald" in names and design.Q_ZX[0, 0] == 0.0:
+        failed["score-wald"] = [InputError("unidentified Jacobian (Zt'X = 0)")] * P
+    for name in set(CCE_WEIGHTED).intersection(names).difference(failed):
+        failed[name] = np.where(cr_ok, None, NumericalError(
+            "singular null-imposed CCE (q <= d_z or degenerate scores)"))
     if score := [name for name in names if name in SCORE]:
         try:
             if "cqlr" in score and dataset.d_x != 1:
                 raise InputError("cqlr is only defined for a single endogenous regressor here")
-            if dataset.q <= d_z:
+            if q <= d_z:
                 raise InputError("score-projection bootstrap needs q > d_z")
             bundle = _jacobian_bundle(design, s, a_cr)
-            draws["lm"], n_singular, bundle = _score_draws(bundle, rows, f, n)
+            draws["lm"], n_singular, bundle, failure = _score_draws(bundle, rows, f, n, cr_ok)
+            failed.update(dict.fromkeys(score, failure))
             if "cqlr" in score:
                 # at an exact null fit the identity stands in for A_cr
-                draws["cqlr"] = cqlr_statistic(ar_sq(a_cr is not None), draws["lm"], bundle.rk)
+                draws["cqlr"] = cqlr_statistic(ar_sq[True], draws["lm"], bundle.rk[:, None])
         except (NumericalError, InputError) as exc:
-            out.update(dict.fromkeys(score, exc))
+            failed.update(dict.fromkeys(score, [exc] * P))
 
-    for name in [name for name in names if name not in out]:
-        stat, boot = float(draws[name][-1]), draws[name][:-1]
-        if name == "ar-cr-asymptotic":
-            cv = chi2_quantile(1.0 - alpha, d_z)
-            out[name] = AsymptoticArResult(
-                statistic_sq=stat**2, critical_value=cv, reject=bool(stat**2 > cv),
-                alpha=alpha, df=d_z,
-            )
-            continue
-        out[name] = finish_test(name, stat, boot, sign_set, alpha,
-                                n_singular=n_singular if name in SCORE else 0)
-        if name == "score-wald":
-            res, scale = out[name], abs(lam / float(design.Q_ZX[0, 0]))
-            out[name] = replace(
-                res, statistic=scale * res.statistic, boot_stats=scale * res.boot_stats,
-                critical_value=scale * res.critical_value, estimator="tsls",
-            )
-    return {name: out[name] for name in names}
+    if "ar-cr-asymptotic" in names:
+        chi2 = chi2_quantile(1.0 - alpha, d_z)
+    out = [{} for _ in range(P)]
+    for p, res in enumerate(out):
+        for name in names:
+            if (exc := failed.get(name, [None] * P)[p]) is not None:
+                res[name] = exc
+                continue
+            stat, boot = float(draws[name][p, -1]), draws[name][p, :-1]
+            if name == "ar-cr-asymptotic":
+                res[name] = AsymptoticArResult(statistic_sq=stat**2, critical_value=chi2,
+                                               reject=bool(stat**2 > chi2), alpha=alpha, df=d_z)
+                continue
+            res[name] = finish_test(name, stat, boot, sign_sets[p], alpha,
+                                    n_singular=int(n_singular[p]) if name in SCORE else 0)
+            if name == "score-wald":
+                r, scale = res[name], abs(float(lam[p]) / float(design.Q_ZX[0, 0]))
+                res[name] = replace(r, statistic=scale * r.statistic, estimator="tsls",
+                                    boot_stats=scale * r.boot_stats,
+                                    critical_value=scale * r.critical_value)
+    return out

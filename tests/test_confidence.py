@@ -8,6 +8,7 @@ from wbiv import (
     Hypothesis, InputError, fit_method, invert_confidence_set, make_sign_set,
     partial_out_exogenous,
 )
+from wbiv import confidence
 from wbiv.confidence import TestSpec, mask_to_intervals
 from wbiv.registry import run_test
 
@@ -73,6 +74,34 @@ class TestInversion:
         two = invert_confidence_set(ds, "ar", workers=2, **kw)
         np.testing.assert_array_equal(one.accepted, two.accepted)
         assert one.intervals == two.intervals
+
+    @pytest.mark.parametrize("test, q", [
+        ("ar", 6), ("ar-cr", 6), ("lm", 6), ("cqlr", 6), ("score-wald", 6), ("ar", 13),
+    ])
+    def test_block_size_and_workers_do_not_change_the_set(self, monkeypatch, test, q):
+        # the grid runs in blocks of nulls; each point's decision is that of
+        # run_test at the point alone, with the exhaustive set or, at q = 13,
+        # the fresh set keyed by its grid index
+        ds = random_dataset(28, q=q, n_per=6)
+        kw = dict(grid_lo=-1.0, grid_hi=2.0, step=0.125, alpha=0.1, B=19, seed=3)
+        want = invert_confidence_set(ds, test, **kw)
+        # keyed by the grid index as invert_confidence_set holds it, an np.int64
+        signs = [make_sign_set(q, "auto", B=19, seed=(3, "cs", i))
+                 for i in np.arange(want.grid.size)]
+        alone = [
+            not run_test(ds, test, Hypothesis.full_vector([b]), sign_set=s, alpha=0.1).reject
+            for b, s in zip(want.grid, signs)
+        ]
+        np.testing.assert_array_equal(want.accepted, alone)
+        assert 0 < want.accepted.sum() < want.grid.size
+        rows = (2**q if q <= 12 else 19) + 1
+        for per_block in (1, 7, want.grid.size):
+            monkeypatch.setattr(confidence, "BLOCK_ITEMS", per_block * rows)
+            got = invert_confidence_set(ds, test, **kw)
+            assert got.accepted.tobytes() == want.accepted.tobytes(), per_block
+        monkeypatch.undo()
+        two = invert_confidence_set(ds, test, workers=2, **kw)
+        assert two.accepted.tobytes() == want.accepted.tobytes()
 
     def test_shared_mode_tests_every_point_with_one_sign_set(self):
         # q = 13 forces sampled signs; shared mode reuses the (seed, "cs-shared") draw

@@ -27,10 +27,10 @@ from wbiv import (
     wrec_run,
     wrec_wald_test,
 )
-from wbiv.ar import ar_bootstrap_distribution, signed_means
+from wbiv.ar import ar_bootstrap_distribution, at_nulls, signed_means
 from wbiv.cli import main
 from wbiv.data import stack_solve
-from wbiv.registry import ALIASES, TESTS
+from wbiv.registry import ALIASES, TESTS, run_test
 from wbiv.rng import substream
 from wbiv.simulate import _replicate
 from wbiv.weakiv import (
@@ -215,8 +215,9 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
             for s in (False, True)
         }
         bundle = _jacobian_bundle(design, stats.score_sums, stats.A_cr)
-        draws["lm"] = lambda g: _lm_rows(bundle, g, signed_means(stats.score_sums, g, ds.n),
-                                         ds.n)[0]
+        draws["lm"] = lambda g: _lm_rows(
+            bundle, g, at_nulls(signed_means(stats.score_pieces, g, ds.n), stats.beta_0[None])[0],
+            ds.n)[0]
         for what, draw in draws.items():
             full = draw(signs.vectors)
             alone = [draw(signs.vectors[i : i + 1])[0] for i in range(signs.size)]
@@ -224,12 +225,18 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
         # the full-vector pass and wrec_run append g = iota to the sign
         # rows: a stack of 2, then 129
         short, long = (run_tests(ds, names, hyp, sign_set=s, design=design) for s in (one, signs))
+        # and the null axis: the same null alone, then inside a block of three
+        block = [Hypothesis.full_vector([b] * d_x) for b in (B0 - 0.7, B0, B0 + 0.2)]
+        inside = run_tests(ds, names, block, sign_set=one, design=design)[1]
         for name in names:
             if name == "ar-cr-asymptotic":
                 assert short[name].statistic_sq == long[name].statistic_sq
+                assert inside[name].statistic_sq == short[name].statistic_sq
                 continue
             assert short[name].statistic == long[name].statistic, (seed, name)
             assert short[name].boot_stats[0] == long[name].boot_stats[0], (seed, name)
+            assert inside[name].statistic == short[name].statistic, (seed, name)
+            assert np.array_equal(inside[name].boot_stats, short[name].boot_stats), (seed, name)
         for estimator in ("tsls", "liml"):
             short, long = (wrec_run(ds, hyp, estimator, s, design=design) for s in (one, signs))
             assert (short.statistic, short.statistic_cr) == (long.statistic, long.statistic_cr)
@@ -281,9 +288,10 @@ def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
     f = signed_means(s, signs, 50)
     lm, ok, _ = _lm_rows(bundle, signs, f, 50)
     assert not lm.any() and int((~ok).sum()) == len(signs)
-    # the last exhaustive row is g = iota, which the pass reads as the sample
-    with pytest.raises(NumericalError, match=re.escape(f"singular {JACOBIAN_GRAM}")):
-        _score_draws(bundle, signs, f, 50)
+    # the last exhaustive row is g = iota, which the pass reads as the
+    # sample: its null's lm and cqlr fail with this error
+    failure = _score_draws(bundle, signs, f, 50)[3].item()
+    assert isinstance(failure, NumericalError) and str(failure) == f"singular {JACOBIAN_GRAM}"
 
 
 def _counting(monkeypatch, module, name):
@@ -329,6 +337,65 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
             out = run_tests(ds1, list(members), Hypothesis.full_vector([B0]), sign_set=signs)
             assert not any(isinstance(res, Exception) for res in out.values())
             assert len(stacks) + len(stacks_ar) == before + 1, members
+    # a block of nulls is one pass too
+    before = (len(fits), len(stacks) + len(stacks_ar))
+    run_tests(ds1, names, [Hypothesis.full_vector([b]) for b in (0.1, B0, 0.5)], sign_set=signs)
+    assert (len(fits), len(stacks) + len(stacks_ar)) == (before[0] + 1, before[1] + 1)
+
+
+@pytest.mark.parametrize("d_z", [1, 2, 3])
+@pytest.mark.parametrize("q, mode", [(7, "exhaustive"), (13, "sampled")])
+def test_each_null_of_a_block_gets_its_own_bits(d_z, q, mode):
+    # a block of nulls in one pass gives every null bitwise what run_test
+    # gives at that null alone; sampled signs are one set per null, as a
+    # fresh-mode confidence set passes them
+    ds = random_dataset(d_z, q=q, n_per=8, d_z=d_z, pi_scale=0.5)
+    names = ["ar", "ar-cr", "lm", "cqlr"] + (["score-wald"] if d_z == 1 else [])
+    block = [Hypothesis.full_vector([b]) for b in (-0.9, B0, 0.31, 1.7)]
+    if mode == "exhaustive":
+        signs = make_sign_set(q, "exhaustive")
+        per_null = [signs] * len(block)
+    else:
+        signs = per_null = [make_sign_set(q, "sampled", B=29, seed=(5, "cs", i)) for i in range(4)]
+    design = partial_out_exogenous(ds)
+    results = run_tests(ds, names, block, sign_set=signs, design=design)
+    for hyp, own, got in zip(block, per_null, results):
+        for name in names:
+            want = run_test(ds, name, hyp, sign_set=own, design=design)
+            assert (got[name].statistic, got[name].critical_value, got[name].pvalue,
+                    got[name].reject) == (want.statistic, want.critical_value, want.pvalue,
+                                          want.reject), (name, hyp.lambda_0)
+            assert np.array_equal(got[name].boot_stats, want.boot_stats), (name, hyp.lambda_0)
+            assert got[name].sign_set is own
+
+
+def test_a_block_takes_one_sign_set_per_null():
+    ds = random_dataset(1, q=5, n_per=10)
+    one, other = make_sign_set(5, "exhaustive"), make_sign_set(5, "sampled", B=3, seed=1)
+    block = [Hypothesis.full_vector([b]) for b in (0.0, 0.5)]
+    for sets in ([one], [one, other]):
+        with pytest.raises(InputError, match="one sign set per null, all of one size"):
+            run_tests(ds, ["ar"], block, sign_set=sets)
+
+
+def test_ar_cr_asymptotic_alone_reads_only_the_iota_row(monkeypatch):
+    import wbiv.weakiv
+
+    ds = random_dataset(8, q=7, n_per=15, d_z=3)
+    beside = run_tests(ds, ["ar-cr", "ar-cr-asymptotic"], Hypothesis.full_vector([B0]),
+                       sign_set=make_sign_set(7, "exhaustive"))["ar-cr-asymptotic"]
+    shapes = []
+    original = wbiv.weakiv.signed_means
+
+    def recorded(score_sums, signs, n):
+        shapes.append(signs.shape)
+        return original(score_sums, signs, n)
+
+    monkeypatch.setattr(wbiv.weakiv, "signed_means", recorded)
+    alone = ar_asymptotic_cr_test(ds, [B0], ALPHA)
+    # one stack, shared by the block's one null, of the one row g = iota
+    assert shapes == [(1, 1, 7)]
+    assert alone == beside
 
 
 def test_score_wald_scales_with_lambda():

@@ -50,7 +50,8 @@ class TestLmStatistic:
         from wbiv.kclass import RestrictedOlsFit
 
         rols = RestrictedOlsFit(
-            beta_0=np.array([0.5]), gamma_bar_r=np.array([1.0]), resid=np.zeros(t1.n)
+            beta_0=np.array([0.5]), gamma_bar_r=np.array([1.0]), e_y=np.zeros(t1.n),
+            e_X=np.zeros((t1.n, 1)),
         )
         lm, _ = lm_statistic(t1_design, rols)
         assert lm == 0.0
