@@ -3,12 +3,15 @@
 For every workload of BENCHMARK.json, this runs the benchmark's command
 (``python3 bench/run.py``) for its run length once per seed of a fixed
 list with tracing off, then once more with ``--trace 1``, and reads the
-final JSON line and the ``environment:`` line of each run. It writes one
-JSON file: per workload,
-the values of every end-to-end metric over the seeds with their median,
-quartiles and range, the traced per-layer metrics, whether every run read
-``correct: true`` with no failed operation, and each run's environment
-(core count, numpy, scipy and BLAS versions, BLAS threads, host_loop_s).
+final JSON line and the ``environment:`` line of each run. Then it runs
+the Tier-1 test suite of the measured checkout once
+(``python -m pytest -q --continue-on-collection-errors`` with its ``src``
+on PYTHONPATH). It writes one JSON file: per workload, the values of every
+end-to-end metric over the seeds with their median, quartiles and range,
+the traced per-layer metrics, whether every run read ``correct: true``
+with no failed operation, and each run's environment (core count, numpy,
+scipy and BLAS versions, BLAS threads, host_loop_s); and the suite's wall
+time, exit code and its counts of passed, failed and other outcomes.
 
 Run from the root of this repository, optionally against another checkout:
 
@@ -24,6 +27,8 @@ changed; the script only calls them.
 import argparse
 import hashlib
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -33,6 +38,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SEEDS = (101, 102, 103, 104, 105)
 TRACE_SEED = 199
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# "3 failed, 311 passed, 2 warnings in 95.1s": the outcome counts of pytest's summary
+OUTCOME = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed|deselected)\b")
 
 
 def run_bench(root: Path, command: list, workload: str, seed: int, seconds: float,
@@ -50,6 +58,23 @@ def run_bench(root: Path, command: list, workload: str, seed: int, seconds: floa
                if line.startswith("environment:"))
     return {"seed": seed, "trace": trace, "wall_s": wall, "result": json.loads(lines[-1]),
             "environment": env}
+
+
+def run_tier1(root: Path) -> dict:
+    """One run of the checkout's Tier-1 suite: its command, wall time, exit
+    code and the outcome counts of its final summary line."""
+    src = str(root / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}:{path}" if path else src)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable] + TIER1, cwd=root, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    counts = {word: int(k) for k, word in OUTCOME.findall(lines[-1] if lines else "")}
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "wall_s": wall,
+            "exit_code": proc.returncode, "summary": lines[-1] if lines else "",
+            "counts": counts}
 
 
 def summary(values: list) -> dict:
@@ -94,6 +119,8 @@ def main() -> int:
         }
         line = ", ".join(f"{k} {v['median']:.4g}" for k, v in metrics.items())
         print(f"{name}: {line}", file=sys.stderr)
+    tier1 = run_tier1(root)
+    print(f"tier-1: {tier1['summary']} ({tier1['wall_s']:.1f} s wall)", file=sys.stderr)
 
     taken = [int(p.name.split("_")[1]) for p in HERE.glob("BENCH_*_*.json")
              if p.name.split("_")[1].isdigit()]
@@ -101,7 +128,7 @@ def main() -> int:
     record = {
         "source": {"describe": sha, "src_sha256": source_digest(root)},
         "seeds": list(SEEDS), "trace_seed": TRACE_SEED, "seconds": seconds,
-        "command": spec["command"], "workloads": workloads,
+        "command": spec["command"], "workloads": workloads, "tier1": tier1,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out.name)

@@ -83,7 +83,7 @@ def _grid_chunk(dataset, design, spec, grid, alpha, shared, B, seed, indices) ->
     size = max(1, BLOCK_ITEMS // ((shared.size if shared else B) + 1))
     out = []
     for block in (indices[start : start + size] for start in range(0, len(indices), size)):
-        signs = shared or [make_sign_set(dataset.q, "sampled", B=B, seed=(seed, "cs", i))
+        signs = shared or [make_sign_set(dataset.q, "sampled", B=B, seed=(seed, "cs", int(i)))
                            for i in block]
         results = run_tests(
             dataset, [spec.test], [Hypothesis.full_vector([float(grid[i])]) for i in block],

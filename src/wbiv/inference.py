@@ -3,9 +3,7 @@ critical values, p-values, and the common result record."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -110,9 +108,10 @@ def critical_value(boot_stats: np.ndarray, alpha: float) -> float:
 
     This is the smallest x whose empirical CDF over the sign set reaches
     1 - alpha; ties are handled by the stable order statistics themselves.
-    k is computed in exact rational arithmetic on the binary value of alpha:
-    the floating-point product can round m (1 - alpha) onto an integer it
-    lies just above (m = 6, alpha = 0.3333333333333333 gives 4, not 5).
+    k is computed in exact integer arithmetic on the binary value of alpha,
+    num / den: the floating-point product can round m (1 - alpha) onto an
+    integer it lies just above (m = 6, alpha = 0.3333333333333333 gives 4,
+    not 5).
     """
     stats = np.asarray(boot_stats, dtype=np.float64).ravel()
     m = stats.shape[0]
@@ -120,8 +119,8 @@ def critical_value(boot_stats: np.ndarray, alpha: float) -> float:
         raise InputError("empty bootstrap distribution")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie strictly between 0 and 1")
-    k = math.ceil(m * (1 - Fraction(float(alpha))))
-    k = min(max(k, 1), m)
+    num, den = float(alpha).as_integer_ratio()
+    k = -(-m * (den - num) // den)  # in [1, m] for 0 < alpha < 1
     return float(np.partition(stats, k - 1)[k - 1])
 
 

@@ -58,10 +58,6 @@ class KClassFit:
     gamma_hat_r: np.ndarray | None = None
     resid_restricted: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return self.resid_unrestricted.shape[0]
-
 
 @dataclass(frozen=True)
 class RestrictedOlsFit:

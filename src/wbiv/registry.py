@@ -1,11 +1,13 @@
 """The test registry: every test by name, for the CLI, confidence-set
 inversion and the Monte Carlo harness alike.
 
-Tests come in two families whose members share one pass over the data,
-and each pass reads its sample statistics from the g = iota row it appends
-to the sign rows: :func:`wald.wald_tests`, one WREC run for wald and
-wald-cr, and :func:`weakiv.full_vector_tests`, one restricted fit and one
-stack of signed score means for ar, ar-cr, ar-cr-asymptotic, lm, cqlr and
+Tests come in two families, each run by one call over a block of nulls
+whose members share one pass over the data, and each pass reads its sample
+statistics from the g = iota row it appends to the sign rows:
+:func:`wald.wald_tests`, one k-class fit and one efficient first stage per
+block and a WREC run per null for wald and wald-cr, and
+:func:`weakiv.full_vector_tests`, one restricted fit and one stack of
+signed score means for ar, ar-cr, ar-cr-asymptotic, lm, cqlr and
 score-wald, the ar test at beta_0 = lambda_0 / lambda scaled by
 |lambda / Q_ZX|. The simulation study's labels are aliases of
 registry names. :func:`run_test` runs one of them, as the CLI, confidence
@@ -14,6 +16,7 @@ sets and the public per-test functions at the end do.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,20 +33,12 @@ from .weakiv import SCORE, full_vector_tests
 # hypothesis with lambda = I, and families that fit the chosen estimator.
 FULL_VECTOR = ("ar", "ar-cr", "ar-cr-asymptotic", "lm", "cqlr")
 ESTIMATOR = ("wald",)
-FAMILIES = {
-    "wald": ("wald", "wald-cr"),
-    "full-vector": FULL_VECTOR + ("score-wald",),
-}
+FAMILIES = {"wald": ("wald", "wald-cr"), "full-vector": FULL_VECTOR + ("score-wald",)}
 TESTS = {name: fam for fam, names in FAMILIES.items() for name in names}
 
 ALIASES = {
-    "WB-US": "wald",
-    "WB-S": "wald-cr",
-    "WB-AR-US": "ar",
-    "WB-AR-S": "ar-cr",
-    "ASY-AR-S": "ar-cr-asymptotic",
-    "WB-LM": "lm",
-    "WB-CQLR": "cqlr",
+    "WB-US": "wald", "WB-S": "wald-cr", "WB-AR-US": "ar", "WB-AR-S": "ar-cr",
+    "ASY-AR-S": "ar-cr-asymptotic", "WB-LM": "lm", "WB-CQLR": "cqlr",
 }
 
 
@@ -69,8 +64,10 @@ def run_tests(
     """Run the named tests of one hypothesis on one dataset: name -> result.
 
     A list of hypotheses is one block of nulls, one dict per null, with one
-    sign set or a list of one per null (all of one size). The full-vector
-    pass covers the block, and a null's results do not depend on the block.
+    sign set or a list of one per null (all of one size). Each family runs
+    the block in one call: the full-vector pass covers it, and the wald
+    family fits the k-class estimator and the efficient first stage once
+    for it. A null's results do not depend on the block.
 
     Invalid arguments raise InputError: an unknown name or estimator, alpha
     outside (0, 1), a sign set for another cluster count, a lambda whose
@@ -95,38 +92,31 @@ def run_tests(
             raise InputError(f"{full_vector[0]} tests the full vector beta = beta_0 (lambda = I)")
     if estimator not in METHODS:
         raise InputError(f"unknown k-class method {estimator!r}; expected one of {METHODS}")
-    beta_0 = np.array([hyp.lambda_0 for hyp in block])
-    lam = np.array([hyp.lambda_beta[0, 0] for hyp in block])
-    if "score-wald" in names:
-        if dataset.d_x != 1 or dataset.d_z != 1:
-            raise InputError("score bootstrap requires d_x = d_z = 1")
-        beta_0 = beta_0 / lam[:, None]  # lambda beta = lambda_0 as beta = lambda_0 / lambda
+    if "score-wald" in names and (dataset.d_x != 1 or dataset.d_z != 1):
+        raise InputError("score bootstrap requires d_x = d_z = 1")
     sets = sign_set if isinstance(sign_set, list) else [sign_set] * len(block)
     first, design = prepare_test(dataset, sets[0], design, alpha)
     sets = [first if s is sets[0] else prepare_test(dataset, s, design, alpha)[0] for s in sets]
     if len(sets) != len(block) or len({s.size for s in sets}) > 1:
         raise InputError("a block takes one sign set per null, all of one size")
 
+    runs = {"wald": partial(wald_tests, method=estimator, fuller_c=fuller_c),
+            "full-vector": full_vector_tests}
     out = [{} for _ in block]
     for fam in dict.fromkeys(TESTS[name] for name in names):
         members = [name for name in names if TESTS[name] == fam]
-        if fam == "wald":
-            results = [_family(members, wald_tests, dataset, design, hyp, members, signs, alpha,
-                               estimator, fuller_c) for hyp, signs in zip(block, sets)]
-        else:
-            results = _family(members, full_vector_tests, dataset, design, beta_0, members, sets,
-                              alpha, lam)
-        for res, got in zip(out, results if isinstance(results, list) else [results] * len(out)):
-            res.update(got)
+        results = _family(members, runs[fam], dataset, design, block, members, sets, alpha)
+        out = [{**res, **got} for res, got in zip(out, results)]
     return out if isinstance(hypothesis, list) else out[0]
 
 
-def _family(members: list, run, *args):
-    """run(*args), or each member mapped to the NumericalError or InputError raised."""
+def _family(members: list, run, dataset, design, block: list, *args) -> list[dict]:
+    """run(dataset, design, block, *args), one dict per null, or each member
+    of every null mapped to the NumericalError or InputError raised."""
     try:
-        return run(*args)
+        return run(dataset, design, block, *args)
     except (NumericalError, InputError) as exc:
-        return dict.fromkeys(members, exc)
+        return [dict.fromkeys(members, exc) for _ in block]
 
 
 def run_test(dataset: ClusteredDataset, name: str, hypothesis: Hypothesis, **options):

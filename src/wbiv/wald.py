@@ -23,14 +23,15 @@ observation-level refit per sign vector (``tests/wrec_reference.py``).
 The draws go through the same stacked algebra as a sample fit: the k-class
 routine of :mod:`kclass` and the CCE sandwich of :mod:`cce`, with the one
 singular rule of :func:`data.stack_solve`. The sample statistics are the
-draw at g = iota, which :func:`wrec_run` appends to the sign rows, and every
+draw at g = iota, which every WREC pass appends to the sign rows, and every
 sum over a draw row follows the draw-stack rule of :mod:`data`, so each
 statistic is bitwise its own iota draw, as in the randomization-test view
 of Canay, Santos and Shaikh (2021). A singular draw reads 0.0 and counts in
 ``n_singular``; a singular iota draw is a NumericalError.
 
 The score-form Wald bootstrap (score-wald) is not a WREC test: it is the
-unstudentized AR test scaled by a constant, and lives in :mod:`ar`.
+unstudentized AR test scaled by a constant, and runs in
+:func:`weakiv.full_vector_tests`.
 """
 
 from __future__ import annotations
@@ -72,32 +73,24 @@ class EfficientFirstStage:
     fitted: np.ndarray   # (n, d_x), equals X - v_tilde
 
 
-def _build_zbar(dataset: ClusteredDataset, design: PartialledDesign) -> np.ndarray:
-    n, q, d_z = dataset.n, dataset.q, dataset.d_z
-    zbar = np.zeros((n, q * d_z))
-    for j in range(q):
-        sl = dataset.cluster_slice(j)
-        zbar[sl, j * d_z : (j + 1) * d_z] = design.Z_tilde[sl]
-    return zbar
-
-
 def efficient_first_stage(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    resid_unrestricted: np.ndarray,
+    dataset: ClusteredDataset, design: PartialledDesign, resid_unrestricted: np.ndarray,
 ) -> EfficientFirstStage:
-    """Full-sample OLS of X on (Zbar, W, unrestricted residual).
+    """Full-sample OLS of X on (Zbar, W, unrestricted residual), Zbar the
+    instruments interacted with the cluster dummies.
 
     The residual regressor must be the unrestricted one; swapping in the
-    null-restricted residual breaks the power properties of the test.
+    null-restricted residual breaks the power properties of the test. It is
+    therefore the same at every null of a block.
     """
     n, q, d_z, d_w = dataset.n, dataset.q, dataset.d_z, dataset.d_w
     cols = q * d_z + d_w + 1
     if n < cols:
-        raise InputError(
-            f"first stage needs n >= q*d_z + d_w + 1 = {cols} rows, have {n}"
-        )
-    zbar = _build_zbar(dataset, design)
+        raise InputError(f"first stage needs n >= q*d_z + d_w + 1 = {cols} rows, have {n}")
+    zbar = np.zeros((n, q * d_z))
+    for j in range(q):
+        sl = dataset.cluster_slice(j)
+        zbar[sl, j * d_z : (j + 1) * d_z] = design.Z_tilde[sl]
     regs = np.column_stack([zbar, dataset.W, resid_unrestricted])
     coef, _, rank, _ = np.linalg.lstsq(regs, dataset.X, rcond=None)
     if rank < cols:
@@ -106,13 +99,8 @@ def efficient_first_stage(
     pi_w = coef[q * d_z : q * d_z + d_w]
     pi_eps = coef[q * d_z + d_w]
     fitted = zbar @ pi_zbar + dataset.W @ pi_w
-    return EfficientFirstStage(
-        pi_zbar=pi_zbar,
-        pi_w=pi_w,
-        pi_eps=np.atleast_1d(pi_eps),
-        v_tilde=dataset.X - fitted,
-        fitted=fitted,
-    )
+    return EfficientFirstStage(pi_zbar=pi_zbar, pi_w=pi_w, pi_eps=np.atleast_1d(pi_eps),
+                               v_tilde=dataset.X - fitted, fitted=fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -223,66 +211,85 @@ class _MomentEngine:
 class WrecRun:
     """Everything one WREC pass produces; both statistics share the draws."""
 
-    fit: KClassFit
     statistic: float
     statistic_cr: float | None
     boot_stats: np.ndarray
     boot_stats_cr: np.ndarray | None
-    sign_set: SignSet
     n_singular: int
 
 
-def wrec_run(
-    dataset: ClusteredDataset,
-    hypothesis: Hypothesis,
-    method: str = "tsls",
-    sign_set: SignSet | None = None,
-    fuller_c: float = 1.0,
-    design: PartialledDesign | None = None,
-    want_cr: bool = True,
+def _wrec_null(
+    dataset: ClusteredDataset, design: PartialledDesign, fit: KClassFit,
+    first_stage: EfficientFirstStage, hypothesis: Hypothesis, sign_set: SignSet, method: str,
+    fuller_c: float, want_cr: bool,
 ) -> WrecRun:
-    """One full WREC pass computing the plain and CCE-studentized statistics.
-
-    Each sample statistic is the draw at g = iota, appended to the sign rows
-    and computed with them. A singular iota draw is a NumericalError.
-    """
-    sign_set, design = prepare_test(dataset, sign_set, design)
-    fit = fit_method(dataset, design, method, fuller_c)
+    """The WREC pass at one null, from the k-class fit and the efficient
+    first stage, neither of which depends on it. Each sample statistic is
+    the draw at g = iota, appended to the sign rows and computed with them.
+    A singular iota draw is a NumericalError."""
     fit = restricted_kclass_fit(dataset, design, fit, hypothesis)
-    first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
     eng = _MomentEngine(dataset, design, first_stage, fit, method, fuller_c)
     signs = np.vstack([sign_set.vectors, np.ones((1, dataset.q))])
     stats, stats_cr, checks = eng.distributions(signs, hypothesis, want_cr)
     raise_singular(checks, row=-1)
     singular = ~np.logical_and.reduce(list(checks.values()))[:-1]
     return WrecRun(
-        fit=fit,
         statistic=float(stats[-1]),
         statistic_cr=None if stats_cr is None else float(stats_cr[-1]),
         boot_stats=stats[:-1],
         boot_stats_cr=None if stats_cr is None else stats_cr[:-1],
-        sign_set=sign_set,
         n_singular=int(singular.sum()),
     )
 
 
+def wrec_run(
+    dataset: ClusteredDataset, hypothesis: Hypothesis, method: str = "tsls",
+    sign_set: SignSet | None = None, fuller_c: float = 1.0,
+    design: PartialledDesign | None = None, want_cr: bool = True,
+) -> WrecRun:
+    """One full WREC pass computing the plain and CCE-studentized statistics:
+    :func:`wald_tests` at one null."""
+    sign_set, design = prepare_test(dataset, sign_set, design)
+    fit = fit_method(dataset, design, method, fuller_c)
+    first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
+    return _wrec_null(dataset, design, fit, first_stage, hypothesis, sign_set, method, fuller_c,
+                      want_cr)
+
+
 def wald_tests(
-    dataset: ClusteredDataset, design: PartialledDesign, hypothesis: Hypothesis, names,
-    sign_set: SignSet, alpha: float, method: str, fuller_c: float,
-) -> dict:
-    """The wald and wald-cr tests among ``names`` from one WREC pass, which
-    computes the CCE side only when wald-cr is asked for."""
+    dataset: ClusteredDataset, design: PartialledDesign, block: list, names, sign_sets: list,
+    alpha: float, method: str, fuller_c: float,
+) -> list[dict]:
+    """The wald and wald-cr tests among ``names`` at each hypothesis of
+    ``block``, one dict per null, with ``sign_sets`` holding each null's
+    sign set. The k-class fit and the efficient first stage are computed
+    once for the block, then each null gets its own WREC pass, with the CCE
+    side only when wald-cr is asked for. A null's failure maps both tests to
+    the NumericalError or InputError raised: wald-cr with q <= d_r before
+    any fit, then a failed fit or first stage, then the null's own pass.
+    """
     want_cr = "wald-cr" in names
-    if want_cr and dataset.q <= hypothesis.d_r:
-        raise InputError("studentized Wald needs more clusters than restrictions (q > d_r)")
-    run = wrec_run(dataset, hypothesis, method, sign_set, fuller_c, design, want_cr=want_cr)
-    draws = {
-        "wald": (run.statistic, run.boot_stats),
-        "wald-cr": (run.statistic_cr, run.boot_stats_cr),
-    }
-    return {
-        name: finish_test(
-            name, *draws[name], sign_set, alpha, estimator=method, n_singular=run.n_singular
-        )
-        for name in names
-    }
+    few = InputError("studentized Wald needs more clusters than restrictions (q > d_r)")
+    failed = [few if want_cr and dataset.q <= hyp.d_r else None for hyp in block]
+    try:
+        if None in failed:
+            fit = fit_method(dataset, design, method, fuller_c)
+            first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
+    except (NumericalError, InputError) as exc:
+        failed = [failure or exc for failure in failed]
+    out = []
+    for hyp, sign_set, failure in zip(block, sign_sets, failed):
+        try:
+            if failure is None:
+                run = _wrec_null(dataset, design, fit, first_stage, hyp, sign_set, method,
+                                 fuller_c, want_cr)
+                draws = {"wald": (run.statistic, run.boot_stats),
+                         "wald-cr": (run.statistic_cr, run.boot_stats_cr)}
+                out.append({name: finish_test(name, *draws[name], sign_set, alpha,
+                                              estimator=method, n_singular=run.n_singular)
+                            for name in names})
+                continue
+        except (NumericalError, InputError) as exc:
+            failure = exc
+        out.append(dict.fromkeys(names, failure))
+    return out

@@ -133,21 +133,25 @@ def cqlr_statistic(ar_cr_sq, lm, rk):
 
 
 def full_vector_tests(
-    dataset: ClusteredDataset, design: PartialledDesign, beta_0: np.ndarray, names,
-    sign_sets: list, alpha: float, lam: np.ndarray,
+    dataset: ClusteredDataset, design: PartialledDesign, block: list, names, sign_sets: list,
+    alpha: float,
 ) -> list[dict]:
-    """The full-vector tests among ``names`` at each null of the block
-    ``beta_0`` (P, d_x), one dict per null. ``sign_sets`` holds each null's
-    sign set, all of one size, and ``lam`` (P,) its score-wald lambda.
+    """The full-vector tests among ``names`` at each hypothesis of ``block``
+    (the null beta_0 = lambda_0), one dict per null; ``sign_sets`` holds each
+    null's sign set, all of one size. score-wald (d_x = 1) reads lambda
+    beta = lambda_0 as beta_0 = lambda_0 / lambda, is decided as ar on the
+    unscaled norms, then scaled by |lambda / Q_ZX|.
 
-    ar-cr maps to an InputError unless q > d_z, score-wald (restriction
-    lam beta = lam beta_0) to one when Q_ZX = 0, and the CCE-weighted AR
-    tests to a NumericalError at a null whose null-imposed CCE is singular.
-    A score-side failure fails lm and cqlr only. score-wald is decided as ar
-    on the unscaled norms, then scaled by |lam / Q_ZX|. ar-cr-asymptotic
-    alone reads only the g = iota row.
+    ar-cr maps to an InputError unless q > d_z, score-wald to one when
+    Q_ZX = 0, and the CCE-weighted AR tests to a NumericalError at a null
+    whose null-imposed CCE is singular. A score-side failure fails lm and
+    cqlr only. ar-cr-asymptotic alone reads only the g = iota row.
     """
-    n, q, d_z, P = dataset.n, dataset.q, dataset.d_z, beta_0.shape[0]
+    n, q, d_z, P = dataset.n, dataset.q, dataset.d_z, len(block)
+    beta_0 = np.array([hyp.lambda_0 for hyp in block])
+    if "score-wald" in names:
+        lam = np.array([hyp.lambda_beta[0, 0] for hyp in block])
+        beta_0 = beta_0 / lam[:, None]
     pieces, s, a_cr, cr_ok = null_scores(design, restricted_ols_fit(dataset, beta_0))
     shared = all(signs is sign_sets[0] for signs in sign_sets)
     width = 0 if set(names) == {"ar-cr-asymptotic"} else None

@@ -77,6 +77,7 @@ class TestInversion:
 
     @pytest.mark.parametrize("test, q", [
         ("ar", 6), ("ar-cr", 6), ("lm", 6), ("cqlr", 6), ("score-wald", 6), ("ar", 13),
+        ("wald", 6), ("wald-cr", 6), ("wald", 13),
     ])
     def test_block_size_and_workers_do_not_change_the_set(self, monkeypatch, test, q):
         # the grid runs in blocks of nulls; each point's decision is that of
@@ -85,9 +86,8 @@ class TestInversion:
         ds = random_dataset(28, q=q, n_per=6)
         kw = dict(grid_lo=-1.0, grid_hi=2.0, step=0.125, alpha=0.1, B=19, seed=3)
         want = invert_confidence_set(ds, test, **kw)
-        # keyed by the grid index as invert_confidence_set holds it, an np.int64
-        signs = [make_sign_set(q, "auto", B=19, seed=(3, "cs", i))
-                 for i in np.arange(want.grid.size)]
+        # keyed by the grid index as a Python int
+        signs = [make_sign_set(q, "auto", B=19, seed=(3, "cs", i)) for i in range(want.grid.size)]
         alone = [
             not run_test(ds, test, Hypothesis.full_vector([b]), sign_set=s, alpha=0.1).reject
             for b, s in zip(want.grid, signs)

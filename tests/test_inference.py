@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,17 @@ class TestCriticalValue:
             if Fraction(int(np.count_nonzero(stats <= x)), stats.size) >= 1 - Fraction(alpha)
         ]
         assert cv == candidates[0]
+
+    def test_k_is_the_exact_ceiling_next_to_every_boundary(self):
+        # the @example above swept: alpha at and one ulp either side of every
+        # j / m (m = 6, j = 2 gives 0.3333333333333333), against the ceiling
+        # of m (1 - alpha) in exact rational arithmetic
+        for m in range(2, 120):
+            stats = np.arange(m, dtype=float)  # the k-th smallest is k - 1
+            for j in range(1, m):
+                for alpha in (np.nextafter(j / m, 0.0), j / m, np.nextafter(j / m, 1.0)):
+                    k = math.ceil(m * (1 - Fraction(float(alpha))))
+                    assert critical_value(stats, alpha) == k - 1, (m, alpha)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(InputError):

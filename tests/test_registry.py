@@ -143,12 +143,23 @@ def test_score_tests_at_an_exact_null_fit_give_zero():
 
 
 def test_shared_pass_failure_fails_the_whole_family():
-    # 8 rows cannot fit the 4 * 2 + 1 + 1 columns of the WREC first stage
+    # 8 rows cannot fit the 4 * 2 + 1 + 1 columns of the WREC first stage,
+    # which every null of a block shares
     ds = random_dataset(6, q=4, n_per=2, d_z=2, d_w=1)
-    out = run_tests(ds, ["wald", "wald-cr", "ar"], Hypothesis.wald(np.ones((1, 1)), [0.0]))
-    assert isinstance(out["wald"], InputError)
-    assert out["wald-cr"] is out["wald"]
-    assert out["ar"].test == "ar"
+    block = [Hypothesis.wald(np.ones((1, 1)), [b]) for b in (-0.5, 0.0, 0.5)]
+    results = run_tests(ds, ["wald", "wald-cr", "ar"], block)
+    for out in results:
+        assert isinstance(out["wald"], InputError)
+        assert str(out["wald"]).startswith("first stage needs n >= q*d_z + d_w + 1")
+        assert out["wald-cr"] is out["wald"]
+        assert out["ar"].test == "ar"
+    # wald-cr with q <= d_r fails its null before any fit; a null with fewer
+    # restrictions in the same block gets the first-stage error
+    ds = random_dataset(3, q=2, n_per=3, d_x=2, d_z=2)
+    block = [Hypothesis.full_vector([0.1, 0.2]), Hypothesis.wald([[1.0], [0.5]], [0.3])]
+    few, fit = (out["wald"] for out in run_tests(ds, ["wald", "wald-cr"], block))
+    assert str(few) == "studentized Wald needs more clusters than restrictions (q > d_r)"
+    assert str(fit).startswith("first stage needs n >= q*d_z + d_w + 1")
 
 
 @pytest.mark.parametrize("call", [
@@ -341,16 +352,30 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
     before = (len(fits), len(stacks) + len(stacks_ar))
     run_tests(ds1, names, [Hypothesis.full_vector([b]) for b in (0.1, B0, 0.5)], sign_set=signs)
     assert (len(fits), len(stacks) + len(stacks_ar)) == (before[0] + 1, before[1] + 1)
+    # the wald counterpart: the k-class fit and the efficient first stage do
+    # not depend on the null, so one of each per run_tests call, whatever
+    # the block size, and one restricted fit per null
+    import wbiv.wald
+
+    kclass = _counting(monkeypatch, wbiv.wald, "fit_method")
+    stages = _counting(monkeypatch, wbiv.wald, "efficient_first_stage")
+    restricted = _counting(monkeypatch, wbiv.wald, "restricted_kclass_fit")
+    for calls, size in enumerate((1, 3, 40), start=1):
+        block = [Hypothesis.full_vector([b]) for b in np.linspace(-1.0, 1.0, size)]
+        out = run_tests(ds, ["wald", "wald-cr"], block, estimator="liml", sign_set=signs)
+        assert not any(isinstance(res, Exception) for null in out for res in null.values())
+        assert (len(kclass), len(stages)) == (calls, calls)
+    assert len(restricted) == 1 + 3 + 40
 
 
 @pytest.mark.parametrize("d_z", [1, 2, 3])
 @pytest.mark.parametrize("q, mode", [(7, "exhaustive"), (13, "sampled")])
 def test_each_null_of_a_block_gets_its_own_bits(d_z, q, mode):
-    # a block of nulls in one pass gives every null bitwise what run_test
-    # gives at that null alone; sampled signs are one set per null, as a
-    # fresh-mode confidence set passes them
+    # a block of nulls in one call per family gives every null bitwise what
+    # run_test gives at that null alone; sampled signs are one set per null,
+    # as a fresh-mode confidence set passes them
     ds = random_dataset(d_z, q=q, n_per=8, d_z=d_z, pi_scale=0.5)
-    names = ["ar", "ar-cr", "lm", "cqlr"] + (["score-wald"] if d_z == 1 else [])
+    names = ["ar", "ar-cr", "lm", "cqlr", "wald", "wald-cr"] + (["score-wald"] if d_z == 1 else [])
     block = [Hypothesis.full_vector([b]) for b in (-0.9, B0, 0.31, 1.7)]
     if mode == "exhaustive":
         signs = make_sign_set(q, "exhaustive")
@@ -358,15 +383,18 @@ def test_each_null_of_a_block_gets_its_own_bits(d_z, q, mode):
     else:
         signs = per_null = [make_sign_set(q, "sampled", B=29, seed=(5, "cs", i)) for i in range(4)]
     design = partial_out_exogenous(ds)
-    results = run_tests(ds, names, block, sign_set=signs, design=design)
-    for hyp, own, got in zip(block, per_null, results):
-        for name in names:
-            want = run_test(ds, name, hyp, sign_set=own, design=design)
-            assert (got[name].statistic, got[name].critical_value, got[name].pvalue,
-                    got[name].reject) == (want.statistic, want.critical_value, want.pvalue,
-                                          want.reject), (name, hyp.lambda_0)
-            assert np.array_equal(got[name].boot_stats, want.boot_stats), (name, hyp.lambda_0)
-            assert got[name].sign_set is own
+    for estimator in ("tsls", "liml"):  # the wald family's fit
+        results = run_tests(ds, names, block, estimator=estimator, sign_set=signs, design=design)
+        for hyp, own, got in zip(block, per_null, results):
+            for name in names:
+                want = run_test(ds, name, hyp, estimator=estimator, sign_set=own, design=design)
+                what = (estimator, name, hyp.lambda_0)
+                assert (got[name].statistic, got[name].critical_value, got[name].pvalue,
+                        got[name].reject, got[name].n_singular) == (
+                    want.statistic, want.critical_value, want.pvalue, want.reject,
+                    want.n_singular), what
+                assert np.array_equal(got[name].boot_stats, want.boot_stats), what
+                assert got[name].sign_set is own
 
 
 def test_a_block_takes_one_sign_set_per_null():
