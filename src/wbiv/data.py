@@ -91,15 +91,8 @@ class ClusteredDataset:
 
     def replace_outcome_regressors(self, y: np.ndarray, X: np.ndarray) -> "ClusteredDataset":
         """Same clustering and (Z, W), new outcome and endogenous block."""
-        return ClusteredDataset(
-            y=_freeze(np.asarray(y, dtype=np.float64).reshape(-1)),
-            X=_freeze(_as_matrix(X, "X")),
-            Z=self.Z,
-            W=self.W,
-            cluster_id=self.cluster_id,
-            cluster_labels=self.cluster_labels,
-            cluster_starts=self.cluster_starts,
-        )
+        return replace(self, y=_freeze(np.asarray(y, dtype=np.float64).reshape(-1)),
+                       X=_freeze(_as_matrix(X, "X")))
 
     def append_exogenous(self, columns: np.ndarray) -> "ClusteredDataset":
         """Same data with ``columns``, rows in this dataset's order, appended to W."""
@@ -234,6 +227,8 @@ def nonsingular(a: np.ndarray) -> np.ndarray:
     cost of an SVD on the small items the bootstrap draws stack.
     """
     ok = np.isfinite(a).all(axis=(-2, -1))
+    if a.shape[-1] == 1:  # s_min = s_max = |a|: finite and non-zero decides
+        return ok & (a[..., 0, 0] != 0.0)
     s = np.abs(np.linalg.eigvalsh(np.where(ok[..., None, None], a, 0.0)))
     s_min, s_max = s.min(axis=-1), s.max(axis=-1)
     return ok & (s_max > 0.0) & (s_min >= SINGULAR_RCOND * s_max)
@@ -291,6 +286,30 @@ def _orthonormal_basis(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray
     return u, s, vt
 
 
+def exogenous_basis(dataset: ClusteredDataset) -> tuple[np.ndarray, np.ndarray, int]:
+    """(U_W, inv(U_W'W), k): an orthonormal basis of span(W), the map from U_W'u
+    to W-coefficients, and the number k of leading columns D_j / sqrt(n_j), D
+    the cluster dummies. If all but q columns of W vary within a cluster, the
+    other q span D, and U_W = [D_j / sqrt(n_j) : U_rest] costs O(n d_w), U_rest
+    from the varying columns demeaned within clusters (k = q); else an SVD of W
+    gives U_W (k = 0). U_W'W has W's singular values: the same RCOND_MIN rule."""
+    W, q, d_w = dataset.W, dataset.q, dataset.d_w
+    starts, sizes = dataset.cluster_starts, dataset.cluster_sizes
+    varies = (W != np.repeat(W[starts[:-1]], sizes, axis=0)).any(axis=0)
+    if q + varies.sum() != d_w:
+        u, s, vt = _orthonormal_basis(W, "exogenous regressors")
+        return u, vt.T / s, 0
+    means = np.add.reduceat(W, starts[:-1], axis=0) / sizes[:, None]
+    w_rest = W[:, varies] - np.repeat(means[:, varies], sizes, axis=0)
+    rest = np.linalg.svd(w_rest, full_matrices=False)[0]
+    root = np.sqrt(sizes)[:, None]
+    uw_w = np.vstack([root * means, np.zeros((d_w - q, d_w))])  # [D_j / sqrt(n_j) : U_rest]'W
+    uw_w[q:, varies] = rest.T @ w_rest
+    a, s, vt = _orthonormal_basis(uw_w, "exogenous regressors")
+    u_w = np.column_stack([np.repeat(np.eye(q) / root.T, sizes, axis=0), rest])
+    return u_w, (vt.T / s) @ a.T, q
+
+
 def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
     """Residualize Z on W over the full sample and assemble all moments.
 
@@ -298,13 +317,14 @@ def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
     than (W'W)^{-1}, which keeps cluster-dummy-heavy W well conditioned.
     """
     W, Z, X = dataset.W, dataset.Z, dataset.X
-    n = dataset.n
+    n, starts, sizes = dataset.n, dataset.cluster_starts, dataset.cluster_sizes
 
-    u_w, s_w, vt_w = _orthonormal_basis(W, "exogenous regressors")
-    z_tilde = Z - u_w @ (u_w.T @ Z)
+    u_w, w_coef_map, k = exogenous_basis(dataset)
+    if k:  # Frisch-Waugh-Lovell: demean within clusters, then project off U_rest
+        Z = Z - np.repeat(np.add.reduceat(Z, starts[:-1], axis=0) / sizes[:, None], sizes, axis=0)
+    z_tilde = Z - u_w[:, k:] @ (u_w[:, k:].T @ Z)
     u_zt, _, _ = _orthonormal_basis(z_tilde, "instruments after partialling")
 
-    starts, sizes = dataset.cluster_starts, dataset.cluster_sizes
     return PartialledDesign(
         Z_tilde=_freeze(z_tilde),
         Q_ZX_j=_freeze(cluster_cross(z_tilde, X, starts) / sizes[:, None, None]),
@@ -315,7 +335,7 @@ def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
         cluster_starts=starts,
         basis_W=_freeze(u_w),
         basis_Zt=_freeze(u_zt),
-        w_coef_map=_freeze(vt_w.T / s_w),
+        w_coef_map=_freeze(w_coef_map),
     )
 
 

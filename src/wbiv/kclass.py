@@ -27,11 +27,12 @@ from .data import (
     Hypothesis,
     PartialledDesign,
     check_finite,
+    exogenous_basis,
     nonsingular,
     raise_singular,
     stack_solve,
 )
-from .exceptions import InputError, NumericalError
+from .exceptions import InputError
 
 METHODS = ("tsls", "liml", "full", "ba")
 
@@ -265,16 +266,17 @@ def restricted_kclass_fit(
     return replace(fit, beta_hat_r=beta_r, gamma_hat_r=gamma_r, resid_restricted=resid_r)
 
 
-def restricted_ols_fit(dataset: ClusteredDataset, beta_0) -> RestrictedOlsFit:
+def restricted_ols_fit(dataset: ClusteredDataset, beta_0, design=None) -> RestrictedOlsFit:
     """OLS of [y : X] on W, for the null ``beta_0`` (d_x,) or a block of nulls
-    (P, d_x); the residuals are W-orthogonal by construction."""
+    (P, d_x), through the basis of span(W) that the PartialledDesign ``design``
+    holds, or else :func:`data.exogenous_basis`; the residuals are W-orthogonal."""
     b0 = np.atleast_1d(np.asarray(beta_0, dtype=np.float64))
     if b0.ndim > 2 or b0.shape[-1] != dataset.d_x:
         raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
     check_finite(beta_0=b0)
+    u_w, coef_map = (design.basis_W, design.w_coef_map) if design else exogenous_basis(dataset)[:2]
     yx = np.column_stack([dataset.y, dataset.X])
-    coef, _, rank, _ = np.linalg.lstsq(dataset.W, yx, rcond=None)
-    if rank < dataset.d_w:
-        raise NumericalError("singular W'W (collinear exogenous regressors)")
-    e = yx - dataset.W @ coef
+    coords = u_w.T @ yx
+    e = yx - u_w @ coords
+    coef = coef_map @ coords
     return RestrictedOlsFit(b0, coef[:, 0] - b0 @ coef[:, 1:].T, e_y=e[:, 0], e_X=e[:, 1:])

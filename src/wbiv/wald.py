@@ -81,25 +81,29 @@ def efficient_first_stage(
 
     The residual regressor must be the unrestricted one; swapping in the
     null-restricted residual breaks the power properties of the test. It is
-    therefore the same at every null of a block.
+    therefore the same at every null of a block. Zbar is block-diagonal, so
+    [Zbar : W : e : X] = blockdiag(Q_j) R, with R stacking the QR factors of
+    each cluster's [Z_tilde_j : W_j : e_j : X_j]. ``lstsq`` on the small R
+    gives the coefficients, singular values and rank rule of the n-row fit.
     """
     n, q, d_z, d_w = dataset.n, dataset.q, dataset.d_z, dataset.d_w
-    cols = q * d_z + d_w + 1
+    qz, cols = q * d_z, q * d_z + d_w + 1
     if n < cols:
         raise InputError(f"first stage needs n >= q*d_z + d_w + 1 = {cols} rows, have {n}")
-    zbar = np.zeros((n, q * d_z))
-    for j in range(q):
-        sl = dataset.cluster_slice(j)
-        zbar[sl, j * d_z : (j + 1) * d_z] = design.Z_tilde[sl]
-    regs = np.column_stack([zbar, dataset.W, resid_unrestricted])
-    coef, _, rank, _ = np.linalg.lstsq(regs, dataset.X, rcond=None)
+    zt, starts = design.Z_tilde, design.cluster_starts
+    blocks = np.column_stack([zt, dataset.W, resid_unrestricted, dataset.X])
+    r_j = [np.linalg.qr(blocks[a:b], mode="r") for a, b in zip(starts[:-1], starts[1:])]
+    r = np.vstack(r_j)
+    r_z = np.zeros((len(r), q, d_z))  # each R_j's Z_tilde columns in Zbar's block j
+    r_z[np.arange(len(r)), np.repeat(np.arange(q), [len(rj) for rj in r_j])] = r[:, :d_z]
+    r = np.column_stack([r_z.reshape(len(r), qz), r[:, d_z:]])
+    coef, _, rank, _ = np.linalg.lstsq(r[:, :cols], r[:, cols:], rcond=n * np.finfo(float).eps)
     if rank < cols:
         raise NumericalError("rank-deficient first-stage regressor matrix")
-    pi_zbar = coef[: q * d_z]
-    pi_w = coef[q * d_z : q * d_z + d_w]
-    pi_eps = coef[q * d_z + d_w]
-    fitted = zbar @ pi_zbar + dataset.W @ pi_w
-    return EfficientFirstStage(pi_zbar=pi_zbar, pi_w=pi_w, pi_eps=np.atleast_1d(pi_eps),
+    pi_zbar, pi_w = coef[:qz], coef[qz : qz + d_w]
+    pi_by_row = np.repeat(pi_zbar.reshape(q, d_z, -1), design.cluster_sizes, axis=0)
+    fitted = np.einsum("nz,nzx->nx", zt, pi_by_row) + dataset.W @ pi_w
+    return EfficientFirstStage(pi_zbar=pi_zbar, pi_w=pi_w, pi_eps=coef[qz + d_w],
                                v_tilde=dataset.X - fitted, fitted=fitted)
 
 

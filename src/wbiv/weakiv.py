@@ -152,7 +152,7 @@ def full_vector_tests(
     if "score-wald" in names:
         lam = np.array([hyp.lambda_beta[0, 0] for hyp in block])
         beta_0 = beta_0 / lam[:, None]
-    pieces, s, a_cr, cr_ok = null_scores(design, restricted_ols_fit(dataset, beta_0))
+    pieces, s, a_cr, cr_ok = null_scores(design, restricted_ols_fit(dataset, beta_0, design))
     shared = all(signs is sign_sets[0] for signs in sign_sets)
     width = 0 if set(names) == {"ar-cr-asymptotic"} else None
     signs = np.array([ss.vectors[:width] for ss in (sign_sets[:1] if shared else sign_sets)])
