@@ -95,8 +95,11 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
     for test in ("ar", "wald-cr", "lm", "score-wald", "ar-cr", "cqlr"):
         method = ["--method", "liml"] if test == "wald-cr" else []  # only wald/wald-cr take one
         out.append((f"cs {test}", ["cs", dz1, "--test", test] + method + grid))
-    argv = ["cs", str(csv["q14"]), "--test", "ar", "-B", "199", "--sign-mode", "fresh"]
-    out.append(("cs ar q14 fresh", argv + grid))
+    for test in ("lm", "cqlr"):  # d_z = 3, where the Jacobian pieces are matrices
+        out.append((f"cs {test} dz3", ["cs", dz3, "--test", test] + grid))
+    for test in ("ar", "lm"):  # one sampled sign set per grid point
+        argv = ["cs", str(csv["q14"]), "--test", test, "-B", "199", "--sign-mode", "fresh"]
+        out.append((f"cs {test} q14 fresh", argv + grid))
     out.append(("test ar --beta0 nan", ["test", dz1, "--test", "ar", "--beta0", "nan"]))
     out.append(("cs ar --step nan", ["cs", dz1, "--test", "ar", "--step", "nan"]))
     out.append(("cs ar --grid-lo -inf", ["cs", dz1, "--test", "ar", "--grid-lo", "-inf"]))

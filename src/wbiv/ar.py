@@ -66,9 +66,12 @@ def signed_means(score_sums: np.ndarray, signs: np.ndarray, n: int) -> np.ndarra
 def at_nulls(pieces: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """x_0 - sum_k x_k b_k at each null b, a row of ``beta`` (P, d_x), of an
     affine function of b held as its pieces (..., 1 + d_x) over two data
-    axes, with or without a leading null axis: shape (P, ., .)."""
-    terms = (pieces[..., k + 1] * beta[:, None, None, k] for k in range(beta.shape[1]))
-    return pieces[..., 0] - sum(terms)
+    axes, with or without a leading null axis: shape (P, ., .). The sum
+    accumulates in place, into the one array of that shape it returns."""
+    out = pieces[..., 1] * beta[:, None, None, 0]
+    for k in range(1, beta.shape[1]):
+        out += pieces[..., k + 1] * beta[:, None, None, k]
+    return np.subtract(pieces[..., 0], out, out=out)
 
 
 def null_scores(design: PartialledDesign, restricted_ols: RestrictedOlsFit):

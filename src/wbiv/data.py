@@ -239,11 +239,14 @@ def nonsingular(a: np.ndarray) -> np.ndarray:
 # share its stack, nor on the other nulls of a stack with a leading null
 # axis. Every reduction over a draw row is therefore either a two-operand
 # np.einsum at numpy's default optimize=False (a row gave the same bits
-# alone and in stacks of up to 4096 rows and 40 nulls in every probe) or a
+# alone and in stacks of up to 4096 rows and 40 nulls in every probe), a
 # product taken item by item, as ``@`` on 3-D stacks and :func:`stack_solve`
-# are. It is never a BLAS product across the draw or null axis, and never
-# an einsum of three or more operands: at d = 2, "mz,zv,mv->m" gave a 1-row
-# stack other bits than the same row of a longer stack in a fifth of cases.
+# are, or a Python sum over a small axis (d_z or d_x) of elementwise
+# products taken in a fixed order, each element rounded on its own (as
+# weakiv._lm_rows forms A f*, A D* and D*'A D*). It is never a BLAS product
+# across the draw or null axis, and never an einsum of three or more
+# operands: at d = 2, "mz,zv,mv->m" gave a 1-row stack other bits than the
+# same row of a longer stack in a fifth of cases.
 
 
 def stack_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

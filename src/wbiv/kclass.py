@@ -18,7 +18,7 @@ per sign vector through the same code.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class KClassFit:
     beta_hat_r: np.ndarray | None = None
     gamma_hat_r: np.ndarray | None = None
     resid_restricted: np.ndarray | None = None
+    # (dataset, design, p, mw): the sample's kclass_forms the fit was solved
+    # from, and the dataset and design they were formed from
+    sample_forms: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,14 @@ def kclass_beta(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
     return stack_solve(*_kclass_system(kappa, p, mw))
 
 
-def _sample_forms(dataset: ClusteredDataset, design: PartialledDesign, with_w: bool):
-    """:func:`kclass_forms` of the sample, a stack of one."""
+def _sample_forms(dataset: ClusteredDataset, design: PartialledDesign, with_w: bool,
+                  fit: KClassFit | None = None):
+    """:func:`kclass_forms` of the sample, a stack of one: those ``fit`` was
+    solved from when they came from this dataset and design, else new ones.
+    Without ``with_w`` the M_W form is None."""
+    held = fit.sample_forms if fit is not None else None
+    if held and held[0] is dataset and held[1] is design and (held[3] is not None or not with_w):
+        return held[2], held[3] if with_w else None
     yx = np.column_stack([dataset.X, dataset.y])
     ut = (design.basis_Zt.T @ yx)[None]
     if not with_w:
@@ -189,11 +198,13 @@ def kappa_value(
     dataset: ClusteredDataset,
     design: PartialledDesign,
     fuller_c: float = 1.0,
+    forms: tuple | None = None,
 ) -> float:
-    """kappa for the requested estimator (see :func:`kclass_kappa`)."""
+    """kappa for the requested estimator (see :func:`kclass_kappa`), from
+    the sample's :func:`kclass_forms` ``forms`` (p, mw) when given."""
     if method not in METHODS:
         raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
-    p, mw = _sample_forms(dataset, design, method in ("liml", "full"))
+    p, mw = forms or _sample_forms(dataset, design, method in ("liml", "full"))
     kappa, ok, clamped = kclass_kappa(
         method, p, mw, dataset.n, dataset.d_z, dataset.d_w, fuller_c
     )
@@ -207,12 +218,14 @@ def kclass_fit(
     design: PartialledDesign,
     kappa: float,
     method: str = "custom",
+    forms: tuple | None = None,
 ) -> KClassFit:
-    """Fit the k-class estimator with an explicit kappa."""
+    """Fit the k-class estimator with an explicit kappa, from the sample's
+    :func:`kclass_forms` ``forms`` (p, mw) when given."""
     y, X = dataset.y, dataset.X
     mu = kappa - 1.0
-    p, mw = _sample_forms(dataset, design, mu != 0.0)
-    beta, ok = kclass_beta(np.array([kappa]), p, mw)
+    p, mw = forms or _sample_forms(dataset, design, mu != 0.0)
+    beta, ok = kclass_beta(np.array([kappa]), p, mw if mu != 0.0 else None)
     raise_singular({KCLASS_SYSTEM: ok})
     beta = beta[0]
     gamma = design.proj_w_coef(y - X @ beta)
@@ -224,6 +237,7 @@ def kclass_fit(
         beta_hat=beta,
         gamma_hat=gamma,
         resid_unrestricted=resid,
+        sample_forms=(dataset, design, p, mw),
     )
 
 
@@ -233,8 +247,11 @@ def fit_method(
     method: str,
     fuller_c: float = 1.0,
 ) -> KClassFit:
-    """Convenience wrapper: compute kappa for ``method`` and fit."""
-    return kclass_fit(dataset, design, kappa_value(method, dataset, design, fuller_c), method)
+    """Convenience wrapper: compute kappa for ``method`` and fit, both from
+    one set of sample forms."""
+    forms = _sample_forms(dataset, design, method != "tsls")
+    return kclass_fit(dataset, design, kappa_value(method, dataset, design, fuller_c, forms),
+                      method, forms)
 
 
 def restricted_kclass_fit(
@@ -248,11 +265,13 @@ def restricted_kclass_fit(
     beta_r projects the unrestricted estimate onto the restriction set using
     the metric X'P_Zt X - mu X'M_[Z:W] X, after which gamma_r re-solves the
     exogenous block and the restricted residual is recomputed from scratch.
+    The metric reads the sample forms the fit was solved from when the fit
+    belongs to this dataset and design.
     """
     lam = hypothesis.lambda_beta
     lam0 = hypothesis.lambda_0
     y, X, W = dataset.y, dataset.X, dataset.W
-    p, mw = _sample_forms(dataset, design, fit.mu != 0.0)
+    p, mw = _sample_forms(dataset, design, fit.mu != 0.0, fit)
     mmat, _ = _kclass_system(np.array([fit.kappa]), p, mw)
     k, ok = stack_solve(mmat, lam[None])
     raise_singular({KCLASS_SYSTEM: ok})

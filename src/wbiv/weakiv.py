@@ -2,17 +2,23 @@
 statistics it runs beside the AR tests.
 
 :func:`full_vector_tests` runs a block of nulls from one restricted fit and
-one stack of signed score means f*(g, b) over the nulls and the sign rows,
-g = iota last. Every statistic reads it: the AR norms under I and the
-inverse null-imposed CCE, and the orthogonalized Jacobian D*(g), LM and
-CQLR. Each test's statistic, and D_hat and rk, are read from the last row.
+one stack of signed means over the nulls and the sign rows, g = iota last.
+Every statistic reads it: the AR norms under I and the inverse null-imposed
+CCE read the signed score means f*(g, b), and LM and CQLR also read the
+Jacobian correction Gamma*(g, b). Each test's statistic, and D_hat and rk,
+are read from the last row.
 
 LM and CQLR orthogonalize the Jacobian against the null-imposed scores
 before projecting, so they stay usable under weak identification. Their
-draws hold G_hat, Omega_hat^{-1} and rk at their sample values and solve
-all Gram matrices D*'A D* in one :func:`data.stack_solve`. Every sum over a
-draw row follows the draw-stack rule of :mod:`data`, so :func:`lm_statistic`
-(g = iota alone) gives the pass's last row bit for bit.
+draws hold G_hat, Omega_hat^{-1} and rk at their sample values. Like
+f*(g, b), Gamma*(g, b) = sum_j g_j [Zt X']_j s_j(b)' / n is affine in the
+null: Gamma_a(g) - Gamma_C(g) b, with pieces [Zt X']_j (x) [a_j : C_j]
+(:func:`_jacobian_bundle`) contracted with the sign rows in the same
+:func:`ar.signed_means` call as the score pieces, once per block. Each null
+then costs elementwise work only, and all Gram matrices D*'A D* are solved
+in one :func:`data.stack_solve`. Every sum over a draw row follows the
+draw-stack rule of :mod:`data`, so :func:`lm_statistic` (g = iota alone)
+gives the pass's last row bit for bit.
 """
 
 from __future__ import annotations
@@ -45,56 +51,78 @@ class JacobianBundle:
     leading null axis on omega_inv, score_sums, D_hat and rk.
 
     ``omega_inv`` is the inverse null-imposed CCE, the weighting A of every
-    draw's Gram matrix D*'A D* and of D*'A f*.
+    draw's Gram matrix D*'A D* and of D*'A f*. ``pieces`` stacks, per
+    cluster, the score pieces [a_j : C_j] (d_z rows) and then the Jacobian
+    pieces [Zt X']_j (x) [a_j : C_j] (d_z d_x d_z rows), each row affine in
+    the null with 1 + d_x coefficients: at each null b of ``beta_0`` their
+    signed means, ``at_nulls(signed_means(pieces, rows, n), beta_0)``, are
+    [f*(g, b) : Gamma*(g, b)].
     """
 
     G_hat: np.ndarray            # (d_z, d_x)
     omega_inv: np.ndarray        # (d_z, d_z)
     score_sums: np.ndarray       # (q, d_z)
-    jacobian_sums: np.ndarray    # (q, d_z, d_x) per-cluster sums of Zt X'
+    pieces: np.ndarray           # (q, d_z (1 + d_z d_x), 1 + d_x)
+    beta_0: np.ndarray           # (P, d_x) the nulls
     D_hat: np.ndarray | None = None   # (d_z, d_x)
     rk: float | np.ndarray | None = None
 
 
-def _jacobian_bundle(design: PartialledDesign, score_sums, omega_inv) -> JacobianBundle:
+def _jacobian_bundle(design: PartialledDesign, pieces, score_sums, omega_inv,
+                     beta_0) -> JacobianBundle:
+    """The bundle of the nulls ``beta_0`` (P, d_x) from the score pieces
+    a : C (q, d_z, 1 + d_x) of :func:`ar.null_scores`."""
     if design.q <= design.d_z:
         # q = d_z makes Gamma_hat Omega^{-1} f_hat = G_hat an identity, so
         # D_hat is rounding noise; below it Omega is singular
         raise NumericalError("rank-deficient orthogonalized Jacobian (q <= d_z)")
+    zx = design.Q_ZX_j * design.cluster_sizes[:, None, None]   # (q, d_z, d_x) [Zt X']_j
+    jacobian = zx[..., None, None] * pieces[:, None, None]      # (q, d_z, d_x, d_z, 1 + d_x)
     return JacobianBundle(
         G_hat=design.Q_ZX,
         omega_inv=omega_inv,
         score_sums=score_sums,
-        jacobian_sums=design.Q_ZX_j * design.cluster_sizes[:, None, None],
+        pieces=np.concatenate([pieces, jacobian.reshape(design.q, -1, pieces.shape[-1])], axis=1),
+        beta_0=beta_0,
     )
 
 
-def _lm_rows(bundle: JacobianBundle, rows: np.ndarray, f: np.ndarray, n: int):
-    """Per sign row g with mean scores f*(g): LM*(g) = n b'(D*'A D*)^{-1} b
-    with b = D*'A f*, the ok flags of the stacked solve, and the
-    orthogonalized Jacobian D*(g) = G - Gamma*(g) A f*(g), where
-    A = Omega^{-1} and Gamma*(g) = sum_j g_j [Zt X']_j s_j' / n. A draw
-    whose Gram matrix is singular reads 0.0. With a block bundle, ``rows``
-    and ``f`` take the leading null axis too."""
-    s = bundle.score_sums
-    cross = bundle.jacobian_sums[..., None] * s[..., :, None, None, :]   # (., q, d_z, d_x, d_z)
-    gamma = np.einsum("...mj,...jzxy->...mzxy", rows, cross) / n
-    a_f = np.einsum("...zy,...my->...mz", bundle.omega_inv, f)
-    d = bundle.G_hat - np.einsum("...mzxy,...my->...mzx", gamma, a_f)
-    a_d = np.einsum("...zy,...myx->...mzx", bundle.omega_inv, d)
-    gram = np.einsum("...mza,...mzb->...mab", d, a_d)
-    b = np.einsum("...mzx,...mz->...mx", d, a_f)
-    x, ok = stack_solve(gram, b)
-    return n * np.maximum(np.einsum("...k,...k->...", b, x), 0.0), ok, d
+def _lm_rows(bundle: JacobianBundle, means: np.ndarray, n: int):
+    """Per sign row g with signed means [f*(g) : Gamma*(g)] (``means``, of
+    the bundle's pieces at its nulls): LM*(g) = n c'(D*'A D*)^{-1} c with
+    c = D*'A f*, the ok flags of the stacked solve, and the orthogonalized
+    Jacobian D*(g) = G - Gamma*(g) A f*(g), where A = Omega^{-1} and
+    Gamma*(g) = sum_j g_j [Zt X']_j s_j' / n. A draw whose Gram matrix is
+    singular reads 0.0. With a block bundle, ``means`` takes the leading
+    null axis too.
+
+    Each entry of f*, Gamma*, A f*, D* and the Gram matrix is an array over
+    the nulls and draw rows, the rows innermost, and every product is a sum
+    over d_z or d_x of elementwise products, taken in order."""
+    d_z, d_x = bundle.G_hat.shape
+    r = range(d_z)
+    terms = np.ascontiguousarray(np.moveaxis(means, -1, 0))
+    f, gamma = terms[:d_z], terms[d_z:].reshape((d_z, d_x, d_z) + terms.shape[1:])
+    a = np.moveaxis(bundle.omega_inv, (-2, -1), (0, 1))[..., None]   # A[z, y] per null
+    a_f = sum(a[:, y] * f[y] for y in r)
+    g_hat = bundle.G_hat.reshape(bundle.G_hat.shape + (1,) * (means.ndim - 1))
+    d = g_hat - sum(gamma[:, :, y] * a_f[y] for y in r)               # D*[z, x]
+    a_d = sum(a[:, y, None] * d[y] for y in r)
+    gram = sum(d[z][:, None] * a_d[z] for z in r)                     # D*'A D*[x, x']
+    c = sum(d[z] * a_f[z] for z in r)
+    x, ok = stack_solve(np.moveaxis(gram, (0, 1), (-2, -1)), np.moveaxis(c, 0, -1))
+    lm = n * np.maximum(sum(c[k] * x[..., k] for k in range(d_x)), 0.0)
+    return lm, ok, np.moveaxis(d, (0, 1), (-2, -1))
 
 
-def _score_draws(bundle: JacobianBundle, rows: np.ndarray, f: np.ndarray, n: int, cce_ok=True):
-    """LM*(g) over ``rows``, whose last row is g = iota; the number of
-    singular draws other than iota; the bundle with D_hat and rk read from
-    the iota row; and the NumericalError that fails the score tests (a
-    singular iota row, or a singular null-imposed CCE, ``cce_ok`` False, with
-    a score not zero), or None: each per null for a block bundle."""
-    lm, ok, d = _lm_rows(bundle, rows, f, n)
+def _score_draws(bundle: JacobianBundle, means: np.ndarray, n: int, cce_ok=True):
+    """LM*(g) over the rows of ``means``, whose last row is g = iota; the
+    number of singular draws other than iota; the bundle with D_hat and rk
+    read from the iota row; and the NumericalError that fails the score
+    tests (a singular iota row, or a singular null-imposed CCE, ``cce_ok``
+    False, with a score not zero), or None: each per null for a block
+    bundle."""
+    lm, ok, d = _lm_rows(bundle, means, n)
     d_hat = d[..., -1, :, :]
     one_x = d_hat.shape[-1] == 1
     rk = ar_squares(np.swapaxes(d_hat, -1, -2), n, bundle.omega_inv)[..., 0] if one_x else None
@@ -111,10 +139,10 @@ def lm_statistic(
     standardized orthogonalized Jacobian: the draw at g = iota alone, at the
     fit's one null."""
     pieces, s, omega_inv, ok = null_scores(design, restricted_ols)
-    iota = np.ones((1, design.q))
-    f = at_nulls(signed_means(pieces, iota, design.n), np.atleast_2d(restricted_ols.beta_0))
-    bundle = _jacobian_bundle(design, s[0], omega_inv[0])
-    lm, _, bundle, failure = _score_draws(bundle, iota, f[0], design.n, ok[0])
+    beta_0 = np.atleast_2d(restricted_ols.beta_0)
+    bundle = _jacobian_bundle(design, pieces, s[0], omega_inv[0], beta_0)
+    means = at_nulls(signed_means(bundle.pieces, np.ones((1, design.q)), design.n), beta_0)
+    lm, _, bundle, failure = _score_draws(bundle, means[0], design.n, ok[0])
     if failure.item() is not None:
         raise failure.item()
     return float(lm[-1]), replace(bundle, rk=None if bundle.rk is None else float(bundle.rk))
@@ -157,13 +185,25 @@ def full_vector_tests(
     width = 0 if set(names) == {"ar-cr-asymptotic"} else None
     signs = np.array([ss.vectors[:width] for ss in (sign_sets[:1] if shared else sign_sets)])
     rows = np.concatenate([signs, np.ones((len(signs), 1, q))], axis=1)
-    f = at_nulls(signed_means(pieces, rows, n), beta_0)
+
+    failed, n_singular, bundle = {}, 0, None
+    if score := [name for name in names if name in SCORE]:
+        try:
+            if "cqlr" in score and dataset.d_x != 1:
+                raise InputError("cqlr is only defined for a single endogenous regressor here")
+            if q <= d_z:
+                raise InputError("score-projection bootstrap needs q > d_z")
+            bundle = _jacobian_bundle(design, pieces, s, a_cr, beta_0)
+        except (NumericalError, InputError) as exc:
+            failed.update(dict.fromkeys(score, [exc] * P))
+    # [f*(g, b) : Gamma*(g, b)], with the Jacobian correction only for lm and cqlr
+    means = at_nulls(signed_means(pieces if bundle is None else bundle.pieces, rows, n), beta_0)
+    f = means[..., :d_z]
     # squared AR norms under A_cr (True) or I (False), each formed once
     ar_sq = {cr: ar_squares(f, n, a_cr if cr else None)
              for cr in {name in CCE_WEIGHTED + ("cqlr",) for name in names if name != "lm"}}
     draws = {name: np.sqrt(ar_sq[name in CCE_WEIGHTED]) for name in names if name not in SCORE}
 
-    failed, n_singular = {}, 0
     if "ar-cr" in names and q <= d_z:
         exc = InputError("studentized AR needs more clusters than instruments (q > d_z)")
         failed["ar-cr"] = [exc] * P
@@ -172,20 +212,12 @@ def full_vector_tests(
     for name in set(CCE_WEIGHTED).intersection(names).difference(failed):
         failed[name] = np.where(cr_ok, None, NumericalError(
             "singular null-imposed CCE (q <= d_z or degenerate scores)"))
-    if score := [name for name in names if name in SCORE]:
-        try:
-            if "cqlr" in score and dataset.d_x != 1:
-                raise InputError("cqlr is only defined for a single endogenous regressor here")
-            if q <= d_z:
-                raise InputError("score-projection bootstrap needs q > d_z")
-            bundle = _jacobian_bundle(design, s, a_cr)
-            draws["lm"], n_singular, bundle, failure = _score_draws(bundle, rows, f, n, cr_ok)
-            failed.update(dict.fromkeys(score, failure))
-            if "cqlr" in score:
-                # at an exact null fit the identity stands in for A_cr
-                draws["cqlr"] = cqlr_statistic(ar_sq[True], draws["lm"], bundle.rk[:, None])
-        except (NumericalError, InputError) as exc:
-            failed.update(dict.fromkeys(score, [exc] * P))
+    if bundle is not None:
+        draws["lm"], n_singular, bundle, failure = _score_draws(bundle, means, n, cr_ok)
+        failed.update(dict.fromkeys(score, failure))
+        if "cqlr" in score:
+            # at an exact null fit the identity stands in for A_cr
+            draws["cqlr"] = cqlr_statistic(ar_sq[True], draws["lm"], bundle.rk[:, None])
 
     if "ar-cr-asymptotic" in names:
         chi2 = chi2_quantile(1.0 - alpha, d_z)

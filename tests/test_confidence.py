@@ -77,6 +77,7 @@ class TestInversion:
 
     @pytest.mark.parametrize("test, q", [
         ("ar", 6), ("ar-cr", 6), ("lm", 6), ("cqlr", 6), ("score-wald", 6), ("ar", 13),
+        ("lm", 13), ("cqlr", 13),
         ("wald", 6), ("wald-cr", 6), ("wald", 13),
     ])
     def test_block_size_and_workers_do_not_change_the_set(self, monkeypatch, test, q):

@@ -225,10 +225,10 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
             f"ar studentize={s}": lambda g, s=s: ar_bootstrap_distribution(stats, g, ds.n, s)
             for s in (False, True)
         }
-        bundle = _jacobian_bundle(design, stats.score_sums, stats.A_cr)
+        bundle = _jacobian_bundle(design, stats.score_pieces, stats.score_sums, stats.A_cr,
+                                  stats.beta_0[None])
         draws["lm"] = lambda g: _lm_rows(
-            bundle, g, at_nulls(signed_means(stats.score_pieces, g, ds.n), stats.beta_0[None])[0],
-            ds.n)[0]
+            bundle, at_nulls(signed_means(bundle.pieces, g, ds.n), bundle.beta_0)[0], ds.n)[0]
         for what, draw in draws.items():
             full = draw(signs.vectors)
             alone = [draw(signs.vectors[i : i + 1])[0] for i in range(signs.size)]
@@ -289,19 +289,23 @@ def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
     # the score side: G_hat has two equal columns and no Jacobian correction
     # enters, so every orthogonalized Jacobian D*(g) = G_hat has rank one
     s = substream(5, "singular-jacobian").standard_normal((5, 3))
+    # score pieces a = s and C = 0, so s(b) = s, and zero Jacobian pieces
+    pieces = np.zeros((5, 3 + 3 * 2 * 3, 3))
+    pieces[:, :3, 0] = s
     bundle = JacobianBundle(
         G_hat=np.repeat([[1.0], [-2.0], [0.5]], 2, axis=1),
         omega_inv=np.linalg.inv(s.T @ s / 50),
         score_sums=s,
-        jacobian_sums=np.zeros((5, 3, 2)),
+        pieces=pieces,
+        beta_0=np.zeros((1, 2)),
     )
     signs = make_sign_set(5, "exhaustive").vectors
-    f = signed_means(s, signs, 50)
-    lm, ok, _ = _lm_rows(bundle, signs, f, 50)
+    means = at_nulls(signed_means(bundle.pieces, signs, 50), bundle.beta_0)[0]
+    lm, ok, _ = _lm_rows(bundle, means, 50)
     assert not lm.any() and int((~ok).sum()) == len(signs)
     # the last exhaustive row is g = iota, which the pass reads as the
     # sample: its null's lm and cqlr fail with this error
-    failure = _score_draws(bundle, signs, f, 50)[3].item()
+    failure = _score_draws(bundle, means, 50)[3].item()
     assert isinstance(failure, NumericalError) and str(failure) == f"singular {JACOBIAN_GRAM}"
 
 
@@ -368,15 +372,21 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
     assert len(restricted) == 1 + 3 + 40
 
 
-@pytest.mark.parametrize("d_z", [1, 2, 3])
+@pytest.mark.parametrize("d_x, d_z", [
+    pytest.param(1, 1, id="1"), pytest.param(1, 2, id="2"), pytest.param(1, 3, id="3"),
+    pytest.param(2, 2, id="dx2-2"), pytest.param(2, 3, id="dx2-3"),
+])
 @pytest.mark.parametrize("q, mode", [(7, "exhaustive"), (13, "sampled")])
-def test_each_null_of_a_block_gets_its_own_bits(d_z, q, mode):
+def test_each_null_of_a_block_gets_its_own_bits(d_x, d_z, q, mode):
     # a block of nulls in one call per family gives every null bitwise what
     # run_test gives at that null alone; sampled signs are one set per null,
-    # as a fresh-mode confidence set passes them
-    ds = random_dataset(d_z, q=q, n_per=8, d_z=d_z, pi_scale=0.5)
-    names = ["ar", "ar-cr", "lm", "cqlr", "wald", "wald-cr"] + (["score-wald"] if d_z == 1 else [])
-    block = [Hypothesis.full_vector([b]) for b in (-0.9, B0, 0.31, 1.7)]
+    # as a fresh-mode confidence set passes them. lm and cqlr contract the
+    # Jacobian pieces with the sign rows once per set, then evaluate them
+    # at each null (over 1 + d_x coefficients, so d_x = 2 too)
+    ds = random_dataset(d_z, q=q, n_per=8, d_x=d_x, d_z=d_z, pi_scale=0.5)
+    names = ["ar", "ar-cr", "lm", "wald", "wald-cr"] + (["cqlr"] if d_x == 1 else [])
+    names += ["score-wald"] if d_z == 1 else []
+    block = [Hypothesis.full_vector([b, 0.5 - b][:d_x]) for b in (-0.9, B0, 0.31, 1.7)]
     if mode == "exhaustive":
         signs = make_sign_set(q, "exhaustive")
         per_null = [signs] * len(block)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import t1_expected as E
 from conftest import random_dataset
 from wbiv import (
+    DgpConfig,
+    Hypothesis,
     InputError,
     NumericalError,
     build_dataset,
@@ -15,8 +17,10 @@ from wbiv import (
     make_sign_set,
     partial_out_exogenous,
     restricted_ols_fit,
+    run_tests,
+    simulate_dgp,
 )
-from wbiv.ar import ar_squares, signed_means
+from wbiv.ar import ar_squares, at_nulls, signed_means
 from wbiv.rng import substream
 from wbiv.weakiv import _lm_rows
 
@@ -134,8 +138,9 @@ class TestLmCqlrBootstrap:
         rng = substream(seed, "flip")
         g = rng.integers(0, 2, size=(1, 5)) * 2.0 - 1.0
         both = np.vstack([g, -g])
-        f = signed_means(bundle.score_sums, both, ds.n)
-        lm_star = _lm_rows(bundle, both, f, ds.n)[0]
+        means = at_nulls(signed_means(bundle.pieces, both, ds.n), bundle.beta_0)[0]
+        f = means[:, : ds.d_z]
+        lm_star = _lm_rows(bundle, means, ds.n)[0]
         ar_sq_star = ar_squares(f, ds.n, bundle.omega_inv)
         assert lm_star[0] == pytest.approx(lm_star[1], abs=1e-10)
         assert ar_sq_star[0] == pytest.approx(ar_sq_star[1], abs=1e-10)
@@ -163,3 +168,49 @@ class TestLmCqlrBootstrap:
         lm, bundle = lm_statistic(design, rols)
         ar_sq = full_quadratic_form(bundle, ds.n)
         assert cqlr_statistic(ar_sq, lm, bundle.rk) == pytest.approx(ar_sq, abs=1e-9)
+
+
+def _exact_lm_draw(ds, b, g, dps=50):
+    """LM*(g) at the null b in mpmath at ``dps`` digits, from the data of
+    ``ds``, whose W must be the cluster dummies: partialling is then an
+    exact within-cluster demeaning. Every float input is taken as exact."""
+    from mpmath import matrix, mp, mpf
+
+    def demeaned(col):
+        col = [mpf(float(v)) for v in col]
+        mean = mp.fsum(col) / len(col)
+        return [v - mean for v in col]
+
+    with mp.workdps(dps):
+        sums, cross = [], []  # per cluster: s_j(b) and [Zt X']_j
+        for lo, hi in zip(ds.cluster_starts[:-1], ds.cluster_starts[1:]):
+            zt = [demeaned(z[lo:hi]) for z in ds.Z.T]
+            e = [ey - ex * mpf(b) for ey, ex in zip(demeaned(ds.y[lo:hi]), demeaned(ds.X[lo:hi, 0]))]
+            x = [mpf(float(v)) for v in ds.X[lo:hi, 0]]
+            sums.append([mp.fsum(u * v for u, v in zip(col, e)) for col in zt])
+            cross.append([mp.fsum(u * v for u, v in zip(col, x)) for col in zt])
+        n, g, r = ds.n, [mpf(float(v)) for v in g], range(ds.d_z)
+        a = matrix([[mp.fsum(s[u] * s[v] for s in sums) / n for v in r] for u in r]) ** -1
+        a_f = a * matrix([mp.fsum(gj * s[z] for gj, s in zip(g, sums)) / n for z in r])
+        d = matrix([mp.fsum(c[z] for c in cross) / n - mp.fsum(
+            mp.fsum(gj * c[z] * s[y] for gj, c, s in zip(g, cross, sums)) / n * a_f[y] for y in r)
+            for z in r])
+        c = (d.T * a_f)[0]
+        return n * c * c / (d.T * a * d)[0]
+
+
+def test_lm_draw_where_the_score_sums_nearly_cancel():
+    # the cs-grid design at b = 0.4: exhaustive row 81 has LM* = 2.5e-5,
+    # far below the scale of its terms. Forming the Jacobian correction
+    # from its affine pieces, Gamma_a(g) - Gamma_C(g) b, keeps the draw
+    # within 3e-10 of the 50-digit value; forming s_j(b) first and then
+    # Gamma*(g, b) at each null was 6.1e-10 off. (The d_x >= 2 accuracy of
+    # the normal equations D*'A D* is a separate matter, not tested here.)
+    ds = simulate_dgp(DgpConfig(q=10, d_z=2, pi0=4, rho=0.5, size_scale=10),
+                      np.random.default_rng(3))
+    assert np.array_equal(ds.W, (ds.cluster_id[:, None] == np.arange(ds.q)).astype(float))
+    signs = make_sign_set(10, "exhaustive")
+    got = run_tests(ds, ["lm"], Hypothesis.full_vector([0.4]), sign_set=signs)["lm"]
+    exact = _exact_lm_draw(ds, 0.4, signs.vectors[81])
+    assert float(exact) == pytest.approx(2.4952047254617e-05, rel=1e-12)
+    assert abs(got.boot_stats[81] - exact) <= 3e-10 * exact
