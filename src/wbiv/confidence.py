@@ -85,11 +85,9 @@ def _grid_chunk(dataset, design, spec, grid, alpha, shared, B, seed, indices) ->
     for block in (indices[start : start + size] for start in range(0, len(indices), size)):
         signs = shared or [make_sign_set(dataset.q, "sampled", B=B, seed=(seed, "cs", int(i)))
                            for i in block]
-        results = run_tests(
-            dataset, [spec.test], [Hypothesis.full_vector([float(grid[i])]) for i in block],
-            estimator=spec.estimator, fuller_c=spec.fuller_c, sign_set=signs, alpha=alpha,
-            design=design,
-        )
+        results = run_tests(dataset, [spec.test], Hypothesis.full_vector(grid[block, None]),
+                            estimator=spec.estimator, fuller_c=spec.fuller_c, sign_set=signs,
+                            alpha=alpha, design=design)
         out += [not result_or_raise(res[spec.test]).reject for res in results]
     return out
 

@@ -403,10 +403,11 @@ def cluster_first_stage(dataset: ClusteredDataset) -> np.ndarray:
 @dataclass(frozen=True)
 class Hypothesis:
     """Linear restriction lambda_beta' beta = lambda_0; the full-vector null
-    beta = beta_0 is the case lambda_beta = I, lambda_0 = beta_0."""
+    beta = beta_0 is the case lambda_beta = I, lambda_0 = beta_0. A
+    lambda_0 of shape (P, d_r) is a block of P nulls under one lambda_beta."""
 
     lambda_beta: np.ndarray  # (d_x, d_r)
-    lambda_0: np.ndarray     # (d_r,)
+    lambda_0: np.ndarray     # (d_r,) or (P, d_r)
 
     @property
     def d_r(self) -> int:
@@ -417,7 +418,9 @@ class Hypothesis:
         lam = _as_matrix(lambda_beta, "lambda_beta")
         lam0 = np.atleast_1d(np.asarray(lambda_0, dtype=np.float64))
         check_finite(lambda_beta=lam, lambda_0=lam0)
-        if lam.shape[1] != lam0.shape[0]:
+        if lam0.ndim > 2 or lam0.size == 0:
+            raise InputError("lambda_0 must be one null (d_r,) or a block of them (P, d_r)")
+        if lam.shape[1] != lam0.shape[-1]:
             raise InputError("lambda_beta and lambda_0 disagree on the number of restrictions")
         if not 1 <= lam.shape[1] <= lam.shape[0]:
             raise InputError("need 1 <= d_r <= d_x restrictions")
@@ -429,5 +432,7 @@ class Hypothesis:
     def full_vector(beta_0) -> "Hypothesis":
         b0 = np.atleast_1d(np.asarray(beta_0, dtype=np.float64))
         check_finite(beta_0=b0)
-        lam = np.eye(b0.shape[0])
+        if b0.ndim > 2 or b0.size == 0:
+            raise InputError("beta_0 must be one null (d_x,) or a block of them (P, d_x)")
+        lam = np.eye(b0.shape[-1])
         return Hypothesis(lambda_beta=_freeze(lam), lambda_0=_freeze(b0.copy()))

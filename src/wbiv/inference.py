@@ -103,8 +103,10 @@ def result_or_raise(result):
     return result
 
 
-def critical_value(boot_stats: np.ndarray, alpha: float) -> float:
-    """The k-th smallest bootstrap statistic with k = ceil(m (1 - alpha)).
+def critical_value(boot_stats: np.ndarray, alpha: float) -> float | np.ndarray:
+    """The k-th smallest bootstrap statistic with k = ceil(m (1 - alpha)),
+    over the last axis: a float for one distribution (m,), one value per
+    null for a stack (P, m).
 
     This is the smallest x whose empirical CDF over the sign set reaches
     1 - alpha; ties are handled by the stable order statistics themselves.
@@ -113,21 +115,24 @@ def critical_value(boot_stats: np.ndarray, alpha: float) -> float:
     integer it lies just above (m = 6, alpha = 0.3333333333333333 gives 4,
     not 5).
     """
-    stats = np.asarray(boot_stats, dtype=np.float64).ravel()
-    m = stats.shape[0]
+    stats = np.asarray(boot_stats, dtype=np.float64)
+    m = stats.shape[-1]
     if m == 0:
         raise InputError("empty bootstrap distribution")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie strictly between 0 and 1")
     num, den = float(alpha).as_integer_ratio()
     k = -(-m * (den - num) // den)  # in [1, m] for 0 < alpha < 1
-    return float(np.partition(stats, k - 1)[k - 1])
+    cv = np.partition(stats, k - 1, axis=-1)[..., k - 1]
+    return float(cv) if cv.ndim == 0 else cv
 
 
-def bootstrap_pvalue(boot_stats: np.ndarray, statistic: float) -> float:
-    """Share of bootstrap statistics at or above the sample statistic."""
-    stats = np.asarray(boot_stats, dtype=np.float64).ravel()
-    return float(np.count_nonzero(stats >= statistic) / stats.size)
+def bootstrap_pvalue(boot_stats: np.ndarray, statistic) -> float | np.ndarray:
+    """Share of bootstrap statistics at or above the sample statistic, over
+    the last axis: per null for a stack (P, m) and statistics (P,)."""
+    stats = np.asarray(boot_stats, dtype=np.float64)
+    share = (stats >= np.asarray(statistic)[..., None]).sum(axis=-1) / stats.shape[-1]
+    return float(share) if share.ndim == 0 else share
 
 
 @dataclass(frozen=True)
@@ -169,25 +174,23 @@ class BootstrapTestResult:
 
 
 def finish_test(
-    test: str,
-    statistic: float,
-    boot_stats: np.ndarray,
-    sign_set: SignSet,
-    alpha: float,
-    estimator: str | None = None,
-    n_singular: int = 0,
-) -> BootstrapTestResult:
-    """Assemble the result record from a computed bootstrap distribution."""
-    cv = critical_value(boot_stats, alpha)
-    return BootstrapTestResult(
-        test=test,
-        statistic=float(statistic),
-        critical_value=cv,
-        pvalue=bootstrap_pvalue(boot_stats, statistic),
-        reject=bool(statistic > cv),
-        alpha=alpha,
-        boot_stats=np.asarray(boot_stats, dtype=np.float64),
-        sign_set=sign_set,
-        estimator=estimator,
-        n_singular=n_singular,
-    )
+    test: str, draws: np.ndarray, sign_sets: list[SignSet], alpha: float,
+    estimator: str | None = None, n_singular: np.ndarray | None = None,
+) -> list[BootstrapTestResult]:
+    """The result record of each null of a stack of draws (P, m + 1) whose
+    last column, g = iota, is the sample statistic; ``sign_sets`` and
+    ``n_singular`` (zeros if omitted) hold each null's sign set and count
+    of singular draws."""
+    boot, stat = draws[:, :-1], draws[:, -1]
+    cv = critical_value(boot, alpha)
+    singular = [0] * len(stat) if n_singular is None else n_singular.tolist()
+    return [
+        BootstrapTestResult(
+            test=test, statistic=s, critical_value=c, pvalue=p, reject=r, alpha=alpha,
+            boot_stats=b, sign_set=ss, estimator=estimator, n_singular=k,
+        )
+        for s, c, p, r, b, ss, k in zip(
+            stat.tolist(), cv.tolist(), bootstrap_pvalue(boot, stat).tolist(),
+            (stat > cv).tolist(), boot, sign_sets, singular,
+        )
+    ]

@@ -55,12 +55,10 @@ class KClassFit:
     beta_hat: np.ndarray
     gamma_hat: np.ndarray
     resid_unrestricted: np.ndarray
+    system: np.ndarray = field(repr=False)  # (d_x, d_x) X'P_Zt X - mu X'M_[Z:W] X
     beta_hat_r: np.ndarray | None = None
     gamma_hat_r: np.ndarray | None = None
     resid_restricted: np.ndarray | None = None
-    # (dataset, design, p, mw): the sample's kclass_forms the fit was solved
-    # from, and the dataset and design they were formed from
-    sample_forms: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -178,14 +176,9 @@ def kclass_beta(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
     return stack_solve(*_kclass_system(kappa, p, mw))
 
 
-def _sample_forms(dataset: ClusteredDataset, design: PartialledDesign, with_w: bool,
-                  fit: KClassFit | None = None):
-    """:func:`kclass_forms` of the sample, a stack of one: those ``fit`` was
-    solved from when they came from this dataset and design, else new ones.
-    Without ``with_w`` the M_W form is None."""
-    held = fit.sample_forms if fit is not None else None
-    if held and held[0] is dataset and held[1] is design and (held[3] is not None or not with_w):
-        return held[2], held[3] if with_w else None
+def _sample_forms(dataset: ClusteredDataset, design: PartialledDesign, with_w: bool):
+    """:func:`kclass_forms` of the sample, a stack of one. Without
+    ``with_w`` the M_W form is None."""
     yx = np.column_stack([dataset.X, dataset.y])
     ut = (design.basis_Zt.T @ yx)[None]
     if not with_w:
@@ -225,7 +218,8 @@ def kclass_fit(
     y, X = dataset.y, dataset.X
     mu = kappa - 1.0
     p, mw = forms or _sample_forms(dataset, design, mu != 0.0)
-    beta, ok = kclass_beta(np.array([kappa]), p, mw if mu != 0.0 else None)
+    system, rhs = _kclass_system(np.array([kappa]), p, mw if mu != 0.0 else None)
+    beta, ok = stack_solve(system, rhs)
     raise_singular({KCLASS_SYSTEM: ok})
     beta = beta[0]
     gamma = design.proj_w_coef(y - X @ beta)
@@ -237,7 +231,7 @@ def kclass_fit(
         beta_hat=beta,
         gamma_hat=gamma,
         resid_unrestricted=resid,
-        sample_forms=(dataset, design, p, mw),
+        system=system[0],
     )
 
 
@@ -265,15 +259,12 @@ def restricted_kclass_fit(
     beta_r projects the unrestricted estimate onto the restriction set using
     the metric X'P_Zt X - mu X'M_[Z:W] X, after which gamma_r re-solves the
     exogenous block and the restricted residual is recomputed from scratch.
-    The metric reads the sample forms the fit was solved from when the fit
-    belongs to this dataset and design.
+    The metric is the system matrix the fit was solved with.
     """
     lam = hypothesis.lambda_beta
     lam0 = hypothesis.lambda_0
     y, X, W = dataset.y, dataset.X, dataset.W
-    p, mw = _sample_forms(dataset, design, fit.mu != 0.0, fit)
-    mmat, _ = _kclass_system(np.array([fit.kappa]), p, mw)
-    k, ok = stack_solve(mmat, lam[None])
+    k, ok = stack_solve(fit.system[None], lam[None])
     raise_singular({KCLASS_SYSTEM: ok})
     k = k[0]
     gap, ok = stack_solve((lam.T @ k)[None], (lam.T @ fit.beta_hat - lam0)[None])

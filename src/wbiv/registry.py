@@ -1,8 +1,9 @@
 """The test registry: every test by name, for the CLI, confidence-set
 inversion and the Monte Carlo harness alike.
 
-Tests come in two families, each run by one call over a block of nulls
-whose members share one pass over the data, and each pass reads its sample
+Tests come in two families, each run by one call over a block of nulls (a
+:class:`Hypothesis` with a null axis) whose members share one pass over
+the data and decide every null at once; each pass reads its sample
 statistics from the g = iota row it appends to the sign rows:
 :func:`wald.wald_tests`, one k-class fit and one efficient first stage per
 block and a WREC run per null for wald and wald-cr, and
@@ -53,7 +54,7 @@ def lookup(name: str, table: dict) -> str:
 def run_tests(
     dataset: ClusteredDataset,
     names: Sequence[str],
-    hypothesis: Hypothesis | list,
+    hypothesis: Hypothesis,
     *,
     estimator: str = "tsls",
     fuller_c: float = 1.0,
@@ -63,11 +64,12 @@ def run_tests(
 ) -> dict | list:
     """Run the named tests of one hypothesis on one dataset: name -> result.
 
-    A list of hypotheses is one block of nulls, one dict per null, with one
-    sign set or a list of one per null (all of one size). Each family runs
-    the block in one call: the full-vector pass covers it, and the wald
-    family fits the k-class estimator and the efficient first stage once
-    for it. A null's results do not depend on the block.
+    A hypothesis whose lambda_0 is (P, d_r) is a block of P nulls under one
+    lambda, one dict per null, with one sign set or a list of one per null
+    (all of one size). Each family runs the block in one call: the
+    full-vector pass covers it, and the wald family fits the k-class
+    estimator and the efficient first stage once for it. A null's results
+    do not depend on the block.
 
     Invalid arguments raise InputError: an unknown name or estimator, alpha
     outside (0, 1), a sign set for another cluster count, a lambda whose
@@ -78,45 +80,39 @@ def run_tests(
     a failure in a family's shared pass fails all of its tests; the other
     tests still report.
     """
-    block = hypothesis if isinstance(hypothesis, list) else [hypothesis]
     for name in names:
         lookup(name, TESTS)
     full_vector = [name for name in names if name in FULL_VECTOR]
-    for hyp in block:
-        d_lam = hyp.lambda_beta.shape[0]
-        if d_lam != dataset.d_x:
-            if full_vector:
-                raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
-            raise InputError(f"lambda has {d_lam} row(s) but the data have d_x = {dataset.d_x}")
-        if full_vector and not np.array_equal(hyp.lambda_beta, np.eye(dataset.d_x)):
-            raise InputError(f"{full_vector[0]} tests the full vector beta = beta_0 (lambda = I)")
+    d_lam = hypothesis.lambda_beta.shape[0]
+    if d_lam != dataset.d_x:
+        if full_vector:
+            raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
+        raise InputError(f"lambda has {d_lam} row(s) but the data have d_x = {dataset.d_x}")
+    if full_vector and not np.array_equal(hypothesis.lambda_beta, np.eye(dataset.d_x)):
+        raise InputError(f"{full_vector[0]} tests the full vector beta = beta_0 (lambda = I)")
     if estimator not in METHODS:
         raise InputError(f"unknown k-class method {estimator!r}; expected one of {METHODS}")
     if "score-wald" in names and (dataset.d_x != 1 or dataset.d_z != 1):
         raise InputError("score bootstrap requires d_x = d_z = 1")
-    sets = sign_set if isinstance(sign_set, list) else [sign_set] * len(block)
-    first, design = prepare_test(dataset, sets[0], design, alpha)
+    block = Hypothesis(hypothesis.lambda_beta, np.atleast_2d(hypothesis.lambda_0))
+    P = len(block.lambda_0)
+    sets = sign_set if isinstance(sign_set, list) else [sign_set] * P
+    first, design = prepare_test(dataset, sets[0] if sets else None, design, alpha)
     sets = [first if s is sets[0] else prepare_test(dataset, s, design, alpha)[0] for s in sets]
-    if len(sets) != len(block) or len({s.size for s in sets}) > 1:
+    if len(sets) != P or len({s.size for s in sets}) > 1:
         raise InputError("a block takes one sign set per null, all of one size")
 
     runs = {"wald": partial(wald_tests, method=estimator, fuller_c=fuller_c),
             "full-vector": full_vector_tests}
-    out = [{} for _ in block]
+    out = [{} for _ in range(P)]
     for fam in dict.fromkeys(TESTS[name] for name in names):
         members = [name for name in names if TESTS[name] == fam]
-        results = _family(members, runs[fam], dataset, design, block, members, sets, alpha)
+        try:
+            results = runs[fam](dataset, design, block, members, sets, alpha)
+        except (NumericalError, InputError) as exc:  # the family's shared pass failed
+            results = [dict.fromkeys(members, exc)] * P
         out = [{**res, **got} for res, got in zip(out, results)]
-    return out if isinstance(hypothesis, list) else out[0]
-
-
-def _family(members: list, run, dataset, design, block: list, *args) -> list[dict]:
-    """run(dataset, design, block, *args), one dict per null, or each member
-    of every null mapped to the NumericalError or InputError raised."""
-    try:
-        return run(dataset, design, block, *args)
-    except (NumericalError, InputError) as exc:
-        return [dict.fromkeys(members, exc) for _ in block]
+    return out if hypothesis.lambda_0.ndim == 2 else out[0]
 
 
 def run_test(dataset: ClusteredDataset, name: str, hypothesis: Hypothesis, **options):

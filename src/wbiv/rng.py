@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .exceptions import InputError
+
 
 def substream(*parts) -> np.random.Generator:
     """Return a Generator keyed by the hash of the tag tuple ``parts``."""
@@ -25,11 +27,14 @@ def substream(*parts) -> np.random.Generator:
 
 def map_chunks(func, items, workers: int) -> list:
     """func(items), for a func that maps items to a list of results: in
-    this process at one worker, else joined in order over workers * 4
-    contiguous chunks on one process pool (func must then pickle)."""
-    if workers <= 1:
+    this process at one worker (fewer is an InputError), else joined in
+    order over workers * 4 contiguous chunks on one process pool, one
+    process per chunk at most (func must then pickle)."""
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         return func(items)
     bounds = [b for b in np.array_split(np.arange(len(items)), workers * 4) if b.size]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, max(len(bounds), 1))) as pool:
         parts = pool.map(func, [items[b[0] : b[-1] + 1] for b in bounds])
         return [out for part in parts for out in part]

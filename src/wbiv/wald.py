@@ -226,10 +226,11 @@ def _wrec_null(
     dataset: ClusteredDataset, design: PartialledDesign, fit: KClassFit,
     first_stage: EfficientFirstStage, hypothesis: Hypothesis, sign_set: SignSet, method: str,
     fuller_c: float, want_cr: bool,
-) -> WrecRun:
+):
     """The WREC pass at one null, from the k-class fit and the efficient
-    first stage, neither of which depends on it. Each sample statistic is
-    the draw at g = iota, appended to the sign rows and computed with them.
+    first stage, neither of which depends on it: the plain and, with
+    ``want_cr``, the studentized draws over the sign rows with g = iota, the
+    sample, appended last, and the number of singular draws other than iota.
     A singular iota draw is a NumericalError."""
     fit = restricted_kclass_fit(dataset, design, fit, hypothesis)
     eng = _MomentEngine(dataset, design, first_stage, fit, method, fuller_c)
@@ -237,13 +238,7 @@ def _wrec_null(
     stats, stats_cr, checks = eng.distributions(signs, hypothesis, want_cr)
     raise_singular(checks, row=-1)
     singular = ~np.logical_and.reduce(list(checks.values()))[:-1]
-    return WrecRun(
-        statistic=float(stats[-1]),
-        statistic_cr=None if stats_cr is None else float(stats_cr[-1]),
-        boot_stats=stats[:-1],
-        boot_stats_cr=None if stats_cr is None else stats_cr[:-1],
-        n_singular=int(singular.sum()),
-    )
+    return stats, stats_cr, int(singular.sum())
 
 
 def wrec_run(
@@ -256,44 +251,50 @@ def wrec_run(
     sign_set, design = prepare_test(dataset, sign_set, design)
     fit = fit_method(dataset, design, method, fuller_c)
     first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
-    return _wrec_null(dataset, design, fit, first_stage, hypothesis, sign_set, method, fuller_c,
-                      want_cr)
+    stats, stats_cr, n_singular = _wrec_null(dataset, design, fit, first_stage, hypothesis,
+                                             sign_set, method, fuller_c, want_cr)
+    return WrecRun(
+        statistic=float(stats[-1]),
+        statistic_cr=None if stats_cr is None else float(stats_cr[-1]),
+        boot_stats=stats[:-1],
+        boot_stats_cr=None if stats_cr is None else stats_cr[:-1],
+        n_singular=n_singular,
+    )
 
 
 def wald_tests(
-    dataset: ClusteredDataset, design: PartialledDesign, block: list, names, sign_sets: list,
-    alpha: float, method: str, fuller_c: float,
+    dataset: ClusteredDataset, design: PartialledDesign, block: Hypothesis, names,
+    sign_sets: list, alpha: float, method: str, fuller_c: float,
 ) -> list[dict]:
-    """The wald and wald-cr tests among ``names`` at each hypothesis of
-    ``block``, one dict per null, with ``sign_sets`` holding each null's
-    sign set. The k-class fit and the efficient first stage are computed
-    once for the block, then each null gets its own WREC pass, with the CCE
-    side only when wald-cr is asked for. A null's failure maps both tests to
-    the NumericalError or InputError raised: wald-cr with q <= d_r before
-    any fit, then a failed fit or first stage, then the null's own pass.
+    """The wald and wald-cr tests among ``names`` at each null of ``block``
+    (lambda_0 of shape (P, d_r)), one dict per null, with ``sign_sets``
+    holding each null's sign set. wald-cr with q <= d_r is an InputError.
+    The k-class fit and the efficient first stage are computed once for the
+    block, then each null gets its own WREC pass, with the CCE side only
+    when wald-cr is asked for, and each test decides all nulls at once. A
+    null whose pass fails maps both tests to the NumericalError or
+    InputError raised.
     """
     want_cr = "wald-cr" in names
-    few = InputError("studentized Wald needs more clusters than restrictions (q > d_r)")
-    failed = [few if want_cr and dataset.q <= hyp.d_r else None for hyp in block]
-    try:
-        if None in failed:
-            fit = fit_method(dataset, design, method, fuller_c)
-            first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
-    except (NumericalError, InputError) as exc:
-        failed = [failure or exc for failure in failed]
-    out = []
-    for hyp, sign_set, failure in zip(block, sign_sets, failed):
+    if want_cr and dataset.q <= block.d_r:
+        raise InputError("studentized Wald needs more clusters than restrictions (q > d_r)")
+    fit = fit_method(dataset, design, method, fuller_c)
+    first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
+    P = len(block.lambda_0)
+    draws = {name: np.zeros((P, sign_sets[0].size + 1)) for name in ("wald", "wald-cr")}
+    n_singular, failed = np.zeros(P, dtype=int), [None] * P
+    for p, (lam0, sign_set) in enumerate(zip(block.lambda_0, sign_sets)):
         try:
-            if failure is None:
-                run = _wrec_null(dataset, design, fit, first_stage, hyp, sign_set, method,
-                                 fuller_c, want_cr)
-                draws = {"wald": (run.statistic, run.boot_stats),
-                         "wald-cr": (run.statistic_cr, run.boot_stats_cr)}
-                out.append({name: finish_test(name, *draws[name], sign_set, alpha,
-                                              estimator=method, n_singular=run.n_singular)
-                            for name in names})
-                continue
+            stats, stats_cr, n_singular[p] = _wrec_null(
+                dataset, design, fit, first_stage, Hypothesis(block.lambda_beta, lam0), sign_set,
+                method, fuller_c, want_cr)
         except (NumericalError, InputError) as exc:
-            failure = exc
-        out.append(dict.fromkeys(names, failure))
-    return out
+            failed[p] = exc
+            continue
+        draws["wald"][p] = stats
+        if want_cr:
+            draws["wald-cr"][p] = stats_cr
+    # a failed null's zero draws are decided too, then its failure reported
+    decided = {name: finish_test(name, draws[name], sign_sets, alpha,
+                                 estimator=method, n_singular=n_singular) for name in names}
+    return [{name: exc or decided[name][p] for name in names} for p, exc in enumerate(failed)]

@@ -30,7 +30,7 @@ import numpy as np
 from .ar import (
     AsymptoticArResult, ar_squares, at_nulls, chi2_quantile, null_scores, signed_means
 )
-from .data import ClusteredDataset, PartialledDesign, stack_solve
+from .data import ClusteredDataset, Hypothesis, PartialledDesign, stack_solve
 from .exceptions import InputError, NumericalError
 from .inference import finish_test
 from .kclass import RestrictedOlsFit, restricted_ols_fit
@@ -161,12 +161,12 @@ def cqlr_statistic(ar_cr_sq, lm, rk):
 
 
 def full_vector_tests(
-    dataset: ClusteredDataset, design: PartialledDesign, block: list, names, sign_sets: list,
-    alpha: float,
+    dataset: ClusteredDataset, design: PartialledDesign, block: Hypothesis, names,
+    sign_sets: list, alpha: float,
 ) -> list[dict]:
-    """The full-vector tests among ``names`` at each hypothesis of ``block``
-    (the null beta_0 = lambda_0), one dict per null; ``sign_sets`` holds each
-    null's sign set, all of one size. score-wald (d_x = 1) reads lambda
+    """The full-vector tests among ``names`` at each null beta_0 of the rows
+    of ``block.lambda_0`` (P, d_x), one dict per null; ``sign_sets`` holds
+    each null's sign set, all of one size. score-wald (d_x = 1) reads lambda
     beta = lambda_0 as beta_0 = lambda_0 / lambda, is decided as ar on the
     unscaled norms, then scaled by |lambda / Q_ZX|.
 
@@ -175,18 +175,17 @@ def full_vector_tests(
     whose null-imposed CCE is singular. A score-side failure fails lm and
     cqlr only. ar-cr-asymptotic alone reads only the g = iota row.
     """
-    n, q, d_z, P = dataset.n, dataset.q, dataset.d_z, len(block)
-    beta_0 = np.array([hyp.lambda_0 for hyp in block])
+    n, q, d_z, P = dataset.n, dataset.q, dataset.d_z, len(block.lambda_0)
+    beta_0, lam = block.lambda_0, float(block.lambda_beta[0, 0])
     if "score-wald" in names:
-        lam = np.array([hyp.lambda_beta[0, 0] for hyp in block])
-        beta_0 = beta_0 / lam[:, None]
+        beta_0 = beta_0 / lam
     pieces, s, a_cr, cr_ok = null_scores(design, restricted_ols_fit(dataset, beta_0, design))
     shared = all(signs is sign_sets[0] for signs in sign_sets)
     width = 0 if set(names) == {"ar-cr-asymptotic"} else None
     signs = np.array([ss.vectors[:width] for ss in (sign_sets[:1] if shared else sign_sets)])
     rows = np.concatenate([signs, np.ones((len(signs), 1, q))], axis=1)
 
-    failed, n_singular, bundle = {}, 0, None
+    failed, n_singular, bundle = {}, None, None
     if score := [name for name in names if name in SCORE]:
         try:
             if "cqlr" in score and dataset.d_x != 1:
@@ -219,24 +218,25 @@ def full_vector_tests(
             # at an exact null fit the identity stands in for A_cr
             draws["cqlr"] = cqlr_statistic(ar_sq[True], draws["lm"], bundle.rk[:, None])
 
+    # each test decides all nulls at once; a null's failure takes the place
+    # of its result
+    decided = {name: finish_test(name, draws[name], sign_sets, alpha,
+                                 n_singular=n_singular if name in SCORE else None)
+               for name in draws.keys() & set(names) - {"ar-cr-asymptotic"}}
     if "ar-cr-asymptotic" in names:
         chi2 = chi2_quantile(1.0 - alpha, d_z)
-    out = [{} for _ in range(P)]
-    for p, res in enumerate(out):
-        for name in names:
-            if (exc := failed.get(name, [None] * P)[p]) is not None:
-                res[name] = exc
-                continue
-            stat, boot = float(draws[name][p, -1]), draws[name][p, :-1]
-            if name == "ar-cr-asymptotic":
-                res[name] = AsymptoticArResult(statistic_sq=stat**2, critical_value=chi2,
-                                               reject=bool(stat**2 > chi2), alpha=alpha, df=d_z)
-                continue
-            res[name] = finish_test(name, stat, boot, sign_sets[p], alpha,
-                                    n_singular=int(n_singular[p]) if name in SCORE else 0)
-            if name == "score-wald":
-                r, scale = res[name], abs(float(lam[p]) / float(design.Q_ZX[0, 0]))
-                res[name] = replace(r, statistic=scale * r.statistic, estimator="tsls",
-                                    boot_stats=scale * r.boot_stats,
-                                    critical_value=scale * r.critical_value)
-    return out
+        decided["ar-cr-asymptotic"] = [
+            AsymptoticArResult(statistic_sq=stat**2, critical_value=chi2,
+                               reject=bool(stat**2 > chi2), alpha=alpha, df=d_z)
+            for stat in draws["ar-cr-asymptotic"][:, -1].tolist()
+        ]
+    if "score-wald" in names and "score-wald" not in failed:
+        scale = abs(lam / float(design.Q_ZX[0, 0]))
+        decided["score-wald"] = [
+            replace(r, statistic=scale * r.statistic, estimator="tsls",
+                    boot_stats=scale * r.boot_stats, critical_value=scale * r.critical_value)
+            for r in decided["score-wald"]
+        ]
+    none = [None] * P
+    return [{name: failed.get(name, none)[p] or decided[name][p] for name in names}
+            for p in range(P)]

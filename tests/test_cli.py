@@ -88,6 +88,8 @@ REFUSED = [
     (["cs", "--test", "ar", "--grid-hi", "1e300", "--step", "1e-9"], "grid of more than"),
     (["simulate", "size", "--dz", "-1"], "need d_z >= 1"),
     (["simulate", "size", "--strong", "1.5"], "--strong takes whole cluster counts"),
+    (["cs", "--test", "ar", "--workers", "0"], "workers must be at least 1, got 0"),
+    (["simulate", "size", "--workers", "-1"], "workers must be at least 1, got -1"),
 ]
 
 

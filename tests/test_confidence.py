@@ -8,6 +8,7 @@ from wbiv import (
     Hypothesis, InputError, fit_method, invert_confidence_set, make_sign_set,
     partial_out_exogenous,
 )
+import wbiv.rng
 from wbiv import confidence
 from wbiv.confidence import TestSpec, mask_to_intervals
 from wbiv.registry import run_test
@@ -67,13 +68,38 @@ class TestInversion:
         assert np.all(masks[0.10] <= masks[0.05])
         assert np.all(masks[0.20] <= masks[0.10])
 
-    def test_worker_count_does_not_change_the_set(self):
+    def test_worker_count_does_not_change_the_set(self, monkeypatch):
         ds = random_dataset(17, q=4, n_per=20)
         kw = dict(grid_lo=-1.0, grid_hi=3.0, step=0.05, alpha=0.1, seed=5)
         one = invert_confidence_set(ds, "ar", workers=1, **kw)
         two = invert_confidence_set(ds, "ar", workers=2, **kw)
         np.testing.assert_array_equal(one.accepted, two.accepted)
         assert one.intervals == two.intervals
+        # a pool starts at most one process per non-empty chunk: a 3-point
+        # grid at 8 workers asks for 3, from an executor that records its
+        # size and maps in this process
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, parts):
+                return map(func, parts)
+
+        monkeypatch.setattr(wbiv.rng, "ProcessPoolExecutor", InProcess)
+        kw.update(grid_lo=0.0, grid_hi=1.0, step=0.5)
+        few = invert_confidence_set(ds, "ar", workers=8, **kw)
+        assert sizes == [3]
+        assert few.accepted.tobytes() == invert_confidence_set(ds, "ar", **kw).accepted.tobytes()
+        with pytest.raises(InputError, match="workers must be at least 1, got 0"):
+            invert_confidence_set(ds, "ar", workers=0, **kw)
 
     @pytest.mark.parametrize("test, q", [
         ("ar", 6), ("ar-cr", 6), ("lm", 6), ("cqlr", 6), ("score-wald", 6), ("ar", 13),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wbiv import InputError, bootstrap_pvalue, critical_value, make_sign_set
 from wbiv.inference import finish_test
+from wbiv.rng import substream
 
 
 class TestSignSets:
@@ -78,13 +79,21 @@ class TestCriticalValue:
     def test_k_is_the_exact_ceiling_next_to_every_boundary(self):
         # the @example above swept: alpha at and one ulp either side of every
         # j / m (m = 6, j = 2 gives 0.3333333333333333), against the ceiling
-        # of m (1 - alpha) in exact rational arithmetic
+        # of m (1 - alpha) in exact rational arithmetic. A stack of nulls
+        # (P, m), ties included, gets row by row what each row gets alone
+        rng = substream(3, "stacked-critical-values")
         for m in range(2, 120):
             stats = np.arange(m, dtype=float)  # the k-th smallest is k - 1
+            stack = rng.integers(0, 5, size=(3, m)).astype(float)
+            statistic = rng.integers(0, 5, size=3).astype(float)
+            pvalues = bootstrap_pvalue(stack, statistic)
+            assert pvalues.tolist() == [bootstrap_pvalue(*row) for row in zip(stack, statistic)]
             for j in range(1, m):
                 for alpha in (np.nextafter(j / m, 0.0), j / m, np.nextafter(j / m, 1.0)):
                     k = math.ceil(m * (1 - Fraction(float(alpha))))
                     assert critical_value(stats, alpha) == k - 1, (m, alpha)
+                    rows = [critical_value(row, alpha) for row in stack]
+                    assert critical_value(stack, alpha).tolist() == rows, (m, alpha)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(InputError):
@@ -94,10 +103,11 @@ class TestCriticalValue:
 class TestResults:
     def test_reject_iff_strictly_above(self):
         boot = np.arange(10, dtype=float)  # k* = ceil(10 * 0.8) = 8 -> cv = 7.0
-        res = finish_test("wald", 7.0, boot, make_sign_set(3, "exhaustive"), 0.2)
+        # a stack of two nulls, the sample statistic (g = iota) last
+        draws = np.column_stack([[boot, boot], [7.0, 7.5]])
+        res, res2 = finish_test("wald", draws, [make_sign_set(3, "exhaustive")] * 2, 0.2)
         assert res.critical_value == 7.0
         assert not res.reject  # ties do not reject
-        res2 = finish_test("wald", 7.5, boot, make_sign_set(3, "exhaustive"), 0.2)
         assert res2.reject
 
     def test_pvalue_counts_weak_exceedance(self):
@@ -107,7 +117,7 @@ class TestResults:
 
     def test_record_shape(self):
         ss = make_sign_set(3, "exhaustive")
-        res = finish_test("ar", 1.0, np.ones(8), ss, 0.1)
+        (res,) = finish_test("ar", np.ones((1, 9)), [ss], 0.1)
         rec = res.to_record()
         assert set(rec) == {
             "test", "estimator", "statistic", "critical_value",

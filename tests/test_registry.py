@@ -146,18 +146,20 @@ def test_shared_pass_failure_fails_the_whole_family():
     # 8 rows cannot fit the 4 * 2 + 1 + 1 columns of the WREC first stage,
     # which every null of a block shares
     ds = random_dataset(6, q=4, n_per=2, d_z=2, d_w=1)
-    block = [Hypothesis.wald(np.ones((1, 1)), [b]) for b in (-0.5, 0.0, 0.5)]
+    block = Hypothesis.wald(np.ones((1, 1)), [[-0.5], [0.0], [0.5]])
     results = run_tests(ds, ["wald", "wald-cr", "ar"], block)
     for out in results:
         assert isinstance(out["wald"], InputError)
         assert str(out["wald"]).startswith("first stage needs n >= q*d_z + d_w + 1")
         assert out["wald-cr"] is out["wald"]
         assert out["ar"].test == "ar"
-    # wald-cr with q <= d_r fails its null before any fit; a null with fewer
-    # restrictions in the same block gets the first-stage error
+    # wald-cr with q <= d_r fails its block before any fit; a block with
+    # fewer restrictions gets the first-stage error
     ds = random_dataset(3, q=2, n_per=3, d_x=2, d_z=2)
-    block = [Hypothesis.full_vector([0.1, 0.2]), Hypothesis.wald([[1.0], [0.5]], [0.3])]
-    few, fit = (out["wald"] for out in run_tests(ds, ["wald", "wald-cr"], block))
+    few, fit = (
+        run_tests(ds, ["wald", "wald-cr"], block)[0]["wald"]
+        for block in (Hypothesis.full_vector([[0.1, 0.2]]), Hypothesis.wald([[1.0], [0.5]], [[0.3]]))
+    )
     assert str(few) == "studentized Wald needs more clusters than restrictions (q > d_r)"
     assert str(fit).startswith("first stage needs n >= q*d_z + d_w + 1")
 
@@ -237,7 +239,7 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
         # rows: a stack of 2, then 129
         short, long = (run_tests(ds, names, hyp, sign_set=s, design=design) for s in (one, signs))
         # and the null axis: the same null alone, then inside a block of three
-        block = [Hypothesis.full_vector([b] * d_x) for b in (B0 - 0.7, B0, B0 + 0.2)]
+        block = Hypothesis.full_vector([[b] * d_x for b in (B0 - 0.7, B0, B0 + 0.2)])
         inside = run_tests(ds, names, block, sign_set=one, design=design)[1]
         for name in names:
             if name == "ar-cr-asymptotic":
@@ -352,23 +354,31 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
             out = run_tests(ds1, list(members), Hypothesis.full_vector([B0]), sign_set=signs)
             assert not any(isinstance(res, Exception) for res in out.values())
             assert len(stacks) + len(stacks_ar) == before + 1, members
-    # a block of nulls is one pass too
+    # a block of nulls is one pass too, and each test decides all its nulls
+    # in one finish_test (ar-cr-asymptotic takes a chi-squared quantile)
+    finishes = _counting(monkeypatch, wbiv.weakiv, "finish_test")
     before = (len(fits), len(stacks) + len(stacks_ar))
-    run_tests(ds1, names, [Hypothesis.full_vector([b]) for b in (0.1, B0, 0.5)], sign_set=signs)
+    run_tests(ds1, names, Hypothesis.full_vector([[b] for b in (0.1, B0, 0.5)]), sign_set=signs)
     assert (len(fits), len(stacks) + len(stacks_ar)) == (before[0] + 1, before[1] + 1)
-    # the wald counterpart: the k-class fit and the efficient first stage do
-    # not depend on the null, so one of each per run_tests call, whatever
-    # the block size, and one restricted fit per null
+    assert sorted(finishes) == ["finish_test"] * (len(names) - 1)
+    # the wald counterpart: the k-class fit, its sample forms and the
+    # efficient first stage do not depend on the null, so one of each per
+    # run_tests call, whatever the block size, one restricted fit per null,
+    # and one finish_test per test
+    import wbiv.kclass
     import wbiv.wald
 
     kclass = _counting(monkeypatch, wbiv.wald, "fit_method")
     stages = _counting(monkeypatch, wbiv.wald, "efficient_first_stage")
     restricted = _counting(monkeypatch, wbiv.wald, "restricted_kclass_fit")
+    forms = _counting(monkeypatch, wbiv.kclass, "_sample_forms")
+    finishes = _counting(monkeypatch, wbiv.wald, "finish_test")
     for calls, size in enumerate((1, 3, 40), start=1):
-        block = [Hypothesis.full_vector([b]) for b in np.linspace(-1.0, 1.0, size)]
+        block = Hypothesis.full_vector(np.linspace(-1.0, 1.0, size)[:, None])
         out = run_tests(ds, ["wald", "wald-cr"], block, estimator="liml", sign_set=signs)
         assert not any(isinstance(res, Exception) for null in out for res in null.values())
-        assert (len(kclass), len(stages)) == (calls, calls)
+        assert (len(kclass), len(stages), len(forms)) == (calls, calls, calls)
+        assert len(finishes) == 2 * calls
     assert len(restricted) == 1 + 3 + 40
 
 
@@ -386,19 +396,21 @@ def test_each_null_of_a_block_gets_its_own_bits(d_x, d_z, q, mode):
     ds = random_dataset(d_z, q=q, n_per=8, d_x=d_x, d_z=d_z, pi_scale=0.5)
     names = ["ar", "ar-cr", "lm", "wald", "wald-cr"] + (["cqlr"] if d_x == 1 else [])
     names += ["score-wald"] if d_z == 1 else []
-    block = [Hypothesis.full_vector([b, 0.5 - b][:d_x]) for b in (-0.9, B0, 0.31, 1.7)]
+    nulls = [[b, 0.5 - b][:d_x] for b in (-0.9, B0, 0.31, 1.7)]
+    block = Hypothesis.full_vector(nulls)
     if mode == "exhaustive":
         signs = make_sign_set(q, "exhaustive")
-        per_null = [signs] * len(block)
+        per_null = [signs] * len(nulls)
     else:
         signs = per_null = [make_sign_set(q, "sampled", B=29, seed=(5, "cs", i)) for i in range(4)]
     design = partial_out_exogenous(ds)
     for estimator in ("tsls", "liml"):  # the wald family's fit
         results = run_tests(ds, names, block, estimator=estimator, sign_set=signs, design=design)
-        for hyp, own, got in zip(block, per_null, results):
+        for null, own, got in zip(nulls, per_null, results):
             for name in names:
-                want = run_test(ds, name, hyp, estimator=estimator, sign_set=own, design=design)
-                what = (estimator, name, hyp.lambda_0)
+                want = run_test(ds, name, Hypothesis.full_vector(null), estimator=estimator,
+                                sign_set=own, design=design)
+                what = (estimator, name, null)
                 assert (got[name].statistic, got[name].critical_value, got[name].pvalue,
                         got[name].reject, got[name].n_singular) == (
                     want.statistic, want.critical_value, want.pvalue, want.reject,
@@ -410,10 +422,25 @@ def test_each_null_of_a_block_gets_its_own_bits(d_x, d_z, q, mode):
 def test_a_block_takes_one_sign_set_per_null():
     ds = random_dataset(1, q=5, n_per=10)
     one, other = make_sign_set(5, "exhaustive"), make_sign_set(5, "sampled", B=3, seed=1)
-    block = [Hypothesis.full_vector([b]) for b in (0.0, 0.5)]
-    for sets in ([one], [one, other]):
+    block = Hypothesis.full_vector([[0.0], [0.5]])
+    for sets in ([one], [one, other], []):
         with pytest.raises(InputError, match="one sign set per null, all of one size"):
             run_tests(ds, ["ar"], block, sign_set=sets)
+    # a block of nulls is checked as a whole: a NaN anywhere in it names
+    # beta_0, and a lambda_0 of another width than lambda is refused
+    for at in itertools.product(range(3), range(2)):
+        beta_0 = np.zeros((3, 2))
+        beta_0[at] = np.nan
+        with pytest.raises(InputError, match="non-finite input in beta_0"):
+            Hypothesis.full_vector(beta_0)
+    with pytest.raises(InputError, match="disagree on the number of restrictions"):
+        Hypothesis.wald(np.eye(2), np.zeros((3, 1)))
+    # and holds at least one null, along one null axis
+    for bad in (np.zeros((0, 1)), np.zeros((2, 3, 1))):
+        with pytest.raises(InputError, match=r"one null \(d_x,\) or a block of them"):
+            Hypothesis.full_vector(bad)
+        with pytest.raises(InputError, match=r"one null \(d_r,\) or a block of them"):
+            Hypothesis.wald(np.ones((1, 1)), bad)
 
 
 def test_ar_cr_asymptotic_alone_reads_only_the_iota_row(monkeypatch):
