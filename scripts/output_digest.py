@@ -16,7 +16,18 @@ Run from the root of the tree under test:
 
 To compare against another checkout, keep this script and point
 ``PYTHONPATH`` at that checkout's ``src``. ``--show NAME`` prints the
-captured text of one call instead of the digests.
+captured text of one call instead of the digests, and ``--dump DIR`` also
+writes each call's text to ``DIR/<name>.txt``. ``--compare A B`` reads two
+such directories and prints, for each call whose text differs, how many
+floats moved, the largest relative move, and whether the text with every
+float masked is identical (exit codes, decisions and keys):
+
+    PYTHONPATH=/path/to/parent/src python scripts/output_digest.py --dump parent
+    PYTHONPATH=src python scripts/output_digest.py --dump change
+    python scripts/output_digest.py --compare parent change
+
+The calls import wbiv when they run, so ``--compare`` needs no checkout on
+the path.
 """
 
 import argparse
@@ -30,10 +41,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
-from wbiv.cli import main
-from wbiv.rng import substream
-from wbiv.simulate import DgpConfig, simulate_dgp
 
 ESTIMATORS = ("tsls", "liml", "full", "ba")
 FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
@@ -51,6 +58,9 @@ def write_csv(path: Path, cols: dict, cluster: np.ndarray) -> None:
 def make_csvs(tmp: Path) -> dict:
     """d_x = 1 at d_z = 1 and 3, and d_x = 2 at d_z = 3, all q = 10; and
     d_x = d_z = 1 at q = 14, where sign sets are sampled."""
+    from wbiv.rng import substream
+    from wbiv.simulate import DgpConfig, simulate_dgp
+
     one = simulate_dgp(DgpConfig(d_z=1, pi0=2.0, rho=0.5), substream(11, "digest-dz1"))
     three = simulate_dgp(DgpConfig(d_z=3, pi0=2.0, rho=0.5), substream(12, "digest-dz3"))
     other = simulate_dgp(DgpConfig(d_z=3, pi0=1.0, rho=0.3), substream(13, "digest-dx2"))
@@ -117,6 +127,8 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
 
 
 def capture(argv: list[str]) -> str:
+    from wbiv.cli import main
+
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -139,10 +151,44 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def compare(a: str, b: str) -> str:
+    """One line on how the text ``b`` moved from ``a``: the floats that
+    moved, the largest relative move, and whether the masked texts agree."""
+    if FLOAT.sub("<float>", a) != FLOAT.sub("<float>", b):
+        return "masked text differs"
+    x, y = (np.array([float(f) for f in FLOAT.findall(t)]) for t in (a, b))
+    moved = x != y
+    scale = np.maximum(np.abs(x), np.abs(y))[moved]
+    worst = float(np.max(np.abs(x - y)[moved] / scale)) if moved.any() else 0.0
+    return f"{int(moved.sum())} of {x.size} floats moved, largest relative move {worst:.2g}, " \
+           "masked text identical"
+
+
+def compare_dirs(a: Path, b: Path) -> None:
+    """:func:`compare` for every call dumped in both directories whose text
+    differs, and the calls dumped in only one of them."""
+    names = sorted({p.name for p in a.glob("*.txt")} | {p.name for p in b.glob("*.txt")})
+    for name in names:
+        if not (a / name).exists() or not (b / name).exists():
+            print(f"{name[:-4]}: only in {b if (b / name).exists() else a}")
+            continue
+        ta, tb = (a / name).read_text(), (b / name).read_text()
+        if ta != tb:
+            print(f"{name[:-4]}: {compare(ta, tb)}")
+
+
 def main_digest() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--show", help="print the captured output of the call with this name")
+    parser.add_argument("--dump", type=Path, help="also write each call's output to DIR/<name>.txt")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two --dump directories instead of running the calls")
     args = parser.parse_args()
+    if args.compare:
+        compare_dirs(*args.compare)
+        return
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         todo = calls(make_csvs(tmp))
@@ -152,6 +198,8 @@ def main_digest() -> None:
                 sys.exit(f"no call named {args.show!r}")
         for name, argv in todo:
             text = capture(argv).replace(str(tmp), "<tmp>")
+            if args.dump:
+                (args.dump / f"{name}.txt").write_text(text)
             if args.show:
                 sys.stdout.write(text)
             else:

@@ -96,6 +96,16 @@ def prepare_test(
     return sign_set, design
 
 
+def sign_rows(sign_sets: list[SignSet], width: int | None = None) -> np.ndarray:
+    """The sign rows of a block of nulls with g = iota appended last: one set
+    (1, m + 1, q) when every null shares one sign set, else one per null
+    (P, m + 1, q). ``width`` keeps only the first rows of each set (0: iota
+    alone)."""
+    shared = all(signs is sign_sets[0] for signs in sign_sets)
+    signs = np.array([ss.vectors[:width] for ss in (sign_sets[:1] if shared else sign_sets)])
+    return np.concatenate([signs, np.ones((len(signs), 1, signs.shape[-1]))], axis=1)
+
+
 def result_or_raise(result):
     """A test's result, or the failure it was recorded with raised."""
     if isinstance(result, Exception):

@@ -248,29 +248,34 @@ def fit_method(
                       method, forms)
 
 
+def restricted_betas(fit: KClassFit, lambda_beta: np.ndarray, lambda_0: np.ndarray) -> np.ndarray:
+    """The null-restricted estimate at each null of a block, the rows of
+    ``lambda_0`` (P, d_r): (P, d_x), the unrestricted estimate projected onto
+    lambda' b = lambda_0 in the metric of the fit's system matrix X'P_Zt X -
+    mu X'M_[Z:W] X. Each null is an item of one stacked solve and its
+    correction a sum over d_r in order, so its bits do not depend on the block."""
+    k, ok = stack_solve(fit.system[None], lambda_beta[None])
+    raise_singular({KCLASS_SYSTEM: ok})
+    k, d_r = k[0], lambda_beta.shape[1]
+    metric = np.broadcast_to(lambda_beta.T @ k, (len(lambda_0), d_r, d_r))
+    gap, ok = stack_solve(metric, lambda_beta.T @ fit.beta_hat - lambda_0)
+    raise_singular({"restriction projection": [ok.all()]})
+    return fit.beta_hat - sum(k[:, r] * gap[:, r, None] for r in range(d_r))
+
+
 def restricted_kclass_fit(
     dataset: ClusteredDataset,
     design: PartialledDesign,
     fit: KClassFit,
     hypothesis: Hypothesis,
 ) -> KClassFit:
-    """Add the null-restricted estimates to a fit.
-
-    beta_r projects the unrestricted estimate onto the restriction set using
-    the metric X'P_Zt X - mu X'M_[Z:W] X, after which gamma_r re-solves the
-    exogenous block and the restricted residual is recomputed from scratch.
-    The metric is the system matrix the fit was solved with.
+    """Add the null-restricted estimates to a fit: beta_r of
+    :func:`restricted_betas` at the hypothesis's one null, after which
+    gamma_r re-solves the exogenous block and the restricted residual is
+    recomputed from scratch.
     """
-    lam = hypothesis.lambda_beta
-    lam0 = hypothesis.lambda_0
+    beta_r = restricted_betas(fit, hypothesis.lambda_beta, hypothesis.lambda_0[None])[0]
     y, X, W = dataset.y, dataset.X, dataset.W
-    k, ok = stack_solve(fit.system[None], lam[None])
-    raise_singular({KCLASS_SYSTEM: ok})
-    k = k[0]
-    gap, ok = stack_solve((lam.T @ k)[None], (lam.T @ fit.beta_hat - lam0)[None])
-    raise_singular({"restriction projection": ok})
-    gap = gap[0]
-    beta_r = fit.beta_hat - k @ gap
     gamma_r = design.proj_w_coef(y - X @ beta_r)
     resid_r = y - X @ beta_r - W @ gamma_r
     return replace(fit, beta_hat_r=beta_r, gamma_hat_r=gamma_r, resid_restricted=resid_r)

@@ -5,8 +5,8 @@ Tests come in two families, each run by one call over a block of nulls (a
 :class:`Hypothesis` with a null axis) whose members share one pass over
 the data and decide every null at once; each pass reads its sample
 statistics from the g = iota row it appends to the sign rows:
-:func:`wald.wald_tests`, one k-class fit and one efficient first stage per
-block and a WREC run per null for wald and wald-cr, and
+:func:`wald.wald_tests`, one k-class fit, one efficient first stage and
+one WREC pass per block for wald and wald-cr, and
 :func:`weakiv.full_vector_tests`, one restricted fit and one stack of
 signed score means for ar, ar-cr, ar-cr-asymptotic, lm, cqlr and
 score-wald, the ar test at beta_0 = lambda_0 / lambda scaled by
@@ -66,10 +66,8 @@ def run_tests(
 
     A hypothesis whose lambda_0 is (P, d_r) is a block of P nulls under one
     lambda, one dict per null, with one sign set or a list of one per null
-    (all of one size). Each family runs the block in one call: the
-    full-vector pass covers it, and the wald family fits the k-class
-    estimator and the efficient first stage once for it. A null's results
-    do not depend on the block.
+    (all of one size). Each family runs the block in one pass. A null's
+    results do not depend on the block.
 
     Invalid arguments raise InputError: an unknown name or estimator, alpha
     outside (0, 1), a sign set for another cluster count, a lambda whose

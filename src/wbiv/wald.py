@@ -13,12 +13,24 @@ The procedure, for a fitted k-class estimator and a linear restriction:
 5. compare the sample statistic with the ceil(m(1-alpha))-th order statistic
    of the bootstrap distribution, rejecting on strict exceedance.
 
-Step 4 never forms X*(g) and y*(g). Every moment a draw needs is affine in
-g, because the signs are constant within a cluster and g_j^2 = 1, so
-:class:`_MomentEngine` computes per-cluster cross moments once and each sign
-vector costs a few q-term contractions (the reduction of Roodman, Nielsen,
-MacKinnon and Webb's "Fast and wild"). The test suite checks it against an
-observation-level refit per sign vector (``tests/wrec_reference.py``).
+Step 4 never forms X*(g) and y*(g). With h the first-stage fit,
+[X* : y*] = P + diag(g) S columnwise for P = [h : h b_r + W gamma_r] and
+S = [v : v b_r + eps_r], so every moment a draw needs is affine in g (the
+signs are constant within a cluster and g_j^2 = 1): per-cluster cross
+moments are formed once, and each sign vector costs a few q-term
+contractions (the reduction of Roodman, Nielsen, MacKinnon and Webb's
+"Fast and wild"). P and S are also linear in the restricted estimate b_r,
+since W gamma_r = P_W (y - X b_r) and eps_r = M_W (y - X b_r):
+
+    P = A_P T(b_r),  A_P = [h : P_W y : v - M_W X],
+    S = A_S T(b_r),  A_S = [v : M_W y : M_W X - v],
+    T(b) = [[I, 0], [0, 1], [0, -b]], of shape (2 d_x + 1, d_x + 1).
+
+So a block of nulls is one pass (:func:`_wrec_draws`): the cross moments of
+A_P and A_S are formed once, and T(b) carries them to each null, on the
+right, and on both sides of the Gram blocks. The test suite checks the
+draws against an observation-level refit per sign vector
+(``tests/wrec_reference.py``).
 
 The draws go through the same stacked algebra as a sample fit: the k-class
 routine of :mod:`kclass` and the CCE sandwich of :mod:`cce`, with the one
@@ -41,18 +53,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cce import cce_sandwich
-from .data import ClusteredDataset, Hypothesis, PartialledDesign, cluster_cross, raise_singular
+from .data import ClusteredDataset, Hypothesis, PartialledDesign, cluster_cross
 from .exceptions import InputError, NumericalError
-from .inference import SignSet, finish_test, prepare_test
+from .inference import SignSet, finish_test, prepare_test, result_or_raise, sign_rows
 from .kclass import (
     KCLASS_SYSTEM,
     LIML_PENCIL,
-    KClassFit,
     fit_method,
     kclass_beta,
     kclass_forms,
     kclass_kappa,
-    restricted_kclass_fit,
+    restricted_betas,
+    restricted_ols_fit,
     warn_clamped,
 )
 
@@ -112,103 +124,96 @@ def efficient_first_stage(
 # ---------------------------------------------------------------------------
 
 
-class _MomentEngine:
-    """Per-cluster cross-moment reduction of the bootstrap.
+def _wrec_draws(
+    dataset: ClusteredDataset, design: PartialledDesign, first_stage: EfficientFirstStage,
+    beta_r: np.ndarray, block: Hypothesis, rows: np.ndarray, method: str, fuller_c: float,
+    want_cr: bool,
+):
+    """The moment engine of a block of nulls: the plain and, with
+    ``want_cr``, the CCE-studentized statistic at each null of ``block``,
+    whose restricted estimate is a row of ``beta_r`` (P, d_x), for each sign
+    row of ``rows`` (1 or P, M, q), and the singular checks (what -> ok
+    flags), each of shape (P, M).
 
-    With P = [fitted : fitted@beta_r + W@gamma_r] and S = [v : v@beta_r +
-    eps_r], the bootstrap data are [X* : y*] = P + diag(g) S columnwise, so
-    every Gram block the k-class solve and the bootstrap CCE need is an
-    affine function of g with per-cluster matrix coefficients. Those
-    coefficients are computed once; each sign vector then costs a handful
-    of q-term contractions, and the draws go through the stacked k-class
-    routine and CCE sandwich that the sample uses.
+    Every coefficient is a cross moment of A_P or A_S, pooled or per
+    cluster, formed once for the block; the per-null work is the T(b)
+    products and the draw rows. A singular row reads 0.0. The last row is
+    g = iota, the sample, whose clamped LIML kappa the sample fit has
+    already reported; the clamp warning counts the other rows of every
+    null, once.
     """
+    n, q, d_x, d_z, d_w = dataset.n, dataset.q, dataset.d_x, dataset.d_z, dataset.d_w
+    P, M, k = len(beta_r), rows.shape[1], 2 * d_x + 1
+    lam, zt, starts = block.lambda_beta, design.Z_tilde, design.cluster_starts
+    h, v = first_stage.fitted, first_stage.v_tilde
+    ols = restricted_ols_fit(dataset, beta_r, design)  # e_y, e_X = M_W [y : X]
+    # A = [A_P : A_S]
+    a = np.column_stack([h, dataset.y - ols.e_y, v - ols.e_X, v, ols.e_y, ols.e_X - v])
+    # per-cluster cross moments [U_Zt : Zt : A]'A and U_W'[A : Zt]
+    by = cluster_cross(np.column_stack([design.basis_Zt, zt, a]), a, starts)
+    by_w = cluster_cross(design.basis_W, np.column_stack([a, zt]), starts)
+    u_a = np.concatenate([by[:, :d_z], by_w[..., : 2 * k]], axis=1)  # [U_Zt : U_W]'A
+    zt_a, a_a = by[:, d_z : 2 * d_z], by[:, 2 * d_z :]
 
-    def __init__(
-        self,
-        dataset: ClusteredDataset,
-        design: PartialledDesign,
-        first_stage: EfficientFirstStage,
-        restricted_fit: KClassFit,
-        method: str,
-        fuller_c: float,
-    ):
-        self.design = design
-        self.n = dataset.n
-        self.d_x = dataset.d_x
-        self.d_z = dataset.d_z
-        self.d_w = dataset.d_w
-        self.method = method
-        self.fuller_c = fuller_c
+    # A coefficient of the draws stacks its pooled A_P term (A_P'A_P +
+    # A_S'A_S for the Gram block) over its per-cluster A_S terms, (q + 1,
+    # ...), so the sign rows with a leading 1 contract it to base + sum_j
+    # g_j by[j], per null for a coefficient (P, q + 1, ...) taken by T(b).
+    signs = np.concatenate([np.ones(rows.shape[:2] + (1,)), rows], axis=2)
+    t = np.zeros((P, 1, k, d_x + 1))
+    t[..., : d_x + 1, :] = np.eye(d_x + 1)
+    t[:, 0, d_x + 1 :, d_x] = -beta_r
 
-        h = first_stage.fitted
-        v = first_stage.v_tilde
-        beta_r = restricted_fit.beta_hat_r
-        p_mat = np.column_stack([h, h @ beta_r + dataset.W @ restricted_fit.gamma_hat_r])
-        s_mat = np.column_stack([v, v @ beta_r + restricted_fit.resid_restricted])
+    def stacked(pooled, by_j):
+        return np.concatenate([pooled.sum(axis=0)[None], by_j])
 
-        zt, u_w, u_t = design.Z_tilde, design.basis_W, design.basis_Zt
-        starts = design.cluster_starts
-        self.zt_p = zt.T @ p_mat
-        self.zt_s_by = cluster_cross(zt, s_mat, starts)
-        self.zpw_by = cluster_cross(zt, np.column_stack([p_mat, dataset.W]), starts)
-        self.uw_p = u_w.T @ p_mat
-        self.uw_s_by = cluster_cross(u_w, s_mat, starts)
-        self.ut_p = u_t.T @ p_mat
-        self.ut_s_by = cluster_cross(u_t, s_mat, starts)
-        self.pp_ss = p_mat.T @ p_mat + s_mat.T @ s_mat
-        ps_by = cluster_cross(p_mat, s_mat, starts)
-        self.ps_sym_by = ps_by + ps_by.transpose(0, 2, 1)
+    def draws_of(x):
+        out = np.einsum("...mj,...jk->...mk", signs, x.reshape(P, q + 1, -1))
+        return out.reshape((P * M,) + x.shape[2:])
 
-    def distributions(self, signs: np.ndarray, hypothesis: Hypothesis, want_cr: bool):
-        """The plain and, with ``want_cr``, the CCE-studentized statistic for
-        each sign row, and the singular checks of every row (what -> ok
-        flags). A singular row reads 0.0. The last row is g = iota, the
-        sample, whose clamped LIML kappa the sample fit has already
-        reported; the clamp warning counts the other rows."""
-        n, d_x = self.n, self.d_x
-        lam, lam0 = hypothesis.lambda_beta, hypothesis.lambda_0
-        g = np.asarray(signs, dtype=np.float64)
-
-        # U_Zt'[X* : y*], U_W'[X* : y*] and [X* : y*]'[X* : y*]: base + sum_j g_j by[j]
-        ut_all = self.ut_p + np.einsum("mj,j...->m...", g, self.ut_s_by)
-        uw_all = cross = None
-        if want_cr or self.method != "tsls":
-            uw_all = self.uw_p + np.einsum("mj,j...->m...", g, self.uw_s_by)
-        if self.method != "tsls":
-            cross = self.pp_ss + np.einsum("mj,j...->m...", g, self.ps_sym_by)
-        p, mw = kclass_forms(ut_all, cross, uw_all)
-        kappa, ok_kappa, clamped = kclass_kappa(
-            self.method, p, mw, n, self.d_z, self.d_w, self.fuller_c
-        )
-        warn_clamped(clamped[:-1])
-        beta, ok_beta = kclass_beta(kappa, p, mw)
-        checks = {LIML_PENCIL: ok_kappa, KCLASS_SYSTEM: ok_beta}
-        dev = np.einsum("ma,ar->mr", beta, lam) - lam0[None]
-        valid = ok_kappa & ok_beta
-        stats = np.sqrt(n * np.maximum(np.einsum("mr,mr->m", dev, dev), 0.0))
-        stats[~valid] = 0.0
-        if not want_cr:
-            return stats, None, checks
-
-        # y* - X* beta* - W gamma* has coefficients (-beta*, 1, -gamma*) on
-        # [X* : y* : W], with gamma* from U_W'(y* - X* beta*) as in
-        # design.proj_w_coef
+    # U_Zt'[X* : y*], U_W'[X* : y*] when read, and [X* : y*]'[X* : y*] unless TSLS
+    basis = slice(0, d_z + d_w if want_cr or method != "tsls" else d_z)
+    u_all = draws_of(stacked(u_a[:, basis, :k], u_a[:, basis, k:]) @ t)
+    ut_all, uw_all = u_all[:, :d_z], u_all[:, d_z:]
+    cross = None
+    if method != "tsls":
+        ps = a_a[:, :k, k:]
+        gram = stacked(a_a[:, :k, :k] + a_a[:, k:, k:], ps + ps.transpose(0, 2, 1))
+        cross = draws_of(t.swapaxes(-1, -2) @ gram @ t)
+    p, m_w = kclass_forms(ut_all, cross, uw_all)
+    kappa, ok_kappa, clamped = kclass_kappa(method, p, m_w, n, d_z, d_w, fuller_c)
+    warn_clamped(clamped.reshape(P, M)[:, :-1])
+    beta, ok_beta = kclass_beta(kappa, p, m_w)
+    checks = {LIML_PENCIL: ok_kappa, KCLASS_SYSTEM: ok_beta}
+    dev = np.einsum("ma,ar->mr", beta, lam) - np.repeat(block.lambda_0, M, axis=0)
+    valid = ok_kappa & ok_beta
+    stats = np.sqrt(n * np.maximum(np.einsum("mr,mr->m", dev, dev), 0.0))
+    stats[~valid] = 0.0
+    stats_cr = None
+    if want_cr:
+        # r* = y* - X* beta* has coefficients (-beta*, 1) on [X* : y*] and
+        # T(b) (-beta*, 1) on A; the residual r* - W gamma* = r* - P_W r*
+        # then has cluster scores [Zt'A]_j T(b) (-beta*, 1) - [Zt'U_W]_j U_W'r*
         coef = np.column_stack([-beta, np.ones(len(beta))])
-        gamma = self.design.w_coef((uw_all @ coef[:, :, None])[:, :, 0])
+        uw_r = (uw_all @ coef[:, :, None])[:, :, 0]
+        coef = np.column_stack([coef, np.repeat(-beta_r, M, axis=0)])
         # Per-cluster bootstrap scores: only the own-cluster sign enters.
-        flipped = g[:, :, None] * np.einsum("jzk,mk->mjz", self.zt_s_by, coef)
-        scores = np.einsum("jzk,mk->mjz", self.zpw_by, np.column_stack([coef, -gamma])) + flipped
+        g = np.broadcast_to(rows, (P, M, q)).reshape(P * M, q)
+        flipped = g[:, :, None] * np.einsum("jzk,mk->mjz", np.ascontiguousarray(zt_a[..., k:]),
+                                            coef)
+        zt_pw = np.concatenate([zt_a[..., :k], by_w[..., 2 * k :].transpose(0, 2, 1)], axis=2)
+        scores = np.einsum("jzk,mk->mjz", zt_pw, np.column_stack([coef, -uw_r])) + flipped
         omega = scores.transpose(0, 2, 1) @ scores / n
-        zt_x_by = self.zt_s_by[:, :, :d_x]
-        q_zx = (self.zt_p[:, :d_x] + np.einsum("mj,j...->m...", g, zt_x_by)) / n
-        bundle, cce_checks = cce_sandwich(q_zx, self.design.Q_ZZ, omega, lam)
+        zx = stacked(zt_a[..., :d_x], zt_a[..., k : k + d_x])  # Zt'X* = Zt'h + sum_j g_j [Zt'v]_j
+        q_zx = draws_of(np.broadcast_to(zx, (P,) + zx.shape)) / n
+        bundle, cce_checks = cce_sandwich(q_zx, design.Q_ZZ, omega, lam)
         checks.update(cce_checks)
         valid &= np.logical_and.reduce(list(cce_checks.values()))
         a_dev = np.einsum("mr,mrs->ms", dev, bundle.A_r_CR)
         stats_cr = np.sqrt(n * np.maximum(np.einsum("ms,ms->m", a_dev, dev), 0.0))
         stats_cr[~valid] = 0.0
-        return stats, stats_cr, checks
+        stats_cr = stats_cr.reshape(P, M)
+    return stats.reshape(P, M), stats_cr, {what: ok.reshape(P, M) for what, ok in checks.items()}
 
 
 @dataclass(frozen=True)
@@ -222,44 +227,22 @@ class WrecRun:
     n_singular: int
 
 
-def _wrec_null(
-    dataset: ClusteredDataset, design: PartialledDesign, fit: KClassFit,
-    first_stage: EfficientFirstStage, hypothesis: Hypothesis, sign_set: SignSet, method: str,
-    fuller_c: float, want_cr: bool,
-):
-    """The WREC pass at one null, from the k-class fit and the efficient
-    first stage, neither of which depends on it: the plain and, with
-    ``want_cr``, the studentized draws over the sign rows with g = iota, the
-    sample, appended last, and the number of singular draws other than iota.
-    A singular iota draw is a NumericalError."""
-    fit = restricted_kclass_fit(dataset, design, fit, hypothesis)
-    eng = _MomentEngine(dataset, design, first_stage, fit, method, fuller_c)
-    signs = np.vstack([sign_set.vectors, np.ones((1, dataset.q))])
-    stats, stats_cr, checks = eng.distributions(signs, hypothesis, want_cr)
-    raise_singular(checks, row=-1)
-    singular = ~np.logical_and.reduce(list(checks.values()))[:-1]
-    return stats, stats_cr, int(singular.sum())
-
-
 def wrec_run(
     dataset: ClusteredDataset, hypothesis: Hypothesis, method: str = "tsls",
     sign_set: SignSet | None = None, fuller_c: float = 1.0,
     design: PartialledDesign | None = None, want_cr: bool = True,
 ) -> WrecRun:
     """One full WREC pass computing the plain and CCE-studentized statistics:
-    :func:`wald_tests` at one null."""
+    :func:`wald_tests` at one null, its failure raised."""
     sign_set, design = prepare_test(dataset, sign_set, design)
-    fit = fit_method(dataset, design, method, fuller_c)
-    first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
-    stats, stats_cr, n_singular = _wrec_null(dataset, design, fit, first_stage, hypothesis,
-                                             sign_set, method, fuller_c, want_cr)
-    return WrecRun(
-        statistic=float(stats[-1]),
-        statistic_cr=None if stats_cr is None else float(stats_cr[-1]),
-        boot_stats=stats[:-1],
-        boot_stats_cr=None if stats_cr is None else stats_cr[:-1],
-        n_singular=n_singular,
-    )
+    block = Hypothesis(hypothesis.lambda_beta, hypothesis.lambda_0[None])
+    names = ["wald", "wald-cr"] if want_cr else ["wald"]
+    out = wald_tests(dataset, design, block, names, [sign_set], 0.1, method, fuller_c)[0]
+    plain = result_or_raise(out["wald"])
+    cr = result_or_raise(out["wald-cr"]) if want_cr else None
+    return WrecRun(statistic=plain.statistic, boot_stats=plain.boot_stats,
+                   statistic_cr=None if cr is None else cr.statistic,
+                   boot_stats_cr=None if cr is None else cr.boot_stats, n_singular=plain.n_singular)
 
 
 def wald_tests(
@@ -269,32 +252,26 @@ def wald_tests(
     """The wald and wald-cr tests among ``names`` at each null of ``block``
     (lambda_0 of shape (P, d_r)), one dict per null, with ``sign_sets``
     holding each null's sign set. wald-cr with q <= d_r is an InputError.
-    The k-class fit and the efficient first stage are computed once for the
-    block, then each null gets its own WREC pass, with the CCE side only
-    when wald-cr is asked for, and each test decides all nulls at once. A
-    null whose pass fails maps both tests to the NumericalError or
-    InputError raised.
+    The block is one WREC pass: the k-class fit, the efficient first stage
+    and the restricted estimates, then the moment engine once, with the CCE
+    side only when wald-cr is asked for; each test decides all nulls at
+    once. A null whose g = iota draw is singular maps both tests to a
+    NumericalError naming the first check that draw fails.
     """
     want_cr = "wald-cr" in names
     if want_cr and dataset.q <= block.d_r:
         raise InputError("studentized Wald needs more clusters than restrictions (q > d_r)")
     fit = fit_method(dataset, design, method, fuller_c)
     first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
-    P = len(block.lambda_0)
-    draws = {name: np.zeros((P, sign_sets[0].size + 1)) for name in ("wald", "wald-cr")}
-    n_singular, failed = np.zeros(P, dtype=int), [None] * P
-    for p, (lam0, sign_set) in enumerate(zip(block.lambda_0, sign_sets)):
-        try:
-            stats, stats_cr, n_singular[p] = _wrec_null(
-                dataset, design, fit, first_stage, Hypothesis(block.lambda_beta, lam0), sign_set,
-                method, fuller_c, want_cr)
-        except (NumericalError, InputError) as exc:
-            failed[p] = exc
-            continue
-        draws["wald"][p] = stats
-        if want_cr:
-            draws["wald-cr"][p] = stats_cr
-    # a failed null's zero draws are decided too, then its failure reported
+    beta_r = restricted_betas(fit, block.lambda_beta, block.lambda_0)
+    stats, stats_cr, checks = _wrec_draws(dataset, design, first_stage, beta_r, block,
+                                          sign_rows(sign_sets), method, fuller_c, want_cr)
+    iota = np.array([ok[:, -1] for ok in checks.values()])
+    errors = np.array([None] + [NumericalError(f"singular {what}") for what in checks])
+    failed = errors[np.where(iota.all(axis=0), 0, iota.argmin(axis=0) + 1)].tolist()
+    n_singular = (~np.logical_and.reduce(list(checks.values()))[:, :-1]).sum(axis=1)
+    draws = {"wald": stats, "wald-cr": stats_cr}
+    # a failed null's draws are decided too, then its failure reported
     decided = {name: finish_test(name, draws[name], sign_sets, alpha,
                                  estimator=method, n_singular=n_singular) for name in names}
     return [{name: exc or decided[name][p] for name in names} for p, exc in enumerate(failed)]

@@ -32,7 +32,7 @@ from .ar import (
 )
 from .data import ClusteredDataset, Hypothesis, PartialledDesign, stack_solve
 from .exceptions import InputError, NumericalError
-from .inference import finish_test
+from .inference import finish_test, sign_rows
 from .kclass import RestrictedOlsFit, restricted_ols_fit
 
 # What is singular when the iota row fails, as the NumericalError names it.
@@ -180,10 +180,7 @@ def full_vector_tests(
     if "score-wald" in names:
         beta_0 = beta_0 / lam
     pieces, s, a_cr, cr_ok = null_scores(design, restricted_ols_fit(dataset, beta_0, design))
-    shared = all(signs is sign_sets[0] for signs in sign_sets)
-    width = 0 if set(names) == {"ar-cr-asymptotic"} else None
-    signs = np.array([ss.vectors[:width] for ss in (sign_sets[:1] if shared else sign_sets)])
-    rows = np.concatenate([signs, np.ones((len(signs), 1, q))], axis=1)
+    rows = sign_rows(sign_sets, 0 if set(names) == {"ar-cr-asymptotic"} else None)
 
     failed, n_singular, bundle = {}, None, None
     if score := [name for name in names if name in SCORE]:

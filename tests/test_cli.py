@@ -330,3 +330,33 @@ class TestNegativeValues:
         assert _join_negative_values(argv) == [
             "--grid-lo=-Inf", "--beta0=-nan,1", "--lam=-INFINITY", "-B", "199", "--out", "-info",
         ]
+
+
+def test_output_digest_compare_counts_moved_floats(tmp_path):
+    # scripts/output_digest.py --compare, which checks a change that moves
+    # output bits: per differing call, the floats moved, the largest
+    # relative move, and whether the text with floats masked agrees
+    import contextlib
+    import importlib.util
+    import io
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", script)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    a = "exit 0\nstatistic 1.5\ncritical 2.0\nreject false\n"
+    assert digest.compare(a, a.replace("1.5", "1.5000000000000002")) == (
+        "1 of 2 floats moved, largest relative move 1.5e-16, masked text identical")
+    assert digest.compare(a, a.replace("false", "true")) == "masked text differs"
+    for side, text in (("parent", a), ("change", a.replace("2.0", "2.0000001"))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "test wald.txt").write_text(text)
+        (tmp_path / side / "cs ar.txt").write_text(a)
+    (tmp_path / "change" / "diagnose.txt").write_text(a)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        digest.compare_dirs(tmp_path / "parent", tmp_path / "change")
+    assert out.getvalue().splitlines() == [
+        f"diagnose: only in {tmp_path / 'change'}",
+        "test wald: 1 of 2 floats moved, largest relative move 5e-08, masked text identical",
+    ]

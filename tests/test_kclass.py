@@ -15,6 +15,7 @@ from wbiv import (
     restricted_ols_fit,
 )
 from wbiv.exceptions import InputError
+from wbiv.kclass import restricted_betas
 
 
 def joint_kclass_reference(dataset, kappa):
@@ -140,6 +141,35 @@ class TestRestrictedFit:
             fit = fit_method(ds, design, method)
             rfit = restricted_kclass_fit(ds, design, fit, hyp)
             assert lam.T @ rfit.beta_hat_r == pytest.approx(0.7, abs=1e-10)
+
+
+    @pytest.mark.parametrize("d_x, lam", [
+        pytest.param(1, [[1.0]], id="dx1"),
+        pytest.param(2, [[1.0], [-2.0]], id="dx2-dr1"),
+        pytest.param(2, [[1.0, 0.5], [0.0, 1.0]], id="dx2-dr2"),
+    ])
+    def test_one_projection_for_a_null_and_a_block(self, d_x, lam):
+        # the projection is written once: restricted_kclass_fit at each null
+        # is bitwise that null's row of restricted_betas for the block, and
+        # its from-scratch residual is e_y - e_X beta_r, the identity the
+        # WREC engine builds its draws on
+        lam = np.array(lam)
+        nulls = np.array([[-0.9, 0.4], [0.0, 0.0], [0.31, -1.2], [1.7, 0.05]])[:, : lam.shape[1]]
+        for seed in range(3):
+            ds = random_dataset(seed, q=5, n_per=20, d_x=d_x, d_z=3)
+            design = partial_out_exogenous(ds)
+            for method in ("tsls", "liml"):
+                fit = fit_method(ds, design, method)
+                block = restricted_betas(fit, lam, nulls)
+                assert block.shape == (len(nulls), d_x)
+                for lam0, row in zip(nulls, block):
+                    rfit = restricted_kclass_fit(ds, design, fit, Hypothesis.wald(lam, lam0))
+                    assert np.array_equal(rfit.beta_hat_r, row), (seed, method, lam0)
+                    np.testing.assert_allclose(lam.T @ row, lam0, atol=1e-10)
+                    e = restricted_ols_fit(ds, row, design)
+                    resid = e.e_y - e.e_X @ row
+                    scale = np.abs(resid).max()
+                    assert np.abs(rfit.resid_restricted - resid).max() <= 1e-12 * scale
 
 
 class TestRestrictedOls:

@@ -361,25 +361,29 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
     run_tests(ds1, names, Hypothesis.full_vector([[b] for b in (0.1, B0, 0.5)]), sign_set=signs)
     assert (len(fits), len(stacks) + len(stacks_ar)) == (before[0] + 1, before[1] + 1)
     assert sorted(finishes) == ["finish_test"] * (len(names) - 1)
-    # the wald counterpart: the k-class fit, its sample forms and the
-    # efficient first stage do not depend on the null, so one of each per
-    # run_tests call, whatever the block size, one restricted fit per null,
-    # and one finish_test per test
+    # the wald counterpart: the k-class fit, its sample forms, the efficient
+    # first stage and the moment engine do not depend on the null, so one of
+    # each per run_tests call, whatever the block size; the restricted
+    # estimates come from one stacked projection, with no restricted fit per
+    # null; and one finish_test per test
     import wbiv.kclass
     import wbiv.wald
 
     kclass = _counting(monkeypatch, wbiv.wald, "fit_method")
     stages = _counting(monkeypatch, wbiv.wald, "efficient_first_stage")
-    restricted = _counting(monkeypatch, wbiv.wald, "restricted_kclass_fit")
+    engines = _counting(monkeypatch, wbiv.wald, "_wrec_draws")
+    restricted = _counting(monkeypatch, wbiv.kclass, "restricted_kclass_fit")
     forms = _counting(monkeypatch, wbiv.kclass, "_sample_forms")
     finishes = _counting(monkeypatch, wbiv.wald, "finish_test")
+    assert not hasattr(wbiv.wald, "restricted_kclass_fit")
     for calls, size in enumerate((1, 3, 40), start=1):
         block = Hypothesis.full_vector(np.linspace(-1.0, 1.0, size)[:, None])
         out = run_tests(ds, ["wald", "wald-cr"], block, estimator="liml", sign_set=signs)
         assert not any(isinstance(res, Exception) for null in out for res in null.values())
         assert (len(kclass), len(stages), len(forms)) == (calls, calls, calls)
+        assert len(engines) == calls
         assert len(finishes) == 2 * calls
-    assert len(restricted) == 1 + 3 + 40
+    assert restricted == []
 
 
 @pytest.mark.parametrize("d_x, d_z", [

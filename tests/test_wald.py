@@ -16,6 +16,7 @@ from wbiv import (
     make_sign_set,
     partial_out_exogenous,
     restricted_kclass_fit,
+    restricted_ols_fit,
     run_tests,
     score_bootstrap_wald_test,
     wrec_run,
@@ -206,6 +207,28 @@ class TestWrecDistributions:
             assert abs(run.boot_stats[-1] - run.statistic) <= tol
             tol_cr = 1e-9 * max(1.0, run.statistic_cr)
             assert abs(run.boot_stats_cr[-1] - run.statistic_cr) <= tol_cr
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_minus_iota_draw_ties_the_statistic_when_just_identified(self, seed):
+        # at d_z = d_x = 1 the unrestricted residual has Zt'e = 0, so
+        # U_Zt'v = 0 and the unstudentized draw at g = -iota equals the
+        # statistic in exact arithmetic, for TSLS and LIML alike. Every
+        # exhaustive set holds -iota (its first row), so rounding alone puts
+        # that draw on one side of the statistic; no tie rule is adopted
+        # (docs/decisions.md, "The WREC pass per block"). This pins the gap:
+        # 1e-12 relative for TSLS; for LIML, whose kappa is 1 only up to the
+        # pencil root's rounding, 1e-12 times X'M_W X / X'P_Zt X, the factor
+        # by which the k-class system amplifies kappa - 1
+        ds = random_dataset(seed, q=6, n_per=15)
+        design = partial_out_exogenous(ds)
+        e_x = restricted_ols_fit(ds, [0.5], design).e_X[:, 0]
+        weak = (e_x @ e_x) / np.sum((design.basis_Zt.T @ ds.X) ** 2)
+        signs = make_sign_set(6, "exhaustive")
+        assert np.all(signs.vectors[0] == -1.0)
+        for method, tol in (("tsls", 1e-12), ("liml", 1e-12 * max(1.0, weak))):
+            run = wrec_run(ds, Hypothesis.wald(np.eye(1), [0.5]), method, signs, want_cr=False)
+            assert abs(run.boot_stats[0] - run.statistic) <= tol * run.statistic, method
 
     def test_clamped_sample_kappa_warns_once(self, monkeypatch):
         # with the clamp tolerance at -10 every LIML kappa is clamped: the

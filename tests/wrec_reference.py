@@ -3,7 +3,7 @@
 For each sign vector g this builds the bootstrap data (y*, X*) row by row,
 re-solves kappa and refits the k-class estimator on them, and studentizes
 with the bootstrap CCE. It is the textbook form of the procedure that
-``wbiv.wald._MomentEngine`` reduces to per-cluster cross moments, and it is
+``wbiv.wald._wrec_draws`` reduces to per-cluster cross moments, and it is
 built on public primitives only, so the tests can hold the engine to it.
 """
 
