@@ -20,12 +20,7 @@ from .inference import make_sign_set
 from .io import load_config, load_csv, render, write_results
 from .kclass import METHODS, fit_method
 from .registry import ESTIMATOR, FULL_VECTOR, TESTS, lookup, run_test
-from .simulate import (
-    DgpConfig,
-    default_power_grid,
-    run_power_experiment,
-    run_size_experiment,
-)
+from .simulate import DgpConfig, run_power_experiment, run_size_experiment
 
 TEST_HELP = "one of " + ", ".join(TESTS)
 NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.IGNORECASE)
@@ -83,6 +78,7 @@ def _load(args):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="wbiv", description="Wild cluster bootstrap inference for IV regressions")
+    parser.set_defaults(full=False)  # only `test` has --full
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_fit = subs.add_parser("fit", help="point estimates, per-cluster first stages, diagnostics")
@@ -155,11 +151,10 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def _emit(args, record):
-    full = getattr(args, "full", False)
     if args.out:
-        write_results(record, args.out, format=args.format, include_distribution=full)
+        write_results(record, args.out, format=args.format, include_distribution=args.full)
     else:
-        sys.stdout.write(render(record, args.format, include_distribution=full))
+        sys.stdout.write(render(record, args.format, include_distribution=args.full))
 
 
 def _hypothesis(args, d_x: int) -> Hypothesis:
@@ -197,6 +192,11 @@ def _estimator(args) -> tuple[str, float]:
     return args.method or "tsls", 1.0 if args.fuller_c is None else args.fuller_c
 
 
+def _by_cluster(dataset, values: np.ndarray) -> dict:
+    """One entry per cluster label: its row of ``values`` as plain Python."""
+    return dict(zip(map(str, dataset.cluster_labels), values.tolist()))
+
+
 def _cmd_fit(args) -> dict:
     dataset = _load(args)
     design = partial_out_exogenous(dataset)
@@ -210,12 +210,8 @@ def _cmd_fit(args) -> dict:
         "kappa": fit.kappa,
         "beta_hat": fit.beta_hat.tolist(),
         "gamma_hat": fit.gamma_hat.tolist(),
-        "first_stage_by_cluster": {
-            str(label): slopes[j].tolist() for j, label in enumerate(dataset.cluster_labels)
-        },
-        "q_zw_max_abs_by_cluster": {
-            str(label): float(diag.max_abs[j]) for j, label in enumerate(dataset.cluster_labels)
-        },
+        "first_stage_by_cluster": _by_cluster(dataset, slopes),
+        "q_zw_max_abs_by_cluster": _by_cluster(dataset, diag.max_abs),
     }
 
 
@@ -240,6 +236,8 @@ def _cmd_cs(args):
 
 
 def _cmd_simulate(args):
+    if args.mode == "size" and args.beta_grid:
+        raise InputError("--beta-grid applies to power mode only")
     strongs = _floats(args.strong)
     if not all(strong.is_integer() for strong in strongs):
         raise InputError(f"--strong takes whole cluster counts, got {args.strong}")
@@ -250,16 +248,13 @@ def _cmd_simulate(args):
         for strong in strongs
     ]
     tests = args.tests.split(",")
+    run = dict(mc_reps=args.reps, boot_reps=args.boot_reps, seed=args.seed,
+               workers=args.workers, alpha=args.alpha)
     if args.mode == "size":
-        return run_size_experiment(
-            configs, tests, mc_reps=args.reps, boot_reps=args.boot_reps,
-            seed=args.seed, workers=args.workers, alpha=args.alpha,
-        )
-    grid = _floats(args.beta_grid) if args.beta_grid else default_power_grid(configs[0].pi0)
-    return run_power_experiment(
-        configs, tests, beta_grid=grid, mc_reps=args.reps, boot_reps=args.boot_reps,
-        seed=args.seed, workers=args.workers, alpha=args.alpha,
-    )
+        return run_size_experiment(configs, tests, **run)
+    # without --beta-grid each cell gets default_power_grid of its own pi0
+    grid = _floats(args.beta_grid) if args.beta_grid else None
+    return run_power_experiment(configs, tests, beta_grid=grid, **run)
 
 
 def _cmd_diagnose(args) -> dict:
@@ -268,12 +263,8 @@ def _cmd_diagnose(args) -> dict:
     diag = assumption_diagnostics(design)
     return {
         "q": dataset.q,
-        "q_zw_by_cluster": {
-            str(label): diag.Q_ZW_j[j].tolist() for j, label in enumerate(dataset.cluster_labels)
-        },
-        "max_abs_by_cluster": {
-            str(label): float(diag.max_abs[j]) for j, label in enumerate(dataset.cluster_labels)
-        },
+        "q_zw_by_cluster": _by_cluster(dataset, diag.Q_ZW_j),
+        "max_abs_by_cluster": _by_cluster(dataset, diag.max_abs),
     }
 
 
@@ -334,6 +325,9 @@ def main(argv=None) -> int:
             "simulate": _cmd_simulate,
             "diagnose": _cmd_diagnose,
         }[args.command]
+        if args.format == "csv" and (args.command in ("fit", "cs", "diagnose") or args.full):
+            # refused before any work: CSV is one row of scalars and would drop data
+            raise InputError("CSV output is defined only for simulate and test without --full")
         record = handler(args)
         _emit(args, record)
     except (_UsageError, InputError, FileNotFoundError) as exc:

@@ -162,7 +162,9 @@ class PartialledDesign:
     ``Q_ZX_j`` and ``Q_ZW_j`` carry the per-cluster 1/n_j scaling; the pooled
     ``Q_ZZ``, ``Q_ZX`` carry 1/n. The orthonormal bases of span(W) and
     span(Z_tilde) are kept so projection quadratic forms never require an
-    explicit inverse of W'W.
+    explicit inverse of W'W. Only ``Q_ZX`` and ``Q_ZX_j`` depend on X, none on y;
+    the fits read only the W and Z parts, so one design serves every dataset
+    that ``replace_outcome_regressors`` derives.
     """
 
     Z_tilde: np.ndarray
@@ -175,7 +177,8 @@ class PartialledDesign:
     basis_W: np.ndarray   # orthonormal, spans W columns
     basis_Zt: np.ndarray  # orthonormal, spans Z_tilde columns
     # maps U_W-coordinates back to W-coefficients: gamma = w_coef_map @ (U_W' u)
-    w_coef_map: np.ndarray = field(repr=False, default=None)
+    w_coef_map: np.ndarray = field(repr=False)
+    k_within: int  # leading D_j / sqrt(n_j) columns of basis_W (exogenous_basis's k)
 
     @property
     def n(self) -> int:
@@ -191,15 +194,6 @@ class PartialledDesign:
 
     def cluster_slice(self, j: int) -> slice:
         return slice(self.cluster_starts[j], self.cluster_starts[j + 1])
-
-    def proj_w_coef(self, u: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients of a regression of u on W."""
-        return self.w_coef(self.basis_W.T @ u)
-
-    def w_coef(self, coords: np.ndarray) -> np.ndarray:
-        """W-coefficients from U_W-coordinates U_W'u, of shape (d_w,) or one
-        row per item of a stack."""
-        return np.einsum("wv,...v->...w", self.w_coef_map, coords)
 
 
 def cluster_cross(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -313,19 +307,35 @@ def exogenous_basis(dataset: ClusteredDataset) -> tuple[np.ndarray, np.ndarray, 
     return u_w, (vt.T / s) @ a.T, q
 
 
+def exogenous_step(a: np.ndarray, u_w: np.ndarray, k: int,
+                   starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M_W a, U_W'a) for an (n, m) block ``a``, (U_W, k) from :func:`exogenous_basis`:
+    the package's one application of M_W. With k = q (Frisch-Waugh-Lovell) ``a``
+    is demeaned within clusters, whose sums over sqrt(n_j) are the first q
+    coordinates, then projected off U_W's other columns; no n-row product with D."""
+    coords = []
+    if k:
+        sizes = starts[1:] - starts[:-1]
+        sums = np.add.reduceat(a, starts[:-1], axis=0)
+        a = a - np.repeat(sums / sizes[:, None], sizes, axis=0)
+        coords.append(sums / np.sqrt(sizes)[:, None])
+    if u_w.shape[1] > k:
+        coords.append(u_w[:, k:].T @ a)
+        a = a - u_w[:, k:] @ coords[-1]
+    return a, np.concatenate(coords)
+
+
 def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
     """Residualize Z on W over the full sample and assemble all moments.
 
     The residual is computed through an orthonormal basis of span(W) rather
     than (W'W)^{-1}, which keeps cluster-dummy-heavy W well conditioned.
     """
-    W, Z, X = dataset.W, dataset.Z, dataset.X
+    W, X = dataset.W, dataset.X
     n, starts, sizes = dataset.n, dataset.cluster_starts, dataset.cluster_sizes
 
     u_w, w_coef_map, k = exogenous_basis(dataset)
-    if k:  # Frisch-Waugh-Lovell: demean within clusters, then project off U_rest
-        Z = Z - np.repeat(np.add.reduceat(Z, starts[:-1], axis=0) / sizes[:, None], sizes, axis=0)
-    z_tilde = Z - u_w[:, k:] @ (u_w[:, k:].T @ Z)
+    z_tilde = exogenous_step(dataset.Z, u_w, k, starts)[0]
     u_zt, _, _ = _orthonormal_basis(z_tilde, "instruments after partialling")
 
     return PartialledDesign(
@@ -339,6 +349,7 @@ def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
         basis_W=_freeze(u_w),
         basis_Zt=_freeze(u_zt),
         w_coef_map=_freeze(w_coef_map),
+        k_within=k,
     )
 
 

@@ -241,7 +241,8 @@ def render(record, format: str, include_distribution: bool) -> str:
 
     Accepts anything with ``to_record()`` (test results, confidence sets), a
     RejectionTable, or a plain dict. CSV output is only defined for
-    rejection tables and single test results.
+    rejection tables and single test results without the distribution: a
+    record with a list (a set's intervals, ``boot_stats``) is refused.
     """
     if format not in ("json", "csv"):
         raise InputError(f"unknown output format {format!r}")
@@ -253,6 +254,8 @@ def render(record, format: str, include_distribution: bool) -> str:
         payload = record.to_record(include_distribution=include_distribution)
         if format == "json":
             return _json_bytes(payload)
+        if any(isinstance(v, list) for v in payload.values()):
+            raise InputError("CSV output is not defined for this record type")
         keys = [k for k in payload if not isinstance(payload[k], (dict, list))]
         lines = [",".join(keys)]
         lines.append(",".join(repr(payload[k]) if isinstance(payload[k], float) else str(payload[k]) for k in keys))

@@ -28,6 +28,7 @@ from .data import (
     PartialledDesign,
     check_finite,
     exogenous_basis,
+    exogenous_step,
     nonsingular,
     raise_singular,
     stack_solve,
@@ -214,25 +215,16 @@ def kclass_fit(
     forms: tuple | None = None,
 ) -> KClassFit:
     """Fit the k-class estimator with an explicit kappa, from the sample's
-    :func:`kclass_forms` ``forms`` (p, mw) when given."""
-    y, X = dataset.y, dataset.X
+    :func:`kclass_forms` ``forms`` (p, mw) when given; gamma and the residual
+    are :func:`restricted_ols_fit`'s at the estimate."""
     mu = kappa - 1.0
     p, mw = forms or _sample_forms(dataset, design, mu != 0.0)
     system, rhs = _kclass_system(np.array([kappa]), p, mw if mu != 0.0 else None)
     beta, ok = stack_solve(system, rhs)
     raise_singular({KCLASS_SYSTEM: ok})
-    beta = beta[0]
-    gamma = design.proj_w_coef(y - X @ beta)
-    resid = y - X @ beta - dataset.W @ gamma
-    return KClassFit(
-        method=method,
-        kappa=float(kappa),
-        mu=float(mu),
-        beta_hat=beta,
-        gamma_hat=gamma,
-        resid_unrestricted=resid,
-        system=system[0],
-    )
+    ols = restricted_ols_fit(dataset, beta[0], design)
+    return KClassFit(method=method, kappa=float(kappa), mu=float(mu), beta_hat=beta[0],
+                     gamma_hat=ols.gamma_bar_r, resid_unrestricted=ols.resid, system=system[0])
 
 
 def fit_method(
@@ -270,28 +262,26 @@ def restricted_kclass_fit(
     hypothesis: Hypothesis,
 ) -> KClassFit:
     """Add the null-restricted estimates to a fit: beta_r of
-    :func:`restricted_betas` at the hypothesis's one null, after which
-    gamma_r re-solves the exogenous block and the restricted residual is
-    recomputed from scratch.
+    :func:`restricted_betas` at the hypothesis's one null, with gamma_r and
+    the restricted residual from :func:`restricted_ols_fit` at beta_r.
     """
     beta_r = restricted_betas(fit, hypothesis.lambda_beta, hypothesis.lambda_0[None])[0]
-    y, X, W = dataset.y, dataset.X, dataset.W
-    gamma_r = design.proj_w_coef(y - X @ beta_r)
-    resid_r = y - X @ beta_r - W @ gamma_r
-    return replace(fit, beta_hat_r=beta_r, gamma_hat_r=gamma_r, resid_restricted=resid_r)
+    ols = restricted_ols_fit(dataset, beta_r, design)
+    return replace(fit, beta_hat_r=beta_r, gamma_hat_r=ols.gamma_bar_r,
+                   resid_restricted=ols.resid)
 
 
 def restricted_ols_fit(dataset: ClusteredDataset, beta_0, design=None) -> RestrictedOlsFit:
-    """OLS of [y : X] on W, for the null ``beta_0`` (d_x,) or a block of nulls
-    (P, d_x), through the basis of span(W) that the PartialledDesign ``design``
-    holds, or else :func:`data.exogenous_basis`; the residuals are W-orthogonal."""
+    """OLS of [y : X] on W for the null ``beta_0`` (d_x,) or a block of nulls (P, d_x),
+    by :func:`data.exogenous_step` on the basis of span(W) that ``design`` holds or
+    else on :func:`data.exogenous_basis`'s (the same bits); residuals are W-orthogonal."""
     b0 = np.atleast_1d(np.asarray(beta_0, dtype=np.float64))
     if b0.ndim > 2 or b0.shape[-1] != dataset.d_x:
         raise InputError(f"beta_0 must have length d_x={dataset.d_x}")
     check_finite(beta_0=b0)
-    u_w, coef_map = (design.basis_W, design.w_coef_map) if design else exogenous_basis(dataset)[:2]
-    yx = np.column_stack([dataset.y, dataset.X])
-    coords = u_w.T @ yx
-    e = yx - u_w @ coords
+    u_w, coef_map, k = (exogenous_basis(dataset) if design is None
+                        else (design.basis_W, design.w_coef_map, design.k_within))
+    e, coords = exogenous_step(np.column_stack([dataset.y, dataset.X]), u_w, k,
+                               dataset.cluster_starts)
     coef = coef_map @ coords
     return RestrictedOlsFit(b0, coef[:, 0] - b0 @ coef[:, 1:].T, e_y=e[:, 0], e_X=e[:, 1:])

@@ -145,7 +145,7 @@ def test_criterion_04_null_size_just_identified():
 
     Known failures at SEED = 0, all below the window: WB-S at Pi0 = 2 and
     Pi0 = 4 with rho = 0 (4.15% and 6.50%) and WB-US at Pi0 = 2, rho = 0.9
-    (7.05%). docs/decisions.md records the checks showing this is a property
+    (6.95%). docs/decisions.md records the checks showing this is a property
     of the procedure on this design, not of the implementation, and how to
     rerun them.
     """

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import wbiv.cli
 from conftest import T1_CLUSTER, T1_X, T1_Y, T1_Z
 from wbiv.cli import _join_negative_values, main
 
@@ -90,6 +91,9 @@ REFUSED = [
     (["simulate", "size", "--strong", "1.5"], "--strong takes whole cluster counts"),
     (["cs", "--test", "ar", "--workers", "0"], "workers must be at least 1, got 0"),
     (["simulate", "size", "--workers", "-1"], "workers must be at least 1, got -1"),
+    (["simulate", "size", "--beta-grid", "1,2"], "--beta-grid applies to power mode only"),
+    (["cs", "--test", "ar", "--format", "csv"], "CSV output is defined only"),
+    (["test", "--test", "ar", "--full", "--format", "csv"], "CSV output is defined only"),
 ]
 
 
@@ -200,6 +204,13 @@ class TestTest:
         assert err.startswith("wbiv: error:") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["cs", "--test", "ar"], ["test", "--test", "ar", "--full"],
+                                      ["fit"], ["diagnose"]])
+    def test_csv_is_refused_before_the_data_are_read(self, sim_csv, monkeypatch, capsys, argv):
+        monkeypatch.setattr(wbiv.cli, "_load", lambda args: pytest.fail("the data were read"))
+        assert main([argv[0], str(sim_csv)] + argv[1:] + ["--format", "csv"]) == 1
+        assert "CSV output is defined only" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # constant instrument: collinear with the intercept after partialling
         path = tmp_path / "bad.csv"
@@ -266,6 +277,17 @@ class TestSimulateAndDiagnose:
                    "--alpha", "1.5"])
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_power_without_a_grid_scales_each_cells_grid(self, monkeypatch, capsys):
+        # the real run is long: capture what run_power_experiment would get
+        seen = {}
+        monkeypatch.setattr(wbiv.cli, "run_power_experiment",
+                            lambda configs, tests, **kw: seen.update(kw, configs=configs) or {})
+        assert main(["simulate", "power", "--pi0", "2,6", "--tests", "WB-AR-US"]) == 0
+        assert seen["beta_grid"] is None
+        assert [c.pi0 for c in seen["configs"]] == [2.0, 6.0]
+        assert main(["simulate", "power", "--beta-grid=-1,0", "--tests", "WB-AR-US"]) == 0
+        assert seen["beta_grid"] == [-1.0, 0.0]
 
     def test_diagnose(self, t1_csv, tmp_path):
         out = tmp_path / "diag.json"

@@ -245,6 +245,10 @@ class TestWriteResults:
             "test", "estimator", "statistic", "critical_value",
             "pvalue", "reject", "alpha", "signset",
         ]
+        # CSV holds one row of scalars: it would drop the distribution
+        write_results(res, tmp_path / "res.csv", format="csv")
+        with pytest.raises(InputError, match="CSV output is not defined"):
+            write_results(res, tmp_path / "full.csv", format="csv", include_distribution=True)
 
     def test_rejection_table_csv_schema(self, tmp_path):
         table = run_size_experiment(
@@ -271,6 +275,9 @@ class TestWriteResults:
 
         payload = json.loads(out.read_text())
         assert all(len(pair) == 2 for pair in payload["intervals"])
+        # CSV would drop the intervals, which are the set itself
+        with pytest.raises(InputError, match="CSV output is not defined"):
+            write_results(cs, tmp_path / "cs.csv", format="csv")
 
     def test_byte_stability(self, tmp_path):
         table1 = run_size_experiment(

@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from wbiv import (
+    Hypothesis,
     NumericalError,
     build_dataset,
     efficient_first_stage,
+    fit_method,
     partial_out_exogenous,
+    restricted_kclass_fit,
     restricted_ols_fit,
 )
 from wbiv.data import RCOND_MIN, SINGULAR_RCOND, cluster_cross, exogenous_basis, nonsingular
@@ -120,8 +123,9 @@ def test_partialling_matches_the_svd_of_w(kind, seed, mix):
     b = design.basis_W
     assert rel(b @ (b.T @ v), u @ (u.T @ v)) < TOL
     u_vec = substream(seed, "coef").standard_normal(ds.n)
-    assert rel(design.proj_w_coef(u_vec), coef_map @ (u.T @ u_vec)) < TOL
-    assert rel(design.proj_w_coef(u_vec), np.linalg.lstsq(ds.W, u_vec, rcond=None)[0]) < TOL
+    coef = design.w_coef_map @ (b.T @ u_vec)
+    assert rel(coef, coef_map @ (u.T @ u_vec)) < TOL
+    assert rel(coef, np.linalg.lstsq(ds.W, u_vec, rcond=None)[0]) < TOL
 
 
 @pytest.mark.parametrize("extra", [
@@ -174,13 +178,32 @@ def test_restricted_ols_is_the_same_with_and_without_a_design(kind, mix):
     block = [[0.3, -1.0], [0.0, 0.0], [2.0, 0.5]]
     plain = restricted_ols_fit(ds, block)
     with_design = restricted_ols_fit(ds, block, partial_out_exogenous(ds))
+    # bitwise: the Monte Carlo replay recomputes decisions through the call without a design
     for field in ("gamma_bar_r", "e_y", "e_X", "resid"):
-        assert rel(getattr(with_design, field), getattr(plain, field)) < TOL, field
+        np.testing.assert_array_equal(getattr(with_design, field), getattr(plain, field), field)
     # against a dense least-squares fit of y - X b on W
     b = np.array(block[0])
     coef = np.linalg.lstsq(ds.W, ds.y - ds.X @ b, rcond=None)[0]
     assert rel(plain.gamma_bar_r[0], coef) < TOL
     assert rel(plain.resid[0], ds.y - ds.X @ b - ds.W @ coef) < TOL
+
+
+@pytest.mark.parametrize("mix", [False, True])
+@pytest.mark.parametrize("method", ["tsls", "liml"])
+def test_a_design_serves_new_outcome_and_regressors(method, mix):
+    # the references fit replace_outcome_regressors(y*, X*) with the original design
+    ds = fe_dataset(7, "intercept+dummies+covariate", d_x=2, d_z=3, mix=mix)
+    rng = substream(7, "new-y-x")
+    other = ds.replace_outcome_regressors(ds.y + rng.standard_normal(ds.n),
+                                          ds.X + rng.standard_normal(ds.X.shape))
+    hyp = Hypothesis.wald([[1.0], [0.5]], [0.2])
+    fits = []
+    for design in (partial_out_exogenous(ds), partial_out_exogenous(other)):
+        fit = fit_method(other, design, method)
+        fits.append(restricted_kclass_fit(other, design, fit, hyp))
+    for field in dataclasses.fields(fits[0]):
+        np.testing.assert_array_equal(getattr(fits[0], field.name), getattr(fits[1], field.name),
+                                      field.name)
 
 
 def test_replace_outcome_regressors_carries_every_field():
