@@ -27,8 +27,6 @@ from .kclass import (
     KClassFit,
     RestrictedOlsFit,
     fit_method,
-    kappa_value,
-    kclass_fit,
     restricted_kclass_fit,
     restricted_ols_fit,
 )

@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     _add_io_args(p_fit)
     _add_common(p_fit)
     p_fit.add_argument("--method", choices=METHODS, default="tsls")
-    p_fit.add_argument("--fuller-c", type=float, default=1.0)
+    p_fit.add_argument("--fuller-c", type=float)  # None when not given: see _fuller_c
 
     p_test = subs.add_parser("test", help="run one bootstrap test")
     _add_io_args(p_test)
@@ -182,6 +182,16 @@ def _hypothesis(args, d_x: int) -> Hypothesis:
     return Hypothesis.wald(np.ones((1, 1)), [beta0[0]])
 
 
+def _fuller_c(args, method: str) -> float:
+    """--fuller-c, 1 when not given; it only moves the FULL kappa, so with
+    another method giving it is an error."""
+    if args.fuller_c is None:
+        return 1.0
+    if method != "full":
+        raise InputError(f"--fuller-c applies to --method full only, not {method}")
+    return args.fuller_c
+
+
 def _estimator(args) -> tuple[str, float]:
     """--method and --fuller-c of ``wbiv test`` and ``wbiv cs``, tsls and 1
     when not given. Only the wald family fits an estimator; for another
@@ -189,7 +199,8 @@ def _estimator(args) -> tuple[str, float]:
     given = args.method is not None or args.fuller_c is not None
     if given and lookup(args.test, TESTS) not in ESTIMATOR:
         raise InputError(f"{args.test} takes no --method/--fuller-c (only wald and wald-cr do)")
-    return args.method or "tsls", 1.0 if args.fuller_c is None else args.fuller_c
+    method = args.method or "tsls"
+    return method, _fuller_c(args, method)
 
 
 def _by_cluster(dataset, values: np.ndarray) -> dict:
@@ -198,9 +209,10 @@ def _by_cluster(dataset, values: np.ndarray) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    fuller_c = _fuller_c(args, args.method)
     dataset = _load(args)
     design = partial_out_exogenous(dataset)
-    fit = fit_method(dataset, design, args.method, args.fuller_c)
+    fit = fit_method(dataset, design, args.method, fuller_c)
     slopes = cluster_first_stage(dataset)
     diag = assumption_diagnostics(design)
     return {

@@ -242,7 +242,8 @@ def render(record, format: str, include_distribution: bool) -> str:
     Accepts anything with ``to_record()`` (test results, confidence sets), a
     RejectionTable, or a plain dict. CSV output is only defined for
     rejection tables and single test results without the distribution: a
-    record with a list (a set's intervals, ``boot_stats``) is refused.
+    record with a list (a set's intervals, ``boot_stats``) is refused, and a
+    nested dict (the sign set) becomes columns prefixed with its key.
     """
     if format not in ("json", "csv"):
         raise InputError(f"unknown output format {format!r}")
@@ -256,10 +257,14 @@ def render(record, format: str, include_distribution: bool) -> str:
             return _json_bytes(payload)
         if any(isinstance(v, list) for v in payload.values()):
             raise InputError("CSV output is not defined for this record type")
-        keys = [k for k in payload if not isinstance(payload[k], (dict, list))]
-        lines = [",".join(keys)]
-        lines.append(",".join(repr(payload[k]) if isinstance(payload[k], float) else str(payload[k]) for k in keys))
-        return "\n".join(lines) + "\n"
+        row = {}
+        for key, value in payload.items():
+            nested = value.items() if isinstance(value, dict) else [(None, value)]
+            row.update({key if sub is None else f"{key}_{sub}": v for sub, v in nested})
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerows([row.keys(), row.values()])
+        return out.getvalue()
     if isinstance(record, dict):
         if format == "csv":
             raise InputError("CSV output is not defined for this record type")

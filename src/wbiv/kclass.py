@@ -57,6 +57,7 @@ class KClassFit:
     gamma_hat: np.ndarray
     resid_unrestricted: np.ndarray
     system: np.ndarray = field(repr=False)  # (d_x, d_x) X'P_Zt X - mu X'M_[Z:W] X
+    exogenous: np.ndarray = field(repr=False)  # (n, 1 + d_x) M_W [y : X]
     beta_hat_r: np.ndarray | None = None
     gamma_hat_r: np.ndarray | None = None
     resid_restricted: np.ndarray | None = None
@@ -157,7 +158,7 @@ def warn_clamped(clamped: np.ndarray) -> None:
         )
 
 
-def _kclass_system(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
+def kclass_system(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
     """The k-class normal equations per item: (X'P_Zt X - mu X'M_[Z:W] X,
     X'P_Zt y - mu X'M_[Z:W] y) with mu = kappa - 1. Without ``mw`` every
     kappa is 1."""
@@ -172,72 +173,34 @@ def _kclass_system(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
     )
 
 
-def kclass_beta(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
-    """beta for each item of a stack of :func:`kclass_forms`: (beta, ok)."""
-    return stack_solve(*_kclass_system(kappa, p, mw))
-
-
-def _sample_forms(dataset: ClusteredDataset, design: PartialledDesign, with_w: bool):
-    """:func:`kclass_forms` of the sample, a stack of one. Without
-    ``with_w`` the M_W form is None."""
-    yx = np.column_stack([dataset.X, dataset.y])
-    ut = (design.basis_Zt.T @ yx)[None]
-    if not with_w:
-        return kclass_forms(ut)
-    return kclass_forms(ut, (yx.T @ yx)[None], (design.basis_W.T @ yx)[None])
-
-
-def kappa_value(
-    method: str,
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    fuller_c: float = 1.0,
-    forms: tuple | None = None,
-) -> float:
-    """kappa for the requested estimator (see :func:`kclass_kappa`), from
-    the sample's :func:`kclass_forms` ``forms`` (p, mw) when given."""
-    if method not in METHODS:
-        raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
-    p, mw = forms or _sample_forms(dataset, design, method in ("liml", "full"))
-    kappa, ok, clamped = kclass_kappa(
-        method, p, mw, dataset.n, dataset.d_z, dataset.d_w, fuller_c
-    )
-    warn_clamped(clamped)
-    raise_singular({LIML_PENCIL: ok})
-    return float(kappa[0])
-
-
-def kclass_fit(
-    dataset: ClusteredDataset,
-    design: PartialledDesign,
-    kappa: float,
-    method: str = "custom",
-    forms: tuple | None = None,
-) -> KClassFit:
-    """Fit the k-class estimator with an explicit kappa, from the sample's
-    :func:`kclass_forms` ``forms`` (p, mw) when given; gamma and the residual
-    are :func:`restricted_ols_fit`'s at the estimate."""
-    mu = kappa - 1.0
-    p, mw = forms or _sample_forms(dataset, design, mu != 0.0)
-    system, rhs = _kclass_system(np.array([kappa]), p, mw if mu != 0.0 else None)
-    beta, ok = stack_solve(system, rhs)
-    raise_singular({KCLASS_SYSTEM: ok})
-    ols = restricted_ols_fit(dataset, beta[0], design)
-    return KClassFit(method=method, kappa=float(kappa), mu=float(mu), beta_hat=beta[0],
-                     gamma_hat=ols.gamma_bar_r, resid_unrestricted=ols.resid, system=system[0])
-
-
 def fit_method(
     dataset: ClusteredDataset,
     design: PartialledDesign,
     method: str,
     fuller_c: float = 1.0,
 ) -> KClassFit:
-    """Convenience wrapper: compute kappa for ``method`` and fit, both from
-    one set of sample forms."""
-    forms = _sample_forms(dataset, design, method != "tsls")
-    return kclass_fit(dataset, design, kappa_value(method, dataset, design, fuller_c, forms),
-                      method, forms)
+    """The sample fit of ``method``: kappa (see :func:`kclass_kappa`) and beta
+    from the sample's :func:`kclass_forms`, a stack of one with the M_W form
+    unless ``method`` is tsls; gamma and the residual are
+    :func:`restricted_ols_fit`'s at the estimate, whose M_W [y : X] the fit
+    keeps."""
+    if method not in METHODS:
+        raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
+    yx = np.column_stack([dataset.X, dataset.y])
+    ut = (design.basis_Zt.T @ yx)[None]
+    p, mw = (kclass_forms(ut) if method == "tsls"
+             else kclass_forms(ut, (yx.T @ yx)[None], (design.basis_W.T @ yx)[None]))
+    kappa, ok, clamped = kclass_kappa(method, p, mw, dataset.n, dataset.d_z, dataset.d_w,
+                                      fuller_c)
+    warn_clamped(clamped)
+    raise_singular({LIML_PENCIL: ok})
+    system, rhs = kclass_system(kappa, p, mw)
+    beta, ok = stack_solve(system, rhs)
+    raise_singular({KCLASS_SYSTEM: ok})
+    ols = restricted_ols_fit(dataset, beta[0], design)
+    return KClassFit(method=method, kappa=float(kappa[0]), mu=float(kappa[0] - 1.0),
+                     beta_hat=beta[0], gamma_hat=ols.gamma_bar_r, resid_unrestricted=ols.resid,
+                     system=system[0], exogenous=np.column_stack([ols.e_y, ols.e_X]))
 
 
 def restricted_betas(fit: KClassFit, lambda_beta: np.ndarray, lambda_0: np.ndarray) -> np.ndarray:

@@ -53,18 +53,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cce import cce_sandwich
-from .data import ClusteredDataset, Hypothesis, PartialledDesign, cluster_cross
+from .data import ClusteredDataset, Hypothesis, PartialledDesign, cluster_cross, stack_solve
 from .exceptions import InputError, NumericalError
 from .inference import SignSet, finish_test, prepare_test, result_or_raise, sign_rows
 from .kclass import (
     KCLASS_SYSTEM,
     LIML_PENCIL,
+    KClassFit,
     fit_method,
-    kclass_beta,
     kclass_forms,
     kclass_kappa,
+    kclass_system,
     restricted_betas,
-    restricted_ols_fit,
     warn_clamped,
 )
 
@@ -125,15 +125,16 @@ def efficient_first_stage(
 
 
 def _wrec_draws(
-    dataset: ClusteredDataset, design: PartialledDesign, first_stage: EfficientFirstStage,
-    beta_r: np.ndarray, block: Hypothesis, rows: np.ndarray, method: str, fuller_c: float,
-    want_cr: bool,
+    dataset: ClusteredDataset, design: PartialledDesign, fit: KClassFit,
+    first_stage: EfficientFirstStage, beta_r: np.ndarray, block: Hypothesis, rows: np.ndarray,
+    fuller_c: float, want_cr: bool,
 ):
     """The moment engine of a block of nulls: the plain and, with
-    ``want_cr``, the CCE-studentized statistic at each null of ``block``,
-    whose restricted estimate is a row of ``beta_r`` (P, d_x), for each sign
-    row of ``rows`` (1 or P, M, q), and the singular checks (what -> ok
-    flags), each of shape (P, M).
+    ``want_cr``, the CCE-studentized statistic of ``fit``'s method at each
+    null of ``block``, whose restricted estimate is a row of ``beta_r`` (P,
+    d_x), for each sign row of ``rows`` (1 or P, M, q), and the singular
+    checks (what -> ok flags), each of shape (P, M). M_W [y : X] is the
+    sample fit's.
 
     Every coefficient is a cross moment of A_P or A_S, pooled or per
     cluster, formed once for the block; the per-null work is the T(b)
@@ -143,12 +144,12 @@ def _wrec_draws(
     null, once.
     """
     n, q, d_x, d_z, d_w = dataset.n, dataset.q, dataset.d_x, dataset.d_z, dataset.d_w
-    P, M, k = len(beta_r), rows.shape[1], 2 * d_x + 1
+    P, M, k, method = len(beta_r), rows.shape[1], 2 * d_x + 1, fit.method
     lam, zt, starts = block.lambda_beta, design.Z_tilde, design.cluster_starts
     h, v = first_stage.fitted, first_stage.v_tilde
-    ols = restricted_ols_fit(dataset, beta_r, design)  # e_y, e_X = M_W [y : X]
+    e_y, e_x = fit.exogenous[:, 0], fit.exogenous[:, 1:]
     # A = [A_P : A_S]
-    a = np.column_stack([h, dataset.y - ols.e_y, v - ols.e_X, v, ols.e_y, ols.e_X - v])
+    a = np.column_stack([h, dataset.y - e_y, v - e_x, v, e_y, e_x - v])
     # per-cluster cross moments [U_Zt : Zt : A]'A and U_W'[A : Zt]
     by = cluster_cross(np.column_stack([design.basis_Zt, zt, a]), a, starts)
     by_w = cluster_cross(design.basis_W, np.column_stack([a, zt]), starts)
@@ -183,7 +184,7 @@ def _wrec_draws(
     p, m_w = kclass_forms(ut_all, cross, uw_all)
     kappa, ok_kappa, clamped = kclass_kappa(method, p, m_w, n, d_z, d_w, fuller_c)
     warn_clamped(clamped.reshape(P, M)[:, :-1])
-    beta, ok_beta = kclass_beta(kappa, p, m_w)
+    beta, ok_beta = stack_solve(*kclass_system(kappa, p, m_w))
     checks = {LIML_PENCIL: ok_kappa, KCLASS_SYSTEM: ok_beta}
     dev = np.einsum("ma,ar->mr", beta, lam) - np.repeat(block.lambda_0, M, axis=0)
     valid = ok_kappa & ok_beta
@@ -264,8 +265,8 @@ def wald_tests(
     fit = fit_method(dataset, design, method, fuller_c)
     first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
     beta_r = restricted_betas(fit, block.lambda_beta, block.lambda_0)
-    stats, stats_cr, checks = _wrec_draws(dataset, design, first_stage, beta_r, block,
-                                          sign_rows(sign_sets), method, fuller_c, want_cr)
+    stats, stats_cr, checks = _wrec_draws(dataset, design, fit, first_stage, beta_r, block,
+                                          sign_rows(sign_sets), fuller_c, want_cr)
     iota = np.array([ok[:, -1] for ok in checks.values()])
     errors = np.array([None] + [NumericalError(f"singular {what}") for what in checks])
     failed = errors[np.where(iota.all(axis=0), 0, iota.argmin(axis=0) + 1)].tolist()

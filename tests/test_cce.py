@@ -10,7 +10,7 @@ from wbiv import (
     NumericalError,
     cce_matrix,
     efficient_first_stage,
-    kclass_fit,
+    fit_method,
     partial_out_exogenous,
     restricted_kclass_fit,
     wrec_run,
@@ -35,7 +35,7 @@ def triple_sum_omega(design, resid):
 
 class TestCceMatrix:
     def test_t1_oracle(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         bundle = cce_matrix(t1_design, fit.resid_unrestricted, np.eye(1))
         assert bundle.Omega_CR[0, 0] == pytest.approx(E.OMEGA_CR, abs=1e-12)
         assert bundle.V_hat[0, 0] == pytest.approx(E.V_HAT, abs=1e-9)
@@ -79,7 +79,7 @@ class TestCceMatrix:
     def test_omega_psd(self, seed):
         ds = random_dataset(seed, q=5, n_per=8, d_z=3)
         design = partial_out_exogenous(ds)
-        fit = kclass_fit(ds, design, 1.0)
+        fit = fit_method(ds, design, "tsls")
         bundle = cce_matrix(design, fit.resid_unrestricted, np.eye(1))
         eigs = np.linalg.eigvalsh(bundle.Omega_CR)
         assert eigs[0] >= -1e-10 * np.trace(bundle.Omega_CR)
@@ -87,14 +87,14 @@ class TestCceMatrix:
 
 class TestBootstrapCce:
     def _restricted(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0, method="tsls")
+        fit = fit_method(t1, t1_design, "tsls")
         return restricted_kclass_fit(t1, t1_design, fit, Hypothesis.wald(np.eye(1), [0.0]))
 
     def test_identity_sign_vector_reproduces_sample(self, t1, t1_design):
         rfit = self._restricted(t1, t1_design)
         efs = efficient_first_stage(t1, t1_design, rfit.resid_unrestricted)
         y_star, x_star = bootstrap_sample(t1, efs, rfit, np.ones(2))
-        fit_star = kclass_fit(t1.replace_outcome_regressors(y_star, x_star), t1_design, 1.0)
+        fit_star = fit_method(t1.replace_outcome_regressors(y_star, x_star), t1_design, "tsls")
         boot = bootstrap_cce_matrix(t1_design, x_star, fit_star.resid_unrestricted, np.eye(1))
         sample = cce_matrix(t1_design, rfit.resid_unrestricted, np.eye(1))
         assert boot.A_r_CR[0, 0] == pytest.approx(sample.A_r_CR[0, 0], abs=1e-10)
@@ -103,7 +103,7 @@ class TestBootstrapCce:
         rfit = self._restricted(t1, t1_design)
         efs = efficient_first_stage(t1, t1_design, rfit.resid_unrestricted)
         y_star, x_star = bootstrap_sample(t1, efs, rfit, np.array([1.0, -1.0]))
-        fit_star = kclass_fit(t1.replace_outcome_regressors(y_star, x_star), t1_design, 1.0)
+        fit_star = fit_method(t1.replace_outcome_regressors(y_star, x_star), t1_design, "tsls")
         boot = bootstrap_cce_matrix(t1_design, x_star, fit_star.resid_unrestricted, np.eye(1))
         q_zx_star = t1_design.Z_tilde.T @ x_star / t1.n
         assert q_zx_star[0, 0] == pytest.approx(E.QZX_STAR_PM, abs=1e-8)
@@ -124,7 +124,7 @@ class TestBootstrapCce:
         rfit = self._restricted(t1, t1_design)
         efs = efficient_first_stage(t1, t1_design, rfit.resid_unrestricted)
         y_star, x_star = bootstrap_sample(t1, efs, rfit, np.array([1.0, -1.0]))
-        fit_star = kclass_fit(t1.replace_outcome_regressors(y_star, x_star), t1_design, 1.0)
+        fit_star = fit_method(t1.replace_outcome_regressors(y_star, x_star), t1_design, "tsls")
         boot = bootstrap_cce_matrix(t1_design, x_star, fit_star.resid_unrestricted, np.eye(1))
         scaled = bootstrap_cce_matrix(
             t1_design, x_star, 3.0 * fit_star.resid_unrestricted, np.eye(1)

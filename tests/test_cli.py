@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -111,6 +113,13 @@ class TestFit:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "tsls"
 
+    def test_fuller_c_moves_the_full_kappa(self, sim_csv, capsys):
+        assert main(["fit", str(sim_csv), "--method", "liml"]) == 0
+        liml = json.loads(capsys.readouterr().out)["kappa"]
+        assert main(["fit", str(sim_csv), "--method", "full", "--fuller-c", "2"]) == 0
+        full = json.loads(capsys.readouterr().out)["kappa"]
+        assert full == liml - 2.0 / (150 - 1 - 1)  # n - d_z - d_w
+
     def test_cluster_dummies_keep_the_first_stage_slopes(self, sim_csv, capsys):
         # W is a synthesized intercept plus the dummies of clusters 2..q
         assert main(["fit", str(sim_csv)]) == 0
@@ -134,6 +143,20 @@ class TestTest:
         assert payload["test"] == "wald"
         assert payload["signset"]["mode"] == "exhaustive"
         assert isinstance(payload["reject"], bool)
+
+    def test_csv_row_carries_the_sign_set(self, sim_csv, capsys):
+        rows = {}
+        for signs in (["exhaustive"], ["sampled", "-B", "99"]):
+            argv = ["test", str(sim_csv), "--test", "wald", "--format", "csv", "--signs"]
+            assert main(argv + signs) == 0
+            rows[signs[0]] = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        exhaustive, sampled = rows["exhaustive"], rows["sampled"]
+        assert len(exhaustive) == len(sampled) == 1
+        assert list(exhaustive[0]) != list(sampled[0])
+        assert exhaustive[0]["signset_mode"] == "exhaustive"
+        assert exhaustive[0]["signset_size"] == "64"
+        assert (sampled[0]["signset_mode"], sampled[0]["signset_B"]) == ("sampled", "99")
+        assert sampled[0]["signset_seed"] == "0"
 
     def test_full_flag_includes_distribution(self, sim_csv, tmp_path):
         out = tmp_path / "res.json"
@@ -176,10 +199,17 @@ class TestTest:
         (["test", "--test", "ar-cr-asymptotic", "--method", "tsls"], "--method"),
         (["cs", "--test", "ar", "--method", "full"], "--method"),
         (["cs", "--test", "lm", "--fuller-c", "3"], "--fuller-c"),
+        # --fuller-c moves only the FULL kappa
+        (["test", "--test", "wald", "--method", "liml", "--fuller-c", "5"], "--fuller-c"),
+        (["test", "--test", "wald-cr", "--fuller-c", "5"], "--fuller-c"),
+        (["cs", "--test", "wald", "--method", "ba", "--fuller-c", "2"], "--fuller-c"),
+        (["fit", "--method", "tsls", "--fuller-c", "7"], "--fuller-c"),
+        (["fit", "--method", "liml", "--fuller-c", "1"], "--fuller-c"),
     ], ids=["beta0 with lam", "lam full vector", "lambda0 full vector", "lambda0 without lam",
             "two beta0 values for one regressor", "method full vector", "fuller-c full vector",
             "method score-wald", "explicit tsls full vector", "cs method full vector",
-            "cs fuller-c full vector"])
+            "cs fuller-c full vector", "fuller-c liml", "fuller-c default tsls",
+            "cs fuller-c ba", "fit fuller-c tsls", "fit fuller-c liml"])
     def test_an_option_the_test_would_ignore_is_an_input_error(self, sim_csv, capsys, argv, flag):
         assert main([argv[0], str(sim_csv)] + argv[1:]) == 1
         err = capsys.readouterr().err

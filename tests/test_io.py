@@ -250,6 +250,17 @@ class TestWriteResults:
         with pytest.raises(InputError, match="CSV output is not defined"):
             write_results(res, tmp_path / "full.csv", format="csv", include_distribution=True)
 
+    def test_csv_keeps_a_tuple_seed_in_one_field(self, tmp_path, t1):
+        from wbiv import Hypothesis, make_sign_set, wrec_wald_test
+
+        signs = make_sign_set(2, "sampled", B=9, seed=(5, "cs", 1))
+        res = wrec_wald_test(t1, Hypothesis.wald(np.eye(1), [0.0]), sign_set=signs)
+        write_results(res, tmp_path / "res.csv", format="csv")
+        with (tmp_path / "res.csv").open(newline="") as fh:
+            header, row = csv.reader(fh)
+        assert dict(zip(header, row))["signset_seed"] == "(5, 'cs', 1)"
+        assert len(header) == len(row)
+
     def test_rejection_table_csv_schema(self, tmp_path):
         table = run_size_experiment(
             [DgpConfig(q=10, d_z=1, pi0=6.0, rho=0.0)],

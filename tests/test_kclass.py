@@ -8,8 +8,6 @@ from conftest import random_dataset
 from wbiv import (
     Hypothesis,
     fit_method,
-    kappa_value,
-    kclass_fit,
     partial_out_exogenous,
     restricted_kclass_fit,
     restricted_ols_fit,
@@ -32,22 +30,22 @@ def joint_kclass_reference(dataset, kappa):
 
 class TestKappa:
     def test_tsls_is_one(self, t1, t1_design):
-        assert kappa_value("tsls", t1, t1_design) == 1.0
+        assert fit_method(t1, t1_design, "tsls").kappa == 1.0
 
     def test_ba_formula(self):
         ds = random_dataset(1, q=5, n_per=62, d_z=3)  # n = 310
         design = partial_out_exogenous(ds)
-        assert kappa_value("ba", ds, design) == pytest.approx(310 / 309, abs=1e-15)
+        assert fit_method(ds, design, "ba").kappa == pytest.approx(310 / 309, abs=1e-15)
 
     def test_liml_matches_eigen_oracle(self, t1_dz2):
         design = partial_out_exogenous(t1_dz2)
-        kappa = kappa_value("liml", t1_dz2, design)
+        kappa = fit_method(t1_dz2, design, "liml").kappa
         assert kappa == pytest.approx(E.KAPPA_LIML_DZ2, abs=1e-8)
 
     def test_full_offset_is_exact(self, t1_dz2):
         design = partial_out_exogenous(t1_dz2)
-        k_liml = kappa_value("liml", t1_dz2, design)
-        k_full = kappa_value("full", t1_dz2, design, fuller_c=1.0)
+        k_liml = fit_method(t1_dz2, design, "liml").kappa
+        k_full = fit_method(t1_dz2, design, "full", fuller_c=1.0).kappa
         n, d_z, d_w = t1_dz2.n, t1_dz2.d_z, t1_dz2.d_w
         assert k_full == k_liml - 1.0 / (n - d_z - d_w)
 
@@ -56,16 +54,16 @@ class TestKappa:
     def test_liml_kappa_at_least_one(self, seed):
         ds = random_dataset(seed, q=4, n_per=15, d_z=2, d_w=2)
         design = partial_out_exogenous(ds)
-        assert kappa_value("liml", ds, design) >= 1.0 - 1e-10
+        assert fit_method(ds, design, "liml").kappa >= 1.0 - 1e-10
 
     def test_unknown_method(self, t1, t1_design):
         with pytest.raises(InputError, match="unknown k-class method"):
-            kappa_value("ols", t1, t1_design)
+            fit_method(t1, t1_design, "ols")
 
 
 class TestFit:
     def test_t1_tsls_matches_oracle(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0, method="tsls")
+        fit = fit_method(t1, t1_design, "tsls")
         assert fit.beta_hat[0] == pytest.approx(E.TSLS_BETA, abs=1e-10)
         assert fit.gamma_hat[0] == pytest.approx(E.TSLS_GAMMA, abs=1e-10)
         np.testing.assert_allclose(fit.resid_unrestricted, E.TSLS_RESID, atol=1e-10)
@@ -80,16 +78,16 @@ class TestFit:
         ds = random_dataset(7, q=3, n_per=20, d_w=2)
         ds = ds.replace_outcome_regressors(ds.y, ds.Z)  # X := Z, exogenous
         design = partial_out_exogenous(ds)
-        fit = kclass_fit(ds, design, 1.0)
+        fit = fit_method(ds, design, "tsls")
         regs = np.column_stack([ds.X, ds.W])
         ols = np.linalg.lstsq(regs, ds.y, rcond=None)[0]
         np.testing.assert_allclose(fit.beta_hat, ols[:1], atol=1e-10)
         np.testing.assert_allclose(fit.gamma_hat, ols[1:], atol=1e-10)
 
     def test_outcome_scaling_scales_estimates(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         scaled = t1.replace_outcome_regressors(2.0 * t1.y, t1.X)
-        fit2 = kclass_fit(scaled, t1_design, 1.0)
+        fit2 = fit_method(scaled, t1_design, "tsls")
         np.testing.assert_allclose(fit2.beta_hat, 2.0 * fit.beta_hat, atol=1e-12)
         np.testing.assert_allclose(fit2.gamma_hat, 2.0 * fit.gamma_hat, atol=1e-12)
 
@@ -99,9 +97,8 @@ class TestFit:
         ds = random_dataset(seed, q=4, n_per=25, d_x=2, d_z=3, d_w=2)
         design = partial_out_exogenous(ds)
         for method in ("tsls", "liml", "full", "ba"):
-            kappa = kappa_value(method, ds, design)
-            fit = kclass_fit(ds, design, kappa, method=method)
-            beta_ref, gamma_ref = joint_kclass_reference(ds, kappa)
+            fit = fit_method(ds, design, method)
+            beta_ref, gamma_ref = joint_kclass_reference(ds, fit.kappa)
             np.testing.assert_allclose(
                 fit.beta_hat, beta_ref, rtol=1e-8, atol=1e-10, err_msg=method
             )
@@ -112,19 +109,19 @@ class TestFit:
 
 class TestRestrictedFit:
     def test_restriction_at_estimate_is_fixed_point(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         hyp = Hypothesis.wald(np.eye(1), [fit.beta_hat[0]])
         rfit = restricted_kclass_fit(t1, t1_design, fit, hyp)
         np.testing.assert_allclose(rfit.beta_hat_r, fit.beta_hat, atol=1e-12)
 
     def test_full_restriction_at_zero(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         rfit = restricted_kclass_fit(t1, t1_design, fit, Hypothesis.wald(np.eye(1), [0.0]))
         assert rfit.beta_hat_r[0] == pytest.approx(0.0, abs=1e-14)
         assert rfit.gamma_hat_r[0] == pytest.approx(t1.y.mean(), abs=1e-12)
 
     def test_t1_oracle_at_half(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         rfit = restricted_kclass_fit(t1, t1_design, fit, Hypothesis.wald(np.eye(1), [0.5]))
         assert rfit.beta_hat_r[0] == pytest.approx(E.RESTR_BETA_05, abs=1e-10)
         assert rfit.gamma_hat_r[0] == pytest.approx(E.RESTR_GAMMA_05, abs=1e-10)
@@ -193,6 +190,6 @@ class TestRestrictedOls:
         # residuals coincide exactly
         beta0 = 0.25
         rols = restricted_ols_fit(t1, [beta0])
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         rfit = restricted_kclass_fit(t1, t1_design, fit, Hypothesis.wald(np.eye(1), [beta0]))
         np.testing.assert_allclose(rfit.resid_restricted, rols.resid, atol=1e-10)

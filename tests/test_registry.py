@@ -361,9 +361,10 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
     run_tests(ds1, names, Hypothesis.full_vector([[b] for b in (0.1, B0, 0.5)]), sign_set=signs)
     assert (len(fits), len(stacks) + len(stacks_ar)) == (before[0] + 1, before[1] + 1)
     assert sorted(finishes) == ["finish_test"] * (len(names) - 1)
-    # the wald counterpart: the k-class fit, its sample forms, the efficient
-    # first stage and the moment engine do not depend on the null, so one of
-    # each per run_tests call, whatever the block size; the restricted
+    # the wald counterpart: the k-class fit, its sample forms, its one
+    # W-step, the efficient first stage and the moment engine do not depend
+    # on the null, so one of each per run_tests call, whatever the block
+    # size (the engine reads M_W [y : X] from the fit); the restricted
     # estimates come from one stacked projection, with no restricted fit per
     # null; and one finish_test per test
     import wbiv.kclass
@@ -373,7 +374,8 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
     stages = _counting(monkeypatch, wbiv.wald, "efficient_first_stage")
     engines = _counting(monkeypatch, wbiv.wald, "_wrec_draws")
     restricted = _counting(monkeypatch, wbiv.kclass, "restricted_kclass_fit")
-    forms = _counting(monkeypatch, wbiv.kclass, "_sample_forms")
+    forms = _counting(monkeypatch, wbiv.kclass, "kclass_forms")
+    w_steps = _counting(monkeypatch, wbiv.kclass, "exogenous_step")
     finishes = _counting(monkeypatch, wbiv.wald, "finish_test")
     assert not hasattr(wbiv.wald, "restricted_kclass_fit")
     for calls, size in enumerate((1, 3, 40), start=1):
@@ -381,6 +383,7 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
         out = run_tests(ds, ["wald", "wald-cr"], block, estimator="liml", sign_set=signs)
         assert not any(isinstance(res, Exception) for null in out for res in null.values())
         assert (len(kclass), len(stages), len(forms)) == (calls, calls, calls)
+        assert len(w_steps) == calls
         assert len(engines) == calls
         assert len(finishes) == 2 * calls
     assert restricted == []

@@ -12,7 +12,6 @@ from wbiv import (
     ar_bootstrap_test,
     efficient_first_stage,
     fit_method,
-    kclass_fit,
     make_sign_set,
     partial_out_exogenous,
     restricted_kclass_fit,
@@ -41,7 +40,7 @@ def assert_engines_agree(ds, hyp, signs, methods):
 
 
 def tsls_restricted(ds, design, lam0=0.0):
-    fit = kclass_fit(ds, design, 1.0, method="tsls")
+    fit = fit_method(ds, design, "tsls")
     return restricted_kclass_fit(ds, design, fit, Hypothesis.wald(np.eye(1), [lam0]))
 
 
@@ -65,7 +64,7 @@ class TestEfficientFirstStage:
         assert np.abs(efs.v_tilde).max() < 1e-10
 
     def test_t1_oracle(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         efs = efficient_first_stage(t1, t1_design, fit.resid_unrestricted)
         np.testing.assert_allclose(efs.pi_zbar.ravel(), E.PI_ZBAR, atol=1e-10)
         assert efs.pi_w[0, 0] == pytest.approx(E.PI_W, abs=1e-10)
@@ -75,7 +74,7 @@ class TestEfficientFirstStage:
     def test_regression_residual_orthogonal_to_all_regressors(self, t1, t1_design):
         # v_tilde itself keeps the eps-coefficient term; the OLS residual
         # (v_tilde minus that term) is orthogonal to (Zbar, W, eps)
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         eps = fit.resid_unrestricted
         efs = efficient_first_stage(t1, t1_design, eps)
         u = efs.v_tilde - np.outer(eps, efs.pi_eps)
@@ -90,7 +89,7 @@ class TestEfficientFirstStage:
         for n_per in (80, 640):
             ds = random_dataset(77, q=4, n_per=n_per, d_z=1, rho=0.5)
             design = partial_out_exogenous(ds)
-            fit = kclass_fit(ds, design, 1.0)
+            fit = fit_method(ds, design, "tsls")
             efs = efficient_first_stage(ds, design, fit.resid_unrestricted)
             per_cluster = cluster_cross(design.Z_tilde, efs.v_tilde, design.cluster_starts)
             gaps[n_per] = np.abs(per_cluster / design.cluster_sizes[:, None, None]).max()
@@ -139,14 +138,14 @@ class TestBootstrapSample:
 class TestWaldStatistic:
     # the sample statistic is wrec_run's g = iota draw
     def test_zero_at_exact_null(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         hyp = Hypothesis.wald(np.eye(1), [fit.beta_hat[0]])
         # the iota draw re-solves beta, which may land a few ulps from beta_hat
         ulps = np.sqrt(t1.n) * np.spacing(abs(fit.beta_hat[0]))
         assert 0.0 <= wrec_run(t1, hyp).statistic <= 4 * ulps
 
     def test_scalar_norm(self, t1, t1_design):
-        fit = kclass_fit(t1, t1_design, 1.0)
+        fit = fit_method(t1, t1_design, "tsls")
         hyp = Hypothesis.wald(np.eye(1), [fit.beta_hat[0] - 0.5])
         assert wrec_run(t1, hyp).statistic == pytest.approx(np.sqrt(6) * 0.5, abs=1e-12)
 

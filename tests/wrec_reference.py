@@ -16,8 +16,6 @@ from wbiv import (
     NumericalError,
     efficient_first_stage,
     fit_method,
-    kappa_value,
-    kclass_fit,
     partial_out_exogenous,
     restricted_kclass_fit,
 )
@@ -74,7 +72,7 @@ def direct_distributions(dataset, hypothesis, method, sign_set, fuller_c=1.0):
         y_star, x_star = bootstrap_sample(dataset, first_stage, fit, g)
         ds_g = dataset.replace_outcome_regressors(y_star, x_star)
         try:
-            fit_g = kclass_fit(ds_g, design, kappa_value(method, ds_g, design, fuller_c), method)
+            fit_g = fit_method(ds_g, design, method, fuller_c)
             dev = lam.T @ fit_g.beta_hat - lam0
             boot_n[i] = np.sqrt(dataset.n * dev @ dev)
             bundle = bootstrap_cce_matrix(design, x_star, fit_g.resid_unrestricted, lam)
