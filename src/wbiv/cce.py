@@ -42,13 +42,16 @@ def cce_sandwich(
     omega: np.ndarray,
     lambda_beta: np.ndarray,
 ) -> tuple[CceBundle, dict]:
-    """The CCE bundle of each item of a stack of Q_ZX (m, d_z, d_x) and Omega
-    (m, d_z, d_z) sharing one Q_ZZ, every field stacked, and the singular
-    checks of the two inverses (what -> ok flags)."""
+    """The CCE bundle of each item of a stack of Q_ZX (..., d_z, d_x) and
+    Omega (..., d_z, d_z) sharing one Q_ZZ, every field stacked, and the
+    singular checks of the two inverses (what -> ok flags). The stacks
+    broadcast, item by item: the WREC draws pass Q_ZX once per sign set, (1
+    or P, m, ...), and Omega once per null, (P, m, ...), so Q_hat and its
+    check have Q_ZX's leading shape and the rest the broadcast one."""
     ziq = np.linalg.inv(q_zz) @ q_zx                         # Q_ZZ^{-1} Q_ZX
-    q_hat = q_zx.transpose(0, 2, 1) @ ziq
+    q_hat = q_zx.swapaxes(-1, -2) @ ziq
     q_inv, ok_q = stack_solve(q_hat)
-    v_hat = q_inv @ (ziq.transpose(0, 2, 1) @ omega @ ziq) @ q_inv
+    v_hat = q_inv @ (ziq.swapaxes(-1, -2) @ omega @ ziq) @ q_inv
     lvl = lambda_beta.T @ v_hat @ lambda_beta
     a_r_cr, ok_r = stack_solve(lvl)
     bundle = CceBundle(Omega_CR=omega, V_hat=v_hat, A_r_CR=a_r_cr, Q_hat=q_hat)

@@ -218,14 +218,28 @@ def nonsingular(a: np.ndarray) -> np.ndarray:
 
     The singular values of a symmetric matrix are the absolute values of its
     eigenvalues, which one stacked ``eigvalsh`` gives at a fraction of the
-    cost of an SVD on the small items the bootstrap draws stack.
+    cost of an SVD on the small items the bootstrap draws stack. A 1 x 1 or
+    2 x 2 item has them in closed form. A 2 x 2 item [[a, b], [b, c]], read
+    from the lower triangle as ``eigvalsh`` reads it, is first divided by
+    its largest absolute entry, so that subnormal entries keep their ratio
+    and 1e308 entries do not overflow; then s_max = |m| + hypot((a - c)/2,
+    b) with m = (a + c)/2, and s_min = |ac - b^2| / s_max.
     """
     ok = np.isfinite(a).all(axis=(-2, -1))
     if a.shape[-1] == 1:  # s_min = s_max = |a|: finite and non-zero decides
         return ok & (a[..., 0, 0] != 0.0)
-    s = np.abs(np.linalg.eigvalsh(np.where(ok[..., None, None], a, 0.0)))
+    a = np.where(ok[..., None, None], a, 0.0)
+    if a.shape[-1] == 2:
+        entries = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
+        scale = np.maximum.reduce([np.abs(e) for e in entries])
+        ok &= scale > 0.0
+        a, b, c = (e / np.where(ok, scale, 1.0) for e in entries)
+        s_max = np.abs((a + c) / 2.0) + np.hypot((a - c) / 2.0, b)  # in [1, 2] where ok
+        return ok & (np.abs(a * c - b * b) >= SINGULAR_RCOND * s_max * s_max)
+    s = np.abs(np.linalg.eigvalsh(a))
     s_min, s_max = s.min(axis=-1), s.max(axis=-1)
-    return ok & (s_max > 0.0) & (s_min >= SINGULAR_RCOND * s_max)
+    ok &= s_max > 0.0
+    return ok & (s_min / np.where(ok, s_max, 1.0) >= SINGULAR_RCOND)
 
 
 # The draw-stack rule. A bootstrap statistic is its own g = iota draw, so a
@@ -240,7 +254,14 @@ def nonsingular(a: np.ndarray) -> np.ndarray:
 # weakiv._lm_rows forms A f*, A D* and D*'A D*). It is never a BLAS product
 # across the draw or null axis, and never an einsum of three or more
 # operands: at d = 2, "mz,zv,mv->m" gave a 1-row stack other bits than the
-# same row of a longer stack in a fifth of cases.
+# same row of a longer stack in a fifth of cases. A two-operand einsum
+# whose output has one column rounds differently from the same column
+# inside a wider output: with a leading null axis, "...mj,...jk->...mk" did
+# so in 300 of 300 probes, while groups two or more columns wide matched in
+# all 300, and it also moved with an operand's strides along that axis (a
+# broadcast against a copied operand: 283 of 300). So contractions merge
+# into one einsum only where each of their groups is at least two columns
+# wide, and a one-column contraction keeps its own call and strides.
 
 
 def stack_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -258,10 +279,13 @@ def stack_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray,
     ok = nonsingular(a)
     # a singular item is replaced by the identity, and its x by 0
     a = np.where(ok[..., None, None], a, np.eye(a.shape[-1]))
-    if b is None:
-        x = np.linalg.inv(a)
-    else:
+    if b is not None:
         x = b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
+    elif a.shape[-1] == 1:
+        with np.errstate(over="ignore"):  # bitwise LAPACK's inverse, which warns of nothing
+            x = 1.0 / a
+    else:
+        x = np.linalg.inv(a)
     ok &= np.isfinite(x).all(axis=(-2, -1))
     x = np.where(ok[..., None, None], x, 0.0)
     return (x[..., 0] if vector else x), ok

@@ -164,6 +164,7 @@ class BootstrapTestResult:
     sign_set: SignSet = field(repr=False)
     estimator: str | None = None
     n_singular: int = 0
+    n_clamped: int = 0
 
     def to_record(self, include_distribution: bool = False) -> dict:
         out = {
@@ -178,6 +179,8 @@ class BootstrapTestResult:
         }
         if self.n_singular:
             out["n_singular"] = self.n_singular
+        if self.n_clamped:
+            out["n_clamped"] = self.n_clamped
         if include_distribution:
             out["boot_stats"] = [float(v) for v in self.boot_stats]
         return out
@@ -186,21 +189,24 @@ class BootstrapTestResult:
 def finish_test(
     test: str, draws: np.ndarray, sign_sets: list[SignSet], alpha: float,
     estimator: str | None = None, n_singular: np.ndarray | None = None,
+    n_clamped: np.ndarray | None = None,
 ) -> list[BootstrapTestResult]:
     """The result record of each null of a stack of draws (P, m + 1) whose
-    last column, g = iota, is the sample statistic; ``sign_sets`` and
-    ``n_singular`` (zeros if omitted) hold each null's sign set and count
-    of singular draws."""
+    last column, g = iota, is the sample statistic; ``sign_sets``,
+    ``n_singular`` and ``n_clamped`` (zeros if omitted) hold each null's
+    sign set, count of singular draws and count of draws whose LIML kappa
+    was clamped."""
     boot, stat = draws[:, :-1], draws[:, -1]
     cv = critical_value(boot, alpha)
-    singular = [0] * len(stat) if n_singular is None else n_singular.tolist()
+    singular, clamped = ([0] * len(stat) if k is None else k.tolist()
+                         for k in (n_singular, n_clamped))
     return [
         BootstrapTestResult(
             test=test, statistic=s, critical_value=c, pvalue=p, reject=r, alpha=alpha,
-            boot_stats=b, sign_set=ss, estimator=estimator, n_singular=k,
+            boot_stats=b, sign_set=ss, estimator=estimator, n_singular=k, n_clamped=kc,
         )
-        for s, c, p, r, b, ss, k in zip(
+        for s, c, p, r, b, ss, k, kc in zip(
             stat.tolist(), cv.tolist(), bootstrap_pvalue(boot, stat).tolist(),
-            (stat > cv).tolist(), boot, sign_sets, singular,
+            (stat > cv).tolist(), boot, sign_sets, singular, clamped,
         )
     ]

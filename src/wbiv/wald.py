@@ -133,15 +133,15 @@ def _wrec_draws(
     ``want_cr``, the CCE-studentized statistic of ``fit``'s method at each
     null of ``block``, whose restricted estimate is a row of ``beta_r`` (P,
     d_x), for each sign row of ``rows`` (1 or P, M, q), and the singular
-    checks (what -> ok flags), each of shape (P, M). M_W [y : X] is the
-    sample fit's.
+    checks (what -> ok flags), each of shape (P, M), and each null's count
+    of clamped LIML kappas (P,). M_W [y : X] is the sample fit's.
 
     Every coefficient is a cross moment of A_P or A_S, pooled or per
     cluster, formed once for the block; the per-null work is the T(b)
-    products and the draw rows. A singular row reads 0.0. The last row is
-    g = iota, the sample, whose clamped LIML kappa the sample fit has
-    already reported; the clamp warning counts the other rows of every
-    null, once.
+    products and the draw rows, and Zt'X* is contracted once per sign set.
+    A singular row reads 0.0. The last row is g = iota, the sample, whose
+    clamped LIML kappa the sample fit has already reported; the clamp
+    warning and the counts take the other rows of every null, once.
     """
     n, q, d_x, d_z, d_w = dataset.n, dataset.q, dataset.d_x, dataset.d_z, dataset.d_w
     P, M, k, method = len(beta_r), rows.shape[1], 2 * d_x + 1, fit.method
@@ -159,7 +159,7 @@ def _wrec_draws(
     # A coefficient of the draws stacks its pooled A_P term (A_P'A_P +
     # A_S'A_S for the Gram block) over its per-cluster A_S terms, (q + 1,
     # ...), so the sign rows with a leading 1 contract it to base + sum_j
-    # g_j by[j], per null for a coefficient (P, q + 1, ...) taken by T(b).
+    # g_j by[j]. T(b) takes it to each null, (P, q + 1, ...).
     signs = np.concatenate([np.ones(rows.shape[:2] + (1,)), rows], axis=2)
     t = np.zeros((P, 1, k, d_x + 1))
     t[..., : d_x + 1, :] = np.eye(d_x + 1)
@@ -168,22 +168,40 @@ def _wrec_draws(
     def stacked(pooled, by_j):
         return np.concatenate([pooled.sum(axis=0)[None], by_j])
 
-    def draws_of(x):
-        out = np.einsum("...mj,...jk->...mk", signs, x.reshape(P, q + 1, -1))
-        return out.reshape((P * M,) + x.shape[2:])
+    def draws_of(*coefs):
+        # coefficients (L, q + 1, ...), L = 1 or P, each to (L M, ...) by
+        # one einsum over their columns; shared sign rows take L into the
+        # columns. A column keeps its bits in either layout, but only in an
+        # output at least two columns wide (the draw-stack rule), so a lone
+        # coefficient, which may be one column wide, keeps its own strides
+        lead = len(coefs[0])
+        x = [c.reshape(lead, q + 1, -1) for c in coefs]
+        x = x[0] if len(x) == 1 else np.concatenate(x, axis=2)
+        if len(signs) == 1:
+            out = np.einsum("mj,jk->mk", signs[0], x.transpose(1, 0, 2).reshape(q + 1, -1))
+            out = out.reshape(M, lead, -1).transpose(1, 0, 2)
+        else:
+            out = np.einsum("...mj,...jk->...mk", signs, x)
+        drawn, start = [], 0
+        for c in coefs:
+            drawn.append(out[..., start : start + c[0, 0].size].reshape((lead * M,) + c.shape[2:]))
+            start += c[0, 0].size
+        return drawn
 
     # U_Zt'[X* : y*], U_W'[X* : y*] when read, and [X* : y*]'[X* : y*] unless TSLS
     basis = slice(0, d_z + d_w if want_cr or method != "tsls" else d_z)
-    u_all = draws_of(stacked(u_a[:, basis, :k], u_a[:, basis, k:]) @ t)
-    ut_all, uw_all = u_all[:, :d_z], u_all[:, d_z:]
-    cross = None
-    if method != "tsls":
+    u_coef = stacked(u_a[:, basis, :k], u_a[:, basis, k:]) @ t
+    if method == "tsls":
+        (u_all,), cross = draws_of(u_coef), None
+    else:
         ps = a_a[:, :k, k:]
         gram = stacked(a_a[:, :k, :k] + a_a[:, k:, k:], ps + ps.transpose(0, 2, 1))
-        cross = draws_of(t.swapaxes(-1, -2) @ gram @ t)
+        u_all, cross = draws_of(u_coef, t.swapaxes(-1, -2) @ gram @ t)
+    ut_all, uw_all = u_all[:, :d_z], u_all[:, d_z:]
     p, m_w = kclass_forms(ut_all, cross, uw_all)
     kappa, ok_kappa, clamped = kclass_kappa(method, p, m_w, n, d_z, d_w, fuller_c)
-    warn_clamped(clamped.reshape(P, M)[:, :-1])
+    clamped = clamped.reshape(P, M)[:, :-1]
+    warn_clamped(clamped)
     beta, ok_beta = stack_solve(*kclass_system(kappa, p, m_w))
     checks = {LIML_PENCIL: ok_kappa, KCLASS_SYSTEM: ok_beta}
     dev = np.einsum("ma,ar->mr", beta, lam) - np.repeat(block.lambda_0, M, axis=0)
@@ -204,17 +222,23 @@ def _wrec_draws(
                                             coef)
         zt_pw = np.concatenate([zt_a[..., :k], by_w[..., 2 * k :].transpose(0, 2, 1)], axis=2)
         scores = np.einsum("jzk,mk->mjz", zt_pw, np.column_stack([coef, -uw_r])) + flipped
-        omega = scores.transpose(0, 2, 1) @ scores / n
-        zx = stacked(zt_a[..., :d_x], zt_a[..., k : k + d_x])  # Zt'X* = Zt'h + sum_j g_j [Zt'v]_j
-        q_zx = draws_of(np.broadcast_to(zx, (P,) + zx.shape)) / n
-        bundle, cce_checks = cce_sandwich(q_zx, design.Q_ZZ, omega, lam)
-        checks.update(cce_checks)
-        valid &= np.logical_and.reduce(list(cce_checks.values()))
-        a_dev = np.einsum("mr,mrs->ms", dev, bundle.A_r_CR)
+        omega = (scores.transpose(0, 2, 1) @ scores / n).reshape(P, M, d_z, d_z)
+        # Zt'X* = Zt'h + sum_j g_j [Zt'v]_j does not depend on the null: one
+        # contraction per sign set, on its own, since it may be one column
+        # wide; the sandwich broadcasts it against each null's Omega
+        zx = stacked(zt_a[..., :d_x], zt_a[..., k : k + d_x])
+        (q_zx,) = draws_of(np.broadcast_to(zx, (len(signs),) + zx.shape))
+        bundle, cce_checks = cce_sandwich((q_zx / n).reshape(len(signs), M, d_z, d_x),
+                                          design.Q_ZZ, omega, lam)
+        for what, ok in cce_checks.items():
+            checks[what] = np.broadcast_to(ok, (P, M)).reshape(-1)
+            valid &= checks[what]
+        a_dev = np.einsum("mr,mrs->ms", dev, bundle.A_r_CR.reshape(P * M, block.d_r, block.d_r))
         stats_cr = np.sqrt(n * np.maximum(np.einsum("ms,ms->m", a_dev, dev), 0.0))
         stats_cr[~valid] = 0.0
         stats_cr = stats_cr.reshape(P, M)
-    return stats.reshape(P, M), stats_cr, {what: ok.reshape(P, M) for what, ok in checks.items()}
+    checks = {what: ok.reshape(P, M) for what, ok in checks.items()}
+    return stats.reshape(P, M), stats_cr, checks, clamped.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -265,8 +289,8 @@ def wald_tests(
     fit = fit_method(dataset, design, method, fuller_c)
     first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
     beta_r = restricted_betas(fit, block.lambda_beta, block.lambda_0)
-    stats, stats_cr, checks = _wrec_draws(dataset, design, fit, first_stage, beta_r, block,
-                                          sign_rows(sign_sets), fuller_c, want_cr)
+    stats, stats_cr, checks, n_clamped = _wrec_draws(
+        dataset, design, fit, first_stage, beta_r, block, sign_rows(sign_sets), fuller_c, want_cr)
     iota = np.array([ok[:, -1] for ok in checks.values()])
     errors = np.array([None] + [NumericalError(f"singular {what}") for what in checks])
     failed = errors[np.where(iota.all(axis=0), 0, iota.argmin(axis=0) + 1)].tolist()
@@ -274,5 +298,6 @@ def wald_tests(
     draws = {"wald": stats, "wald-cr": stats_cr}
     # a failed null's draws are decided too, then its failure reported
     decided = {name: finish_test(name, draws[name], sign_sets, alpha,
-                                 estimator=method, n_singular=n_singular) for name in names}
+                                 estimator=method, n_singular=n_singular, n_clamped=n_clamped)
+               for name in names}
     return [{name: exc or decided[name][p] for name in names} for p, exc in enumerate(failed)]

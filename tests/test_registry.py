@@ -399,7 +399,9 @@ def test_each_null_of_a_block_gets_its_own_bits(d_x, d_z, q, mode):
     # run_test gives at that null alone; sampled signs are one set per null,
     # as a fresh-mode confidence set passes them. lm and cqlr contract the
     # Jacobian pieces with the sign rows once per set, then evaluate them
-    # at each null (over 1 + d_x coefficients, so d_x = 2 too)
+    # at each null (over 1 + d_x coefficients, so d_x = 2 too). The wald
+    # family runs every estimator: full and ba contract the Gram block
+    # together with the U block
     ds = random_dataset(d_z, q=q, n_per=8, d_x=d_x, d_z=d_z, pi_scale=0.5)
     names = ["ar", "ar-cr", "lm", "wald", "wald-cr"] + (["cqlr"] if d_x == 1 else [])
     names += ["score-wald"] if d_z == 1 else []
@@ -411,19 +413,31 @@ def test_each_null_of_a_block_gets_its_own_bits(d_x, d_z, q, mode):
     else:
         signs = per_null = [make_sign_set(q, "sampled", B=29, seed=(5, "cs", i)) for i in range(4)]
     design = partial_out_exogenous(ds)
-    for estimator in ("tsls", "liml"):  # the wald family's fit
-        results = run_tests(ds, names, block, estimator=estimator, sign_set=signs, design=design)
+
+    def assert_own_bits(names, nulls, per_null, results, estimator):
         for null, own, got in zip(nulls, per_null, results):
             for name in names:
                 want = run_test(ds, name, Hypothesis.full_vector(null), estimator=estimator,
                                 sign_set=own, design=design)
                 what = (estimator, name, null)
                 assert (got[name].statistic, got[name].critical_value, got[name].pvalue,
-                        got[name].reject, got[name].n_singular) == (
+                        got[name].reject, got[name].n_singular, got[name].n_clamped) == (
                     want.statistic, want.critical_value, want.pvalue, want.reject,
-                    want.n_singular), what
+                    want.n_singular, want.n_clamped), what
                 assert np.array_equal(got[name].boot_stats, want.boot_stats), what
                 assert got[name].sign_set is own
+
+    for estimator in ("tsls", "liml", "full", "ba"):  # the wald family's fit
+        results = run_tests(ds, names, block, estimator=estimator, sign_set=signs, design=design)
+        assert_own_bits(names, nulls, per_null, results, estimator)
+    if mode == "exhaustive":
+        # 40 nulls on one shared set: wald-cr contracts Zt'X* once for all
+        # of them, and each null still gets what it gets alone
+        wide = [[b, 0.5 - b][:d_x] for b in np.linspace(-2.0, 2.0, 40)]
+        for estimator in ("tsls", "liml", "full", "ba"):
+            results = run_tests(ds, ["wald-cr"], Hypothesis.full_vector(wide),
+                                estimator=estimator, sign_set=signs, design=design)
+            assert_own_bits(["wald-cr"], wide, [signs] * len(wide), results, estimator)
 
 
 def test_a_block_takes_one_sign_set_per_null():

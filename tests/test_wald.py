@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,38 @@ class TestWrecDistributions:
             "clamped 1 LIML kappa value(s) below 1 to 1 (numerical noise)",
             f"clamped {len(signs.vectors)} LIML kappa value(s) below 1 to 1 (numerical noise)",
         ]
+
+    def test_clamped_draws_are_counted_per_null(self, monkeypatch):
+        # just identified (d_z = d_x = 1), LIML's kappa is 1 up to the
+        # pencil root's rounding; with the clamp tolerance at 0 every draw
+        # whose root rounds below 1 is clamped. Each null counts its own
+        # draws without the g = iota row, the count the block's warning
+        # gives, and a record carries the count only when it is not zero
+        monkeypatch.setattr(wbiv.kclass, "LIML_CLAMP_TOL", 0.0)
+        ds = random_dataset(4, q=8, n_per=15)
+        signs = make_sign_set(8, "exhaustive")
+
+        def clamped(nulls):
+            with pytest.warns(RuntimeWarning) as caught:
+                out = run_tests(ds, ["wald", "wald-cr"], Hypothesis.wald(np.eye(1), nulls),
+                                estimator="liml", sign_set=signs)
+            # the draws' warning comes last, after the sample fit's own
+            draws = re.fullmatch(r"clamped (\d+) LIML kappa value\(s\) below 1 to 1 \(numerical "
+                                 r"noise\)", str(caught[-1].message))
+            return out, int(draws.group(1))
+
+        block, total = clamped([[-0.5], [0.0], [0.5]])
+        counts = [null["wald"].n_clamped for null in block]
+        assert sum(counts) == total and 0 < min(counts) and max(counts) < signs.size
+        for b, null, k in zip((-0.5, 0.0, 0.5), block, counts):
+            assert null["wald-cr"].n_clamped == k
+            assert null["wald"].to_record()["n_clamped"] == k
+            alone, n = clamped([b])
+            assert alone["wald"].n_clamped == alone["wald-cr"].n_clamped == n == k
+        monkeypatch.setattr(wbiv.kclass, "LIML_CLAMP_TOL", 1e-8)
+        res = run_tests(ds, ["wald"], Hypothesis.wald(np.eye(1), [0.0]), estimator="liml",
+                        sign_set=signs)["wald"]
+        assert res.n_clamped == 0 and "n_clamped" not in res.to_record()
 
 
 class TestWrecWaldTest:

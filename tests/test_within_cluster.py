@@ -11,6 +11,7 @@ kept in this module.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from wbiv import (
     restricted_kclass_fit,
     restricted_ols_fit,
 )
-from wbiv.data import RCOND_MIN, SINGULAR_RCOND, cluster_cross, exogenous_basis, nonsingular
+from wbiv.data import (
+    RCOND_MIN,
+    SINGULAR_RCOND,
+    cluster_cross,
+    exogenous_basis,
+    nonsingular,
+    stack_solve,
+)
 from wbiv.rng import substream
 
 TOL = 1e-10
@@ -291,3 +299,71 @@ def test_nonsingular_one_by_one_gives_the_eigvalsh_decision():
     want = ok & (s.max(axis=-1) > 0.0) & (s.min(axis=-1) >= SINGULAR_RCOND * s.max(axis=-1))
     np.testing.assert_array_equal(nonsingular(a), want)
     np.testing.assert_array_equal(nonsingular(values.reshape(-1, 3, 1, 1)), want.reshape(-1, 3))
+
+
+def eigvalsh_rule(a):
+    """The singular rule by one stacked ``eigvalsh``: (decision, rcond), with
+    rcond = s_min / s_max taken as a ratio (0 for an all-zero item)."""
+    ok = np.isfinite(a).all(axis=(-2, -1))
+    s = np.abs(np.linalg.eigvalsh(np.where(ok[..., None, None], a, 0.0)))
+    s_min, s_max = s.min(axis=-1), s.max(axis=-1)
+    rcond = s_min / np.where(s_max > 0.0, s_max, 1.0)
+    return ok & (s_max > 0.0) & (rcond >= SINGULAR_RCOND), rcond
+
+
+def test_nonsingular_two_by_two_gives_the_eigvalsh_decision():
+    rng = substream(3, "two-by-two")
+    # random symmetric items, each at its own scale from 1e-150 to 1e150
+    a = rng.standard_normal((20000, 2, 2)) * 10.0 ** rng.uniform(-150, 150, (20000, 1, 1))
+    symmetric = (a + a.swapaxes(1, 2)) / 2.0
+    # PSD items with rcond log-uniform in [1e-16, 1e-10], around SINGULAR_RCOND
+    angle = rng.uniform(0.0, np.pi, 20000)
+    c, s = np.cos(angle), np.sin(angle)
+    u = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-1)
+    rcond = 10.0 ** rng.uniform(-16, -10, 20000)
+    eig = np.column_stack([np.ones(20000), rcond]) * 10.0 ** rng.uniform(-100, 100, (20000, 1))
+    psd = (u * eig[:, None, :]) @ u.swapaxes(1, 2)
+    psd = (psd + psd.swapaxes(1, 2)) / 2.0
+    # every symmetric item over zero, +-subnormal, 1e-310, 1e308 and
+    # non-finite entries: all-1e308 items and subnormal diagonals among them
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1.0, -1e-300, 1e308, -1e308,
+               np.inf, -np.inf, np.nan]
+    special = np.array([[[x, y], [y, z]] for x, y, z in itertools.product(special, repeat=3)])
+    for what, items in (("symmetric", symmetric), ("psd", psd), ("special", special)):
+        want, rcond = eigvalsh_rule(items)
+        got = nonsingular(items)
+        # eigvalsh's own s_min is exact only to about eps s_max, 2e-3 of the
+        # threshold: an item within 1e-2 relative of it may be decided
+        # either way, and at most 2 of these 60 000 items are
+        near = np.abs(rcond / SINGULAR_RCOND - 1.0) < 1e-2
+        excepted = (got != want) & near
+        assert excepted.sum() <= (2 if what == "psd" else 0), what
+        np.testing.assert_array_equal(got[~excepted], want[~excepted], err_msg=what)
+        np.testing.assert_array_equal(nonsingular(items[None]), got[None], err_msg=what)
+    # the rule's rcond is a ratio, so a subnormal item is judged like any
+    # other: SINGULAR_RCOND * s_max underflowing to zero does not pass it
+    for d in (2, 3):
+        assert not nonsingular(np.diag([0.0] + [tiny] * (d - 1))[None])[0]
+        assert nonsingular((1e-310 * np.eye(d))[None])[0]
+
+
+def test_stack_solve_one_by_one_is_lapacks_inverse():
+    # without a right-hand side, a (N, 1, 1) stack gives bitwise the x and
+    # ok flags of np.linalg.inv on the items the singular rule keeps
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e-300, 1e300, 1e308, -1e308,
+               np.inf, -np.inf, np.nan]
+    rng = substream(4, "one-by-one-inverse")
+    values = np.concatenate([special, rng.choice([-1.0, 1.0], 20000)
+                             * 10.0 ** rng.uniform(-300, 300, 20000)])
+    a = values[:, None, None]
+    ok = nonsingular(a)
+    want = np.linalg.inv(np.where(ok[:, None, None], a, 1.0))
+    ok &= np.isfinite(want[:, 0, 0])
+    want = np.where(ok[:, None, None], want, 0.0)
+    x, got = stack_solve(a)
+    np.testing.assert_array_equal(got, ok)
+    assert x.tobytes() == want.tobytes()
+    assert got[len(special):].all() and got[:len(special)].tolist() == [
+        False, False, False, False, False, False, True, True, True, True, False, False, False]
