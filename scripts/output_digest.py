@@ -123,6 +123,15 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
         ["simulate", "size", "--dz", "3", "--pi0", "2", "--rho", "0.5", "--reps", "100",
          "-B", "49", "--seed", "2", "--tests", "WB-US:liml,WB-S:full,WB-AR-S,WB-LM,WB-CQLR"],
     ))
+    argv = ["test", dz1, "--test", "ar", "--beta0", "0.5", "--signs", "sampled", "-B", "199",
+            "--seed", "5", "--format", "csv"]
+    out.append(("test ar --format csv", argv))
+    small = ["--dz", "1", "--pi0", "2", "--rho", "0.5", "--reps", "100", "-B", "19", "--seed", "2"]
+    argv = ["simulate", "size"] + small + ["--tests", "WB-US:tsls,WB-AR-S", "--format", "csv"]
+    out.append(("simulate size --format csv", argv))
+    argv = ["simulate", "power"] + small + ["--beta-grid=-0.5,0,0.5", "--tests", "WB-AR-US"]
+    out.append(("simulate power --beta-grid", argv))
+    out.append(("simulate power --beta-grid --format csv", argv + ["--format", "csv"]))
     return out
 
 

@@ -31,11 +31,10 @@ from .kclass import (
     restricted_ols_fit,
 )
 from .registry import (
-    ar_asymptotic_cr_test,
     ar_bootstrap_test,
     lm_cqlr_bootstrap_test,
+    run_test,
     run_tests,
-    score_bootstrap_wald_test,
     wrec_wald_test,
 )
 from .simulate import (
@@ -46,6 +45,6 @@ from .simulate import (
     simulate_dgp,
 )
 from .wald import EfficientFirstStage, efficient_first_stage, wrec_run
-from .weakiv import JacobianBundle, cqlr_statistic, lm_statistic
+from .weakiv import cqlr_statistic, lm_statistic
 
 __version__ = "0.1.0"

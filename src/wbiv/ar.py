@@ -33,11 +33,9 @@ class ArStatistics:
     likelihood-ratio combination consume.
     """
 
-    f_hat: np.ndarray
     ar_n: float
     ar_cr_n: float | None
     A_cr: np.ndarray | None
-    score_sums: np.ndarray    # (q, d_z) per-cluster sums of f_ij
     score_pieces: np.ndarray  # (q, d_z, 1 + d_x) per-cluster sums of Zt [e_y : e_X]
     beta_0: np.ndarray
 
@@ -87,13 +85,13 @@ def null_scores(design: PartialledDesign, restricted_ols: RestrictedOlsFit):
 def ar_statistics(design: PartialledDesign, restricted_ols: RestrictedOlsFit) -> ArStatistics:
     """Compute AR_n and, when the null CCE is invertible, AR_CR_n at the fit's
     one null: the g = iota row alone."""
-    pieces, s, a_cr, ok = null_scores(design, restricted_ols)
+    pieces, _, a_cr, ok = null_scores(design, restricted_ols)
     beta = np.atleast_2d(restricted_ols.beta_0)
     f = at_nulls(signed_means(pieces, np.ones((1, design.q)), design.n), beta)
     ar_n = float(np.sqrt(ar_squares(f, design.n))[0, 0])
     ar_cr_n = float(np.sqrt(ar_squares(f, design.n, a_cr))[0, 0]) if ok[0] else None
-    return ArStatistics(f_hat=f[0, 0], ar_n=ar_n, ar_cr_n=ar_cr_n, A_cr=a_cr[0] if ok[0] else None,
-                        score_sums=s[0], score_pieces=pieces, beta_0=beta[0])
+    return ArStatistics(ar_n=ar_n, ar_cr_n=ar_cr_n, A_cr=a_cr[0] if ok[0] else None,
+                        score_pieces=pieces, beta_0=beta[0])
 
 
 def ar_bootstrap_distribution(

@@ -58,30 +58,21 @@ def cce_sandwich(
     return bundle, {JACOBIAN: ok_q, RESTRICTED_COVARIANCE: ok_r}
 
 
-def _assemble(
-    q_zx: np.ndarray,
-    q_zz: np.ndarray,
-    omega: np.ndarray,
-    lambda_beta: np.ndarray,
-) -> CceBundle:
-    """:func:`cce_sandwich` of one pair; a singular inverse is a NumericalError."""
-    bundle, checks = cce_sandwich(q_zx[None], q_zz, omega[None], lambda_beta)
-    raise_singular(checks)
-    return CceBundle(
-        Omega_CR=omega, V_hat=bundle.V_hat[0], A_r_CR=bundle.A_r_CR[0], Q_hat=bundle.Q_hat[0]
-    )
-
-
 def cce_matrix(
     design: PartialledDesign,
     residuals: np.ndarray,
     lambda_beta: np.ndarray,
 ) -> CceBundle:
-    """CCE bundle from unrestricted residuals.
+    """CCE bundle from unrestricted residuals: :func:`cce_sandwich` of a stack
+    of one, whose singular inverse is a NumericalError.
 
     A_r_CR is the inverse of lambda' V_hat lambda, the weighting that turns
     the Wald deviation into its studentized form.
     """
     s = cluster_score_sums(design, residuals)
     omega = s.T @ s / design.n
-    return _assemble(design.Q_ZX, design.Q_ZZ, omega, lambda_beta)
+    bundle, checks = cce_sandwich(design.Q_ZX[None], design.Q_ZZ, omega[None], lambda_beta)
+    raise_singular(checks)
+    return CceBundle(
+        Omega_CR=omega, V_hat=bundle.V_hat[0], A_r_CR=bundle.A_r_CR[0], Q_hat=bundle.Q_hat[0]
+    )

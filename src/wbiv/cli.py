@@ -214,7 +214,7 @@ def _cmd_fit(args) -> dict:
     design = partial_out_exogenous(dataset)
     fit = fit_method(dataset, design, args.method, fuller_c)
     slopes = cluster_first_stage(dataset)
-    diag = assumption_diagnostics(design)
+    diag = assumption_diagnostics(dataset, design)
     return {
         "method": args.method,
         "n": dataset.n,
@@ -272,7 +272,7 @@ def _cmd_simulate(args):
 def _cmd_diagnose(args) -> dict:
     dataset = _load(args)
     design = partial_out_exogenous(dataset)
-    diag = assumption_diagnostics(design)
+    diag = assumption_diagnostics(dataset, design)
     return {
         "q": dataset.q,
         "q_zw_by_cluster": _by_cluster(dataset, diag.Q_ZW_j),

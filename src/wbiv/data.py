@@ -159,7 +159,7 @@ def build_dataset(y, X, Z, W, cluster_id) -> ClusteredDataset:
 class PartialledDesign:
     """Instruments residualized on W plus all cluster-level moment matrices.
 
-    ``Q_ZX_j`` and ``Q_ZW_j`` carry the per-cluster 1/n_j scaling; the pooled
+    ``Q_ZX_j`` carries the per-cluster 1/n_j scaling; the pooled
     ``Q_ZZ``, ``Q_ZX`` carry 1/n. The orthonormal bases of span(W) and
     span(Z_tilde) are kept so projection quadratic forms never require an
     explicit inverse of W'W. Only ``Q_ZX`` and ``Q_ZX_j`` depend on X, none on y;
@@ -169,7 +169,6 @@ class PartialledDesign:
 
     Z_tilde: np.ndarray
     Q_ZX_j: np.ndarray  # (q, d_z, d_x)
-    Q_ZW_j: np.ndarray  # (q, d_z, d_w)
     Q_ZZ: np.ndarray
     Q_ZX: np.ndarray
     cluster_sizes: np.ndarray
@@ -355,8 +354,7 @@ def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
     The residual is computed through an orthonormal basis of span(W) rather
     than (W'W)^{-1}, which keeps cluster-dummy-heavy W well conditioned.
     """
-    W, X = dataset.W, dataset.X
-    n, starts, sizes = dataset.n, dataset.cluster_starts, dataset.cluster_sizes
+    X, n, starts, sizes = dataset.X, dataset.n, dataset.cluster_starts, dataset.cluster_sizes
 
     u_w, w_coef_map, k = exogenous_basis(dataset)
     z_tilde = exogenous_step(dataset.Z, u_w, k, starts)[0]
@@ -365,7 +363,6 @@ def partial_out_exogenous(dataset: ClusteredDataset) -> PartialledDesign:
     return PartialledDesign(
         Z_tilde=_freeze(z_tilde),
         Q_ZX_j=_freeze(cluster_cross(z_tilde, X, starts) / sizes[:, None, None]),
-        Q_ZW_j=_freeze(cluster_cross(z_tilde, W, starts) / sizes[:, None, None]),
         Q_ZZ=_freeze(z_tilde.T @ z_tilde / n),
         Q_ZX=_freeze(z_tilde.T @ X / n),
         cluster_sizes=sizes,
@@ -385,7 +382,9 @@ class OrthogonalityDiagnostics:
     max_abs: np.ndarray  # (q,)
 
 
-def assumption_diagnostics(design: PartialledDesign) -> OrthogonalityDiagnostics:
+def assumption_diagnostics(
+    dataset: ClusteredDataset, design: PartialledDesign
+) -> OrthogonalityDiagnostics:
     """Report how far each cluster is from Z_tilde-W orthogonality.
 
     The pooled cross moment is zero by construction of the partialling; these
@@ -394,8 +393,9 @@ def assumption_diagnostics(design: PartialledDesign) -> OrthogonalityDiagnostics
     are zero identically when W interacts every exogenous variable with the
     cluster dummies.
     """
-    max_abs = np.abs(design.Q_ZW_j).max(axis=(1, 2))
-    return OrthogonalityDiagnostics(Q_ZW_j=design.Q_ZW_j, max_abs=max_abs)
+    q_zw = cluster_cross(design.Z_tilde, dataset.W, design.cluster_starts)
+    q_zw /= design.cluster_sizes[:, None, None]
+    return OrthogonalityDiagnostics(Q_ZW_j=q_zw, max_abs=np.abs(q_zw).max(axis=(1, 2)))
 
 
 def cluster_first_stage(dataset: ClusteredDataset) -> np.ndarray:

@@ -56,6 +56,11 @@ def _resolve_columns(header: list[str], column_map: dict | None) -> dict:
             raise InputError(f"column {name!r} not in the CSV header")
     if len(cols["y"]) != 1 or len(cols["cluster"]) != 1:
         raise InputError("y and cluster must each map to exactly one column")
+    # a name resolved twice, or given to two columns, reads one in another's place
+    names = [name for group in cols.values() for name in group]
+    for name in names:
+        if names.count(name) > 1 or header.count(name) > 1:
+            raise InputError(f"column {name!r} is named more than once")
     return cols
 
 
@@ -199,19 +204,16 @@ def _json_bytes(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def rejection_table_csv(table: RejectionTable) -> str:
-    header = ["test", "estimator", "rho", "pi0", "dz", "strong"]
-    if table.kind == "power":
-        header.append("beta")
-    header += ["reject_rate", "se"]
-    lines = [",".join(header)]
-    for row in table.rows:
-        fields = [row.test, row.estimator, repr(row.rho), repr(row.pi0), str(row.d_z), str(row.strong)]
-        if table.kind == "power":
-            fields.append(repr(row.beta))
-        fields += [repr(row.reject_rate), repr(row.mc_std_err)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+# A rejection table's CSV columns, keys of its record's rows; only a power
+# table has beta.
+TABLE_CSV_COLUMNS = ("test", "estimator", "rho", "pi0", "dz", "strong", "beta", "reject_rate", "se")
+
+
+def _csv_text(rows) -> str:
+    """``rows`` through ``csv.writer``, which writes a float as its repr."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def rejection_table_record(table: RejectionTable) -> dict:
@@ -248,9 +250,11 @@ def render(record, format: str, include_distribution: bool) -> str:
     if format not in ("json", "csv"):
         raise InputError(f"unknown output format {format!r}")
     if isinstance(record, RejectionTable):
-        if format == "csv":
-            return rejection_table_csv(record)
-        return _json_bytes(rejection_table_record(record))
+        payload = rejection_table_record(record)
+        if format == "json":
+            return _json_bytes(payload)
+        columns = [key for key in TABLE_CSV_COLUMNS if key != "beta" or record.kind == "power"]
+        return _csv_text([columns] + [[row[key] for key in columns] for row in payload["rows"]])
     if hasattr(record, "to_record"):
         payload = record.to_record(include_distribution=include_distribution)
         if format == "json":
@@ -261,10 +265,7 @@ def render(record, format: str, include_distribution: bool) -> str:
         for key, value in payload.items():
             nested = value.items() if isinstance(value, dict) else [(None, value)]
             row.update({key if sub is None else f"{key}_{sub}": v for sub, v in nested})
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerows([row.keys(), row.values()])
-        return out.getvalue()
+        return _csv_text([row.keys(), row.values()])
     if isinstance(record, dict):
         if format == "csv":
             raise InputError("CSV output is not defined for this record type")

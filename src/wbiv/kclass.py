@@ -52,7 +52,6 @@ class KClassFit:
 
     method: str
     kappa: float
-    mu: float
     beta_hat: np.ndarray
     gamma_hat: np.ndarray
     resid_unrestricted: np.ndarray
@@ -198,9 +197,9 @@ def fit_method(
     beta, ok = stack_solve(system, rhs)
     raise_singular({KCLASS_SYSTEM: ok})
     ols = restricted_ols_fit(dataset, beta[0], design)
-    return KClassFit(method=method, kappa=float(kappa[0]), mu=float(kappa[0] - 1.0),
-                     beta_hat=beta[0], gamma_hat=ols.gamma_bar_r, resid_unrestricted=ols.resid,
-                     system=system[0], exogenous=np.column_stack([ols.e_y, ols.e_X]))
+    return KClassFit(method=method, kappa=float(kappa[0]), beta_hat=beta[0],
+                     gamma_hat=ols.gamma_bar_r, resid_unrestricted=ols.resid, system=system[0],
+                     exogenous=np.column_stack([ols.e_y, ols.e_X]))
 
 
 def restricted_betas(fit: KClassFit, lambda_beta: np.ndarray, lambda_0: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ one WREC pass per block for wald and wald-cr, and
 signed score means for ar, ar-cr, ar-cr-asymptotic, lm, cqlr and
 score-wald, the ar test at beta_0 = lambda_0 / lambda scaled by
 |lambda / Q_ZX|. The simulation study's labels are aliases of
-registry names. :func:`run_test` runs one of them, as the CLI, confidence
-sets and the public per-test functions at the end do.
+registry names. :func:`run_test` runs one of them, as the CLI and
+confidence sets do; the per-test functions at the end wrap it under their
+own argument names for the benchmark's probes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .ar import AsymptoticArResult
 from .data import ClusteredDataset, Hypothesis, PartialledDesign
 from .exceptions import InputError, NumericalError
 from .inference import BootstrapTestResult, SignSet, prepare_test, result_or_raise
@@ -126,26 +126,6 @@ def ar_bootstrap_test(
     """Sign-flip bootstrap AR test of the full-vector null beta = beta_0."""
     name, hyp = "ar-cr" if studentize else "ar", Hypothesis.full_vector(beta_0)
     return run_test(dataset, name, hyp, sign_set=sign_set, alpha=alpha, design=design)
-
-
-def ar_asymptotic_cr_test(
-    dataset: ClusteredDataset, beta_0, alpha: float = 0.1, design: PartialledDesign | None = None,
-) -> AsymptoticArResult:
-    """Reject when the squared CCE-weighted AR statistic exceeds the
-    chi-squared quantile with d_z degrees of freedom."""
-    hyp = Hypothesis.full_vector(beta_0)
-    return run_test(dataset, "ar-cr-asymptotic", hyp, alpha=alpha, design=design)
-
-
-def score_bootstrap_wald_test(
-    dataset: ClusteredDataset, hypothesis: Hypothesis, alpha: float = 0.1,
-    sign_set: SignSet | None = None, design: PartialledDesign | None = None,
-) -> BootstrapTestResult:
-    """Score-form bootstrap for the unstudentized TSLS Wald statistic, only
-    defined for d_x = d_z = 1: the ar test at beta_0 = lambda_0 / lambda,
-    scaled by |lambda / Q_ZX|."""
-    return run_test(dataset, "score-wald", hypothesis, sign_set=sign_set, alpha=alpha,
-                    design=design)
 
 
 def lm_cqlr_bootstrap_test(

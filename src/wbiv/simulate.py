@@ -46,6 +46,9 @@ PI_RATIOS_10 = (1.0, 0.4, 0.4, 0.3, 0.3, 0.3, -0.2, -0.2, -0.1, -0.1)
 PI_RATIOS_EXTRA = (0.2, 0.2, 0.1, 0.1)
 
 SIZE_TESTS_DEFAULT = ("WB-US:tsls", "WB-S:tsls")
+# The default power grid: this many true coefficients on +-half width / pi0.
+POWER_GRID_POINTS = 41
+POWER_GRID_HALF_WIDTH = 0.05
 NULL_HYPOTHESIS = Hypothesis.full_vector([0.0])  # H0: beta = 0
 
 
@@ -296,9 +299,13 @@ def run_size_experiment(
     return _run_cells(cells, tests, mc_reps, boot_reps, seed, workers, alpha, "size")
 
 
-def default_power_grid(pi0: float, points: int = 41, half_width: float = 0.05) -> np.ndarray:
-    """Symmetric grid of true coefficients, scaled down as pi0 grows."""
-    return np.linspace(-half_width, half_width, points) / pi0
+def default_power_grid(pi0: float) -> np.ndarray:
+    """Symmetric grid of true coefficients, scaled down as pi0 grows; pi0 = 0
+    has none."""
+    if pi0 == 0.0:
+        raise InputError("the default power grid scales as 1 / pi0, so pi0 = 0 needs an explicit "
+                         "beta grid (--beta-grid)")
+    return np.linspace(-POWER_GRID_HALF_WIDTH, POWER_GRID_HALF_WIDTH, POWER_GRID_POINTS) / pi0
 
 
 def run_power_experiment(

@@ -10,10 +10,11 @@ are read from the last row.
 
 LM and CQLR orthogonalize the Jacobian against the null-imposed scores
 before projecting, so they stay usable under weak identification. Their
-draws hold G_hat, Omega_hat^{-1} and rk at their sample values. Like
+draws hold G_hat (the design's Q_ZX), Omega_hat^{-1} and rk at their
+sample values, which the helpers below take as arrays. Like
 f*(g, b), Gamma*(g, b) = sum_j g_j [Zt X']_j s_j(b)' / n is affine in the
 null: Gamma_a(g) - Gamma_C(g) b, with pieces [Zt X']_j (x) [a_j : C_j]
-(:func:`_jacobian_bundle`) contracted with the sign rows in the same
+(:func:`_jacobian_pieces`) contracted with the sign rows in the same
 :func:`ar.signed_means` call as the score pieces, once per block. Each null
 then costs elementwise work only, and all Gram matrices D*'A D* are solved
 in one :func:`data.stack_solve`. Every sum over a draw row follows the
@@ -23,7 +24,7 @@ gives the pass's last row bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,70 +44,42 @@ SCORE = ("lm", "cqlr")
 CCE_WEIGHTED = ("ar-cr", "ar-cr-asymptotic")
 
 
-@dataclass(frozen=True)
-class JacobianBundle:
-    """Sample pieces the score draws hold fixed, and the g = iota row of the
-    orthogonalized Jacobian draws with its conditioning statistic
-    rk = n D_hat' omega_inv D_hat (d_x = 1 only). A block's bundle has a
-    leading null axis on omega_inv, score_sums, D_hat and rk.
-
-    ``omega_inv`` is the inverse null-imposed CCE, the weighting A of every
-    draw's Gram matrix D*'A D* and of D*'A f*. ``pieces`` stacks, per
-    cluster, the score pieces [a_j : C_j] (d_z rows) and then the Jacobian
-    pieces [Zt X']_j (x) [a_j : C_j] (d_z d_x d_z rows), each row affine in
-    the null with 1 + d_x coefficients: at each null b of ``beta_0`` their
-    signed means, ``at_nulls(signed_means(pieces, rows, n), beta_0)``, are
-    [f*(g, b) : Gamma*(g, b)].
-    """
-
-    G_hat: np.ndarray            # (d_z, d_x)
-    omega_inv: np.ndarray        # (d_z, d_z)
-    score_sums: np.ndarray       # (q, d_z)
-    pieces: np.ndarray           # (q, d_z (1 + d_z d_x), 1 + d_x)
-    beta_0: np.ndarray           # (P, d_x) the nulls
-    D_hat: np.ndarray | None = None   # (d_z, d_x)
-    rk: float | np.ndarray | None = None
-
-
-def _jacobian_bundle(design: PartialledDesign, pieces, score_sums, omega_inv,
-                     beta_0) -> JacobianBundle:
-    """The bundle of the nulls ``beta_0`` (P, d_x) from the score pieces
-    a : C (q, d_z, 1 + d_x) of :func:`ar.null_scores`."""
+def _jacobian_pieces(design: PartialledDesign, pieces: np.ndarray) -> np.ndarray:
+    """Per cluster, the score pieces [a_j : C_j] of :func:`ar.null_scores`
+    (``pieces``, (q, d_z, 1 + d_x)) stacked over the Jacobian pieces
+    [Zt X']_j (x) [a_j : C_j] (d_z d_x d_z rows): (q, d_z (1 + d_z d_x),
+    1 + d_x), each row affine in the null with 1 + d_x coefficients. At the
+    nulls ``beta_0`` their signed means, ``at_nulls(signed_means(stacked,
+    rows, n), beta_0)``, are [f*(g, b) : Gamma*(g, b)]."""
     if design.q <= design.d_z:
         # q = d_z makes Gamma_hat Omega^{-1} f_hat = G_hat an identity, so
         # D_hat is rounding noise; below it Omega is singular
         raise NumericalError("rank-deficient orthogonalized Jacobian (q <= d_z)")
     zx = design.Q_ZX_j * design.cluster_sizes[:, None, None]   # (q, d_z, d_x) [Zt X']_j
     jacobian = zx[..., None, None] * pieces[:, None, None]      # (q, d_z, d_x, d_z, 1 + d_x)
-    return JacobianBundle(
-        G_hat=design.Q_ZX,
-        omega_inv=omega_inv,
-        score_sums=score_sums,
-        pieces=np.concatenate([pieces, jacobian.reshape(design.q, -1, pieces.shape[-1])], axis=1),
-        beta_0=beta_0,
-    )
+    return np.concatenate([pieces, jacobian.reshape(design.q, -1, pieces.shape[-1])], axis=1)
 
 
-def _lm_rows(bundle: JacobianBundle, means: np.ndarray, n: int):
+def _lm_rows(g_hat: np.ndarray, omega_inv: np.ndarray, means: np.ndarray, n: int):
     """Per sign row g with signed means [f*(g) : Gamma*(g)] (``means``, of
-    the bundle's pieces at its nulls): LM*(g) = n c'(D*'A D*)^{-1} c with
+    the stacked pieces at the nulls): LM*(g) = n c'(D*'A D*)^{-1} c with
     c = D*'A f*, the ok flags of the stacked solve, and the orthogonalized
-    Jacobian D*(g) = G - Gamma*(g) A f*(g), where A = Omega^{-1} and
-    Gamma*(g) = sum_j g_j [Zt X']_j s_j' / n. A draw whose Gram matrix is
-    singular reads 0.0. With a block bundle, ``means`` takes the leading
-    null axis too.
+    Jacobian D*(g) = G - Gamma*(g) A f*(g), where G = ``g_hat`` (d_z, d_x),
+    A = Omega^{-1} = ``omega_inv`` and Gamma*(g) = sum_j g_j [Zt X']_j s_j' / n.
+    A draw whose Gram matrix is singular reads 0.0. For a block, ``means``
+    and ``omega_inv`` take a leading null axis.
 
     Each entry of f*, Gamma*, A f*, D* and the Gram matrix is an array over
     the nulls and draw rows, the rows innermost, and every product is a sum
     over d_z or d_x of elementwise products, taken in order."""
-    d_z, d_x = bundle.G_hat.shape
+    d_z, d_x = g_hat.shape
     r = range(d_z)
     terms = np.ascontiguousarray(np.moveaxis(means, -1, 0))
     f, gamma = terms[:d_z], terms[d_z:].reshape((d_z, d_x, d_z) + terms.shape[1:])
-    a = np.moveaxis(bundle.omega_inv, (-2, -1), (0, 1))[..., None]   # A[z, y] per null
+    a = np.moveaxis(omega_inv, (-2, -1), (0, 1))[..., None]          # A[z, y] per null
     a_f = sum(a[:, y] * f[y] for y in r)
-    g_hat = bundle.G_hat.reshape(bundle.G_hat.shape + (1,) * (means.ndim - 1))
-    d = g_hat - sum(gamma[:, :, y] * a_f[y] for y in r)               # D*[z, x]
+    g_hat = g_hat.reshape(g_hat.shape + (1,) * (means.ndim - 1))
+    d = g_hat - sum(gamma[:, :, y] * a_f[y] for y in r)                  # D*[z, x]
     a_d = sum(a[:, y, None] * d[y] for y in r)
     gram = sum(d[z][:, None] * a_d[z] for z in r)                     # D*'A D*[x, x']
     c = sum(d[z] * a_f[z] for z in r)
@@ -115,37 +88,37 @@ def _lm_rows(bundle: JacobianBundle, means: np.ndarray, n: int):
     return lm, ok, np.moveaxis(d, (0, 1), (-2, -1))
 
 
-def _score_draws(bundle: JacobianBundle, means: np.ndarray, n: int, cce_ok=True):
-    """LM*(g) over the rows of ``means``, whose last row is g = iota; the
-    number of singular draws other than iota; the bundle with D_hat and rk
-    read from the iota row; and the NumericalError that fails the score
-    tests (a singular iota row, or a singular null-imposed CCE, ``cce_ok``
-    False, with a score not zero), or None: each per null for a block
-    bundle."""
-    lm, ok, d = _lm_rows(bundle, means, n)
+def _score_draws(g_hat, omega_inv, score_sums, means: np.ndarray, n: int, cce_ok=True):
+    """LM*(g) over the rows of ``means``, whose last row is g = iota (see
+    :func:`_lm_rows`); the number of singular draws other than iota; D_hat,
+    the iota row of D*, and rk = n D_hat' omega_inv D_hat (None unless
+    d_x = 1); and the NumericalError that fails the score tests (a singular
+    iota row, or a singular null-imposed CCE, ``cce_ok`` False, with
+    ``score_sums`` not zero), or None: each per null for a block."""
+    lm, ok, d = _lm_rows(g_hat, omega_inv, means, n)
     d_hat = d[..., -1, :, :]
     one_x = d_hat.shape[-1] == 1
-    rk = ar_squares(np.swapaxes(d_hat, -1, -2), n, bundle.omega_inv)[..., 0] if one_x else None
-    degenerate = ~np.asarray(cce_ok) & bundle.score_sums.any(axis=(-2, -1))
+    rk = ar_squares(np.swapaxes(d_hat, -1, -2), n, omega_inv)[..., 0] if one_x else None
+    degenerate = ~np.asarray(cce_ok) & score_sums.any(axis=(-2, -1))
     failure = np.where(degenerate, NumericalError("singular score covariance (degenerate scores)"),
                        np.where(ok[..., -1], None, NumericalError(f"singular {JACOBIAN_GRAM}")))
-    return lm, (~ok[..., :-1]).sum(axis=-1), replace(bundle, D_hat=d_hat, rk=rk), failure
+    return lm, (~ok[..., :-1]).sum(axis=-1), d_hat, rk, failure
 
 
-def lm_statistic(
-    design: PartialledDesign, restricted_ols: RestrictedOlsFit
-) -> tuple[float, JacobianBundle]:
+def lm_statistic(design: PartialledDesign, restricted_ols: RestrictedOlsFit):
     """Score statistic projecting the standardized mean score onto the
     standardized orthogonalized Jacobian: the draw at g = iota alone, at the
-    fit's one null."""
+    fit's one null. Returns (LM, D_hat (d_z, d_x), rk), rk None unless
+    d_x = 1."""
     pieces, s, omega_inv, ok = null_scores(design, restricted_ols)
     beta_0 = np.atleast_2d(restricted_ols.beta_0)
-    bundle = _jacobian_bundle(design, pieces, s[0], omega_inv[0], beta_0)
-    means = at_nulls(signed_means(bundle.pieces, np.ones((1, design.q)), design.n), beta_0)
-    lm, _, bundle, failure = _score_draws(bundle, means[0], design.n, ok[0])
+    stacked = _jacobian_pieces(design, pieces)
+    means = at_nulls(signed_means(stacked, np.ones((1, design.q)), design.n), beta_0)
+    lm, _, d_hat, rk, failure = _score_draws(design.Q_ZX, omega_inv[0], s[0], means[0], design.n,
+                                             ok[0])
     if failure.item() is not None:
         raise failure.item()
-    return float(lm[-1]), replace(bundle, rk=None if bundle.rk is None else float(bundle.rk))
+    return float(lm[-1]), d_hat, None if rk is None else float(rk)
 
 
 def cqlr_statistic(ar_cr_sq, lm, rk):
@@ -182,18 +155,18 @@ def full_vector_tests(
     pieces, s, a_cr, cr_ok = null_scores(design, restricted_ols_fit(dataset, beta_0, design))
     rows = sign_rows(sign_sets, 0 if set(names) == {"ar-cr-asymptotic"} else None)
 
-    failed, n_singular, bundle = {}, None, None
+    failed, n_singular, stacked = {}, None, None
     if score := [name for name in names if name in SCORE]:
         try:
             if "cqlr" in score and dataset.d_x != 1:
                 raise InputError("cqlr is only defined for a single endogenous regressor here")
             if q <= d_z:
                 raise InputError("score-projection bootstrap needs q > d_z")
-            bundle = _jacobian_bundle(design, pieces, s, a_cr, beta_0)
+            stacked = _jacobian_pieces(design, pieces)
         except (NumericalError, InputError) as exc:
             failed.update(dict.fromkeys(score, [exc] * P))
     # [f*(g, b) : Gamma*(g, b)], with the Jacobian correction only for lm and cqlr
-    means = at_nulls(signed_means(pieces if bundle is None else bundle.pieces, rows, n), beta_0)
+    means = at_nulls(signed_means(pieces if stacked is None else stacked, rows, n), beta_0)
     f = means[..., :d_z]
     # squared AR norms under A_cr (True) or I (False), each formed once
     ar_sq = {cr: ar_squares(f, n, a_cr if cr else None)
@@ -208,12 +181,13 @@ def full_vector_tests(
     for name in set(CCE_WEIGHTED).intersection(names).difference(failed):
         failed[name] = np.where(cr_ok, None, NumericalError(
             "singular null-imposed CCE (q <= d_z or degenerate scores)"))
-    if bundle is not None:
-        draws["lm"], n_singular, bundle, failure = _score_draws(bundle, means, n, cr_ok)
+    if stacked is not None:
+        draws["lm"], n_singular, _, rk, failure = _score_draws(design.Q_ZX, a_cr, s, means, n,
+                                                               cr_ok)
         failed.update(dict.fromkeys(score, failure))
         if "cqlr" in score:
             # at an exact null fit the identity stands in for A_cr
-            draws["cqlr"] = cqlr_statistic(ar_sq[True], draws["lm"], bundle.rk[:, None])
+            draws["cqlr"] = cqlr_statistic(ar_sq[True], draws["lm"], rk[:, None])
 
     # each test decides all nulls at once; a null's failure takes the place
     # of its result

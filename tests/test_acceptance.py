@@ -32,8 +32,8 @@ from wbiv import (
     make_sign_set,
     partial_out_exogenous,
     restricted_ols_fit,
+    run_test,
     run_tests,
-    score_bootstrap_wald_test,
     wrec_run,
 )
 from wbiv.ar import ar_bootstrap_distribution
@@ -288,7 +288,7 @@ def test_criterion_08_oracle_equivalence():
         np.abs(ar_bootstrap_distribution(stats, signs.vectors, 6, False) - E.ARSTAR_N).max(),
         np.abs(ar_bootstrap_distribution(stats, signs.vectors, 6, True) - E.ARSTAR_CR_N).max(),
     ]
-    score = score_bootstrap_wald_test(t1, hyp, sign_set=signs)
+    score = run_test(t1, "score-wald", hyp, sign_set=signs)
     checks += [
         abs(score.statistic - E.SCORE_STAT),
         np.abs(score.boot_stats - E.SCORE_STAR).max(),

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import t1_expected as E
 from conftest import random_dataset
 from wbiv import (
+    Hypothesis,
     InputError,
-    ar_asymptotic_cr_test,
     ar_bootstrap_test,
     ar_statistics,
     build_dataset,
@@ -16,6 +16,7 @@ from wbiv import (
     make_sign_set,
     partial_out_exogenous,
     restricted_ols_fit,
+    run_test,
 )
 from wbiv.ar import ar_bootstrap_distribution
 from wbiv.rng import substream
@@ -135,10 +136,10 @@ class TestAsymptoticAr:
     @pytest.mark.parametrize("alpha", [0.0, 1.5])
     def test_alpha_outside_unit_interval_rejected(self, t1, alpha):
         with pytest.raises(InputError, match="alpha"):
-            ar_asymptotic_cr_test(t1, [0.0], alpha=alpha)
+            run_test(t1, "ar-cr-asymptotic", Hypothesis.full_vector([0.0]), alpha=alpha)
 
     def test_squared_statistic_comparison(self, t1):
-        res = ar_asymptotic_cr_test(t1, [0.0], alpha=0.1)
+        res = run_test(t1, "ar-cr-asymptotic", Hypothesis.full_vector([0.0]), alpha=0.1)
         assert res.statistic_sq == pytest.approx(E.AR_CR_N**2, abs=1e-9)
         assert res.critical_value == pytest.approx(chi2_quantile(0.9, 1), abs=1e-12)
         assert res.reject == (res.statistic_sq > res.critical_value)

@@ -96,6 +96,7 @@ REFUSED = [
     (["simulate", "size", "--beta-grid", "1,2"], "--beta-grid applies to power mode only"),
     (["cs", "--test", "ar", "--format", "csv"], "CSV output is defined only"),
     (["test", "--test", "ar", "--full", "--format", "csv"], "CSV output is defined only"),
+    (["simulate", "power", "--pi0", "0"], "pi0 = 0 needs an explicit beta grid (--beta-grid)"),
 ]
 
 

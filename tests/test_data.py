@@ -142,8 +142,8 @@ class TestPartialling:
 
 
 class TestDiagnostics:
-    def test_t1_values(self, t1_design):
-        diag = assumption_diagnostics(t1_design)
+    def test_t1_values(self, t1, t1_design):
+        diag = assumption_diagnostics(t1, t1_design)
         np.testing.assert_allclose(diag.Q_ZW_j[0, 0, 0], E.Q_ZW_1, atol=1e-10)
         np.testing.assert_allclose(diag.Q_ZW_j[1, 0, 0], E.Q_ZW_2, atol=1e-10)
         np.testing.assert_allclose(diag.max_abs, np.abs(diag.Q_ZW_j).max(axis=(1, 2)))
@@ -162,7 +162,7 @@ class TestDiagnostics:
         ds = build_dataset(
             rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), w, cluster
         )
-        diag = assumption_diagnostics(partial_out_exogenous(ds))
+        diag = assumption_diagnostics(ds, partial_out_exogenous(ds))
         assert diag.max_abs.max() < 1e-12
 
     def test_max_norm_shrinks_with_cluster_size(self):
@@ -181,7 +181,7 @@ class TestDiagnostics:
                 w,
                 np.repeat(np.arange(3), n_per),
             )
-            maxes[n_per] = assumption_diagnostics(partial_out_exogenous(ds)).max_abs.max()
+            maxes[n_per] = assumption_diagnostics(ds, partial_out_exogenous(ds)).max_abs.max()
         assert maxes[400] < maxes[100]
 
 

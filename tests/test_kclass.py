@@ -67,7 +67,6 @@ class TestFit:
         assert fit.beta_hat[0] == pytest.approx(E.TSLS_BETA, abs=1e-10)
         assert fit.gamma_hat[0] == pytest.approx(E.TSLS_GAMMA, abs=1e-10)
         np.testing.assert_allclose(fit.resid_unrestricted, E.TSLS_RESID, atol=1e-10)
-        assert fit.mu == fit.kappa - 1.0
 
     def test_liml_beta_dz2_matches_oracle(self, t1_dz2):
         design = partial_out_exogenous(t1_dz2)

@@ -12,7 +12,6 @@ from wbiv import (
     InputError,
     NumericalError,
     TestSpec,
-    ar_asymptotic_cr_test,
     ar_bootstrap_test,
     ar_statistics,
     build_dataset,
@@ -22,7 +21,6 @@ from wbiv import (
     restricted_ols_fit,
     run_size_experiment,
     run_tests,
-    score_bootstrap_wald_test,
     simulate_dgp,
     wrec_run,
     wrec_wald_test,
@@ -33,28 +31,24 @@ from wbiv.data import stack_solve
 from wbiv.registry import ALIASES, TESTS, run_test
 from wbiv.rng import substream
 from wbiv.simulate import _replicate
-from wbiv.weakiv import (
-    JACOBIAN_GRAM,
-    JacobianBundle,
-    _jacobian_bundle,
-    _lm_rows,
-    _score_draws,
-)
+from wbiv.weakiv import JACOBIAN_GRAM, _jacobian_pieces, _lm_rows, _score_draws
 
 ALPHA = 0.1
 B0 = 0.3
 HYP = Hypothesis.wald(np.ones((1, 1)), [B0])
 
-# Each registry name's public single-test function, called as a user would.
+# Each registry name's public single-test function, or run_test where it has
+# none, called as a user would.
 PUBLIC = {
     "wald": lambda ds, s: wrec_wald_test(ds, HYP, "liml", False, s, ALPHA),
     "wald-cr": lambda ds, s: wrec_wald_test(ds, HYP, "liml", True, s, ALPHA),
     "ar": lambda ds, s: ar_bootstrap_test(ds, [B0], False, s, ALPHA),
     "ar-cr": lambda ds, s: ar_bootstrap_test(ds, [B0], True, s, ALPHA),
-    "ar-cr-asymptotic": lambda ds, s: ar_asymptotic_cr_test(ds, [B0], ALPHA),
+    "ar-cr-asymptotic": lambda ds, s: run_test(ds, "ar-cr-asymptotic",
+                                               Hypothesis.full_vector([B0]), alpha=ALPHA),
     "lm": lambda ds, s: lm_cqlr_bootstrap_test(ds, [B0], "lm", s, ALPHA),
     "cqlr": lambda ds, s: lm_cqlr_bootstrap_test(ds, [B0], "cqlr", s, ALPHA),
-    "score-wald": lambda ds, s: score_bootstrap_wald_test(ds, HYP, ALPHA, s),
+    "score-wald": lambda ds, s: run_test(ds, "score-wald", HYP, sign_set=s, alpha=ALPHA),
 }
 
 
@@ -90,7 +84,8 @@ def test_replicate_matches_the_public_functions():
         "WB-S:liml": wrec_wald_test(ds, hyp, "liml", True, signs, ALPHA),
         "WB-AR-US:-": ar_bootstrap_test(ds, [0.0], False, signs, ALPHA),
         "WB-AR-S:-": ar_bootstrap_test(ds, [0.0], True, signs, ALPHA),
-        "ASY-AR-S:-": ar_asymptotic_cr_test(ds, [0.0], ALPHA),
+        "ASY-AR-S:-": run_test(ds, "ar-cr-asymptotic", Hypothesis.full_vector([0.0]),
+                               alpha=ALPHA),
         "WB-LM:-": lm_cqlr_bootstrap_test(ds, [0.0], "lm", signs, ALPHA),
         "WB-CQLR:-": lm_cqlr_bootstrap_test(ds, [0.0], "cqlr", signs, ALPHA),
     }
@@ -227,10 +222,10 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
             f"ar studentize={s}": lambda g, s=s: ar_bootstrap_distribution(stats, g, ds.n, s)
             for s in (False, True)
         }
-        bundle = _jacobian_bundle(design, stats.score_pieces, stats.score_sums, stats.A_cr,
-                                  stats.beta_0[None])
+        stacked = _jacobian_pieces(design, stats.score_pieces)
         draws["lm"] = lambda g: _lm_rows(
-            bundle, at_nulls(signed_means(bundle.pieces, g, ds.n), bundle.beta_0)[0], ds.n)[0]
+            design.Q_ZX, stats.A_cr,
+            at_nulls(signed_means(stacked, g, ds.n), stats.beta_0[None])[0], ds.n)[0]
         for what, draw in draws.items():
             full = draw(signs.vectors)
             alone = [draw(signs.vectors[i : i + 1])[0] for i in range(signs.size)]
@@ -294,20 +289,15 @@ def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
     # score pieces a = s and C = 0, so s(b) = s, and zero Jacobian pieces
     pieces = np.zeros((5, 3 + 3 * 2 * 3, 3))
     pieces[:, :3, 0] = s
-    bundle = JacobianBundle(
-        G_hat=np.repeat([[1.0], [-2.0], [0.5]], 2, axis=1),
-        omega_inv=np.linalg.inv(s.T @ s / 50),
-        score_sums=s,
-        pieces=pieces,
-        beta_0=np.zeros((1, 2)),
-    )
+    g_hat = np.repeat([[1.0], [-2.0], [0.5]], 2, axis=1)
+    omega_inv = np.linalg.inv(s.T @ s / 50)
     signs = make_sign_set(5, "exhaustive").vectors
-    means = at_nulls(signed_means(bundle.pieces, signs, 50), bundle.beta_0)[0]
-    lm, ok, _ = _lm_rows(bundle, means, 50)
+    means = at_nulls(signed_means(pieces, signs, 50), np.zeros((1, 2)))[0]
+    lm, ok, _ = _lm_rows(g_hat, omega_inv, means, 50)
     assert not lm.any() and int((~ok).sum()) == len(signs)
     # the last exhaustive row is g = iota, which the pass reads as the
     # sample: its null's lm and cqlr fail with this error
-    failure = _score_draws(bundle, means, 50)[3].item()
+    failure = _score_draws(g_hat, omega_inv, s, means, 50)[4].item()
     assert isinstance(failure, NumericalError) and str(failure) == f"singular {JACOBIAN_GRAM}"
 
 
@@ -329,7 +319,7 @@ def test_full_vector_tests_share_one_pass(monkeypatch):
 
     fits = _counting(monkeypatch, wbiv.weakiv, "restricted_ols_fit")
     sums = _counting(monkeypatch, wbiv.ar, "cluster_score_sums")
-    jacobians = _counting(monkeypatch, wbiv.weakiv, "_jacobian_bundle")
+    jacobians = _counting(monkeypatch, wbiv.weakiv, "_jacobian_pieces")
     # f*(g), wherever the pass would form it
     stacks = _counting(monkeypatch, wbiv.weakiv, "signed_means")
     stacks_ar = _counting(monkeypatch, wbiv.ar, "signed_means")
@@ -478,7 +468,7 @@ def test_ar_cr_asymptotic_alone_reads_only_the_iota_row(monkeypatch):
         return original(score_sums, signs, n)
 
     monkeypatch.setattr(wbiv.weakiv, "signed_means", recorded)
-    alone = ar_asymptotic_cr_test(ds, [B0], ALPHA)
+    alone = run_test(ds, "ar-cr-asymptotic", Hypothesis.full_vector([B0]), alpha=ALPHA)
     # one stack, shared by the block's one null, of the one row g = iota
     assert shapes == [(1, 1, 7)]
     assert alone == beside

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,19 @@ class TestExperiments:
         grid = default_power_grid(4.0)
         assert len(grid) == 41
         assert grid[0] == pytest.approx(-0.05 / 4.0)
+
+    def test_pi0_zero_needs_an_explicit_power_grid(self):
+        # refused before the grid divides by pi0, with no warning; a size
+        # run and a power run on a given grid stay valid at pi0 = 0
+        config = DgpConfig(q=10, d_z=1, pi0=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"pi0 = 0 needs an explicit beta grid"):
+                run_power_experiment([config], ["WB-AR-US"], mc_reps=100, boot_reps=19)
+            size = run_size_experiment([config], ["WB-AR-US"], mc_reps=100, boot_reps=19)
+            power = run_power_experiment([config], ["WB-AR-US"], beta_grid=[0.5], mc_reps=100,
+                                         boot_reps=19)
+        assert size.rows[0].n_failed == power.rows[0].n_failed == 0
 
     def test_alpha_outside_unit_interval_rejected(self):
         with pytest.raises(InputError, match="alpha"):

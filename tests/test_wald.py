@@ -18,8 +18,8 @@ from wbiv import (
     partial_out_exogenous,
     restricted_kclass_fit,
     restricted_ols_fit,
+    run_test,
     run_tests,
-    score_bootstrap_wald_test,
     wrec_run,
     wrec_wald_test,
 )
@@ -305,18 +305,18 @@ class TestWrecWaldTest:
 
 class TestScoreBootstrap:
     def test_t1_statistic_and_distribution_match_oracle(self, t1):
-        res = score_bootstrap_wald_test(t1, H0, sign_set=make_sign_set(2, "exhaustive"))
+        res = run_test(t1, "score-wald", H0, sign_set=make_sign_set(2, "exhaustive"))
         assert res.statistic == pytest.approx(E.SCORE_STAT, abs=1e-10)
         np.testing.assert_allclose(res.boot_stats, E.SCORE_STAR, atol=1e-10)
 
     def test_statistic_equals_scaled_ar(self, t1, t1_design):
-        res = score_bootstrap_wald_test(t1, H0, sign_set=make_sign_set(2, "exhaustive"))
+        res = run_test(t1, "score-wald", H0, sign_set=make_sign_set(2, "exhaustive"))
         scale = abs(1.0 / t1_design.Q_ZX[0, 0])
         assert res.statistic == pytest.approx(scale * E.AR_N, abs=1e-10)
 
     def test_requires_just_identified(self, t1_dz2):
         with pytest.raises(InputError, match="d_x = d_z = 1"):
-            score_bootstrap_wald_test(t1_dz2, H0)
+            run_test(t1_dz2, "score-wald", H0)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)

@@ -20,14 +20,14 @@ from wbiv import (
     run_tests,
     simulate_dgp,
 )
-from wbiv.ar import ar_squares, at_nulls, signed_means
+from wbiv.ar import ar_squares, at_nulls, null_scores, signed_means
 from wbiv.rng import substream
-from wbiv.weakiv import _lm_rows
+from wbiv.weakiv import _jacobian_pieces, _lm_rows
 
 
-def full_quadratic_form(bundle, n):
-    """n f' Omega^{-1} f from the bundle's score sums, Omega = s's / n."""
-    s = bundle.score_sums
+def full_quadratic_form(design, rols):
+    """n f' Omega^{-1} f from the score sums s at the fit's null, Omega = s's / n."""
+    s, n = null_scores(design, rols)[1][0], design.n
     f_hat = s.sum(axis=0) / n
     return n * f_hat @ np.linalg.solve(s.T @ s / n, f_hat)
 
@@ -35,17 +35,17 @@ def full_quadratic_form(bundle, n):
 class TestLmStatistic:
     def test_t1x_matches_oracle(self, t1x_dz2):
         design = partial_out_exogenous(t1x_dz2)
-        lm, bundle = lm_statistic(design, restricted_ols_fit(t1x_dz2, [0.0]))
+        lm, d_hat, rk = lm_statistic(design, restricted_ols_fit(t1x_dz2, [0.0]))
         assert lm == pytest.approx(E.LM_N_T1X, abs=1e-8)
-        assert bundle.rk == pytest.approx(E.RK_T1X, abs=1e-8)
-        np.testing.assert_allclose(bundle.D_hat.ravel(), E.D_HAT_T1X, atol=1e-10)
+        assert rk == pytest.approx(E.RK_T1X, abs=1e-8)
+        np.testing.assert_allclose(d_hat.ravel(), E.D_HAT_T1X, atol=1e-10)
 
     def test_just_identified_reduces_to_quadratic_form(self, t1, t1_design):
         # d_x = d_z: the projection is the identity, so LM equals the full
         # quadratic form n f' Omega^{-1} f
         rols = restricted_ols_fit(t1, [0.0])
-        lm, bundle = lm_statistic(t1_design, rols)
-        ar_sq = full_quadratic_form(bundle, t1.n)
+        lm, _, _ = lm_statistic(t1_design, rols)
+        ar_sq = full_quadratic_form(t1_design, rols)
         assert lm == pytest.approx(ar_sq, abs=1e-10)
 
     def test_exact_null_fit_gives_zero(self, t1, t1_design):
@@ -57,7 +57,7 @@ class TestLmStatistic:
             beta_0=np.array([0.5]), gamma_bar_r=np.array([1.0]), e_y=np.zeros(t1.n),
             e_X=np.zeros((t1.n, 1)),
         )
-        lm, _ = lm_statistic(t1_design, rols)
+        lm, _, _ = lm_statistic(t1_design, rols)
         assert lm == 0.0
 
     def test_degenerate_at_q_equal_dz(self, t1_dz2):
@@ -73,8 +73,8 @@ class TestLmStatistic:
         ds = random_dataset(seed, q=6, n_per=14, d_z=3)
         design = partial_out_exogenous(ds)
         rols = restricted_ols_fit(ds, [0.2])
-        lm, bundle = lm_statistic(design, rols)
-        ar_sq = full_quadratic_form(bundle, ds.n)
+        lm, _, _ = lm_statistic(design, rols)
+        ar_sq = full_quadratic_form(design, rols)
         assert lm <= ar_sq + 1e-10
 
     @given(seed=st.integers(0, 10**6))
@@ -82,8 +82,9 @@ class TestLmStatistic:
     def test_projection_idempotent_and_symmetric(self, seed):
         ds = random_dataset(seed, q=5, n_per=11, d_z=2)
         design = partial_out_exogenous(ds)
-        _, bundle = lm_statistic(design, restricted_ols_fit(ds, [0.1]))
-        u = np.linalg.cholesky(bundle.omega_inv).T @ bundle.D_hat
+        rols = restricted_ols_fit(ds, [0.1])
+        _, d_hat, _ = lm_statistic(design, rols)
+        u = np.linalg.cholesky(null_scores(design, rols)[2][0]).T @ d_hat
         p = u @ np.linalg.solve(u.T @ u, u.T)
         np.testing.assert_allclose(p, p @ p, atol=1e-10)
         np.testing.assert_allclose(p, p.T, atol=1e-10)
@@ -103,10 +104,11 @@ class TestCqlrStatistic:
 
     def test_t1x_oracle(self, t1x_dz2):
         design = partial_out_exogenous(t1x_dz2)
-        lm, bundle = lm_statistic(design, restricted_ols_fit(t1x_dz2, [0.0]))
-        ar_sq = full_quadratic_form(bundle, t1x_dz2.n)
+        rols = restricted_ols_fit(t1x_dz2, [0.0])
+        lm, _, rk = lm_statistic(design, rols)
+        ar_sq = full_quadratic_form(design, rols)
         assert ar_sq == pytest.approx(E.AR_CR_SQ_T1X, abs=1e-8)
-        assert cqlr_statistic(ar_sq, lm, bundle.rk) == pytest.approx(E.LR_N_T1X, abs=1e-8)
+        assert cqlr_statistic(ar_sq, lm, rk) == pytest.approx(E.LR_N_T1X, abs=1e-8)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(InputError):
@@ -134,14 +136,15 @@ class TestLmCqlrBootstrap:
     def test_sign_flip_symmetry(self, seed):
         ds = random_dataset(seed, q=5, n_per=13, d_z=2)
         design = partial_out_exogenous(ds)
-        _, bundle = lm_statistic(design, restricted_ols_fit(ds, [0.0]))
+        pieces, _, omega_inv, _ = null_scores(design, restricted_ols_fit(ds, [0.0]))
         rng = substream(seed, "flip")
         g = rng.integers(0, 2, size=(1, 5)) * 2.0 - 1.0
         both = np.vstack([g, -g])
-        means = at_nulls(signed_means(bundle.pieces, both, ds.n), bundle.beta_0)[0]
+        stacked = _jacobian_pieces(design, pieces)
+        means = at_nulls(signed_means(stacked, both, ds.n), np.zeros((1, 1)))[0]
         f = means[:, : ds.d_z]
-        lm_star = _lm_rows(bundle, means, ds.n)[0]
-        ar_sq_star = ar_squares(f, ds.n, bundle.omega_inv)
+        lm_star = _lm_rows(design.Q_ZX, omega_inv[0], means, ds.n)[0]
+        ar_sq_star = ar_squares(f, ds.n, omega_inv[0])
         assert lm_star[0] == pytest.approx(lm_star[1], abs=1e-10)
         assert ar_sq_star[0] == pytest.approx(ar_sq_star[1], abs=1e-10)
 
@@ -165,9 +168,9 @@ class TestLmCqlrBootstrap:
         ds = random_dataset(17, q=5, n_per=12)
         design = partial_out_exogenous(ds)
         rols = restricted_ols_fit(ds, [0.0])
-        lm, bundle = lm_statistic(design, rols)
-        ar_sq = full_quadratic_form(bundle, ds.n)
-        assert cqlr_statistic(ar_sq, lm, bundle.rk) == pytest.approx(ar_sq, abs=1e-9)
+        lm, _, rk = lm_statistic(design, rols)
+        ar_sq = full_quadratic_form(design, rols)
+        assert cqlr_statistic(ar_sq, lm, rk) == pytest.approx(ar_sq, abs=1e-9)
 
 
 def _exact_lm_draw(ds, b, g, dps=50):

@@ -19,6 +19,7 @@ import pytest
 from wbiv import (
     Hypothesis,
     NumericalError,
+    assumption_diagnostics,
     build_dataset,
     efficient_first_stage,
     fit_method,
@@ -122,10 +123,11 @@ def test_partialling_matches_the_svd_of_w(kind, seed, mix):
     }
     for field, value in want.items():
         assert rel(getattr(design, field), value) < TOL, field
-    # Q_ZW_j is zero up to rounding in some clusters: relative to the data's scale
+    # Q_ZW_j of the diagnostics is zero up to rounding in some clusters:
+    # relative to the data's scale
     scale = np.abs(ds.Z).max() * np.abs(ds.W).max()
     q_zw = cluster_cross(z_tilde, ds.W, starts) / sizes[:, None, None]
-    assert np.abs(design.Q_ZW_j - q_zw).max() < TOL * scale
+    assert np.abs(assumption_diagnostics(ds, design).Q_ZW_j - q_zw).max() < TOL * scale
     # the bases differ; the projections onto them do not
     v = substream(seed, "project").standard_normal((ds.n, 3))
     b = design.basis_W

@@ -19,7 +19,8 @@ from wbiv import (
     partial_out_exogenous,
     restricted_kclass_fit,
 )
-from wbiv.cce import _assemble, cluster_score_sums
+from wbiv.cce import CceBundle, cce_sandwich, cluster_score_sums
+from wbiv.data import raise_singular
 
 
 def bootstrap_sample(dataset, first_stage, restricted_fit, g):
@@ -50,7 +51,10 @@ def bootstrap_cce_matrix(design, X_star, resid_star, lambda_beta):
     """
     s = cluster_score_sums(design, resid_star)
     q_zx_star = design.Z_tilde.T @ X_star / design.n
-    return _assemble(q_zx_star, design.Q_ZZ, s.T @ s / design.n, lambda_beta)
+    omega = s.T @ s / design.n
+    bundle, checks = cce_sandwich(q_zx_star[None], design.Q_ZZ, omega[None], lambda_beta)
+    raise_singular(checks)
+    return CceBundle(**{name: value[0] for name, value in vars(bundle).items()})
 
 
 def direct_distributions(dataset, hypothesis, method, sign_set, fuller_c=1.0):
