@@ -95,6 +95,13 @@ def calls(csv: dict) -> list[tuple[str, list[str]]]:
         out.append((f"test {test} dz3", ["test", dz3, "--test", test, "--beta0", "0.5"] + sampled))
     argv = ["test", dx2, "--test", "lm", "--beta0", "0.5,0.5"]
     out.append(("test lm dx2", argv + sampled))
+    # the complete sign set of q = 10, on which the full-vector tests run
+    # half the rows and print the whole distribution
+    exhaustive = ["--beta0", "0.5", "--signs", "exhaustive", "--full"]
+    pairs = [(t, d) for t in ("ar", "ar-cr", "lm", "cqlr") for d in ("dz1", "dz3")]
+    for test, data in pairs + [("score-wald", "dz1")]:
+        argv = ["test", str(csv[data]), "--test", test] + exhaustive
+        out.append((f"test {test} {data} exhaustive", argv))
     argv = ["test", dx2, "--test", "wald-cr", "--method", "full", "--lam", "1,0.5"]
     out.append(("test wald-cr full dx2", argv + sampled))
     argv = ["test", dx2, "--test", "wald", "--lam", "1,0,0"]

@@ -36,6 +36,12 @@ class SignSet:
     def size(self) -> int:
         return self.vectors.shape[0]
 
+    @property
+    def complete(self) -> bool:
+        """Whether the set is the whole group: all 2^q vectors in exhaustive
+        order, so that -g of row i is row 2^q - 1 - i."""
+        return self.mode == "exhaustive" and self.size == 2**self.q
+
     def descriptor(self) -> dict:
         out = {"mode": self.mode, "q": self.q, "size": self.size}
         if self.mode == "sampled":
@@ -96,13 +102,19 @@ def prepare_test(
     return sign_set, design
 
 
-def sign_rows(sign_sets: list[SignSet], width: int | None = None) -> np.ndarray:
+def sign_rows(
+    sign_sets: list[SignSet], width: int | None = None, even: bool = False
+) -> np.ndarray:
     """The sign rows of a block of nulls with g = iota appended last: one set
     (1, m + 1, q) when every null shares one sign set, else one per null
     (P, m + 1, q). ``width`` keeps only the first rows of each set (0: iota
-    alone)."""
+    alone). For draws ``even`` in g, a block of complete sets gives only the
+    last 2^(q-1) rows of each, those with g_1 = +1, which
+    :func:`finish_test` decides as the whole set."""
     shared = all(signs is sign_sets[0] for signs in sign_sets)
-    signs = np.array([ss.vectors[:width] for ss in (sign_sets[:1] if shared else sign_sets)])
+    sets = sign_sets[:1] if shared else sign_sets
+    start = sets[0].size // 2 if even and all(ss.complete for ss in sets) else 0
+    signs = np.array([ss.vectors[start:width] for ss in sets])
     return np.concatenate([signs, np.ones((len(signs), 1, signs.shape[-1]))], axis=1)
 
 
@@ -139,7 +151,9 @@ def critical_value(boot_stats: np.ndarray, alpha: float) -> float | np.ndarray:
 
 def bootstrap_pvalue(boot_stats: np.ndarray, statistic) -> float | np.ndarray:
     """Share of bootstrap statistics at or above the sample statistic, over
-    the last axis: per null for a stack (P, m) and statistics (P,)."""
+    the last axis: per null for a stack (P, m) and statistics (P,). A
+    distribution with every draw counted twice has the same share, c / m
+    and 2c / 2m rounding to one double."""
     stats = np.asarray(boot_stats, dtype=np.float64)
     share = (stats >= np.asarray(statistic)[..., None]).sum(axis=-1) / stats.shape[-1]
     return float(share) if share.ndim == 0 else share
@@ -195,10 +209,19 @@ def finish_test(
     last column, g = iota, is the sample statistic; ``sign_sets``,
     ``n_singular`` and ``n_clamped`` (zeros if omitted) hold each null's
     sign set, count of singular draws and count of draws whose LIML kappa
-    was clamped."""
+    was clamped.
+
+    Draws over half of a complete set, the rows :func:`sign_rows` gives
+    when they are even in g, are decided as the whole set: each stands for
+    itself and its draw at -g, the mirror of its row. Their counts double,
+    and each null's ``boot_stats`` is the whole set's, in its order."""
     boot, stat = draws[:, :-1], draws[:, -1]
+    doubled = boot.shape[1] < sign_sets[0].size
     cv = critical_value(boot, alpha)
-    singular, clamped = ([0] * len(stat) if k is None else k.tolist()
+    pvalues = bootstrap_pvalue(boot, stat)
+    if doubled:  # row i of the set is -g of row 2^q - 1 - i
+        boot = np.concatenate([boot[:, ::-1], boot], axis=1)
+    singular, clamped = ([0] * len(stat) if k is None else (2 * k if doubled else k).tolist()
                          for k in (n_singular, n_clamped))
     return [
         BootstrapTestResult(
@@ -206,7 +229,7 @@ def finish_test(
             boot_stats=b, sign_set=ss, estimator=estimator, n_singular=k, n_clamped=kc,
         )
         for s, c, p, r, b, ss, k, kc in zip(
-            stat.tolist(), cv.tolist(), bootstrap_pvalue(boot, stat).tolist(),
+            stat.tolist(), cv.tolist(), pvalues.tolist(),
             (stat > cv).tolist(), boot, sign_sets, singular, clamped,
         )
     ]

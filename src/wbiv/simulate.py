@@ -300,12 +300,14 @@ def run_size_experiment(
 
 
 def default_power_grid(pi0: float) -> np.ndarray:
-    """Symmetric grid of true coefficients, scaled down as pi0 grows; pi0 = 0
-    has none."""
-    if pi0 == 0.0:
-        raise InputError("the default power grid scales as 1 / pi0, so pi0 = 0 needs an explicit "
-                         "beta grid (--beta-grid)")
-    return np.linspace(-POWER_GRID_HALF_WIDTH, POWER_GRID_HALF_WIDTH, POWER_GRID_POINTS) / pi0
+    """Symmetric grid of true coefficients, scaled down as pi0 grows; a pi0
+    whose grid is not finite (0, or a subnormal that overflows it) has none."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        grid = np.linspace(-POWER_GRID_HALF_WIDTH, POWER_GRID_HALF_WIDTH, POWER_GRID_POINTS) / pi0
+    if not np.isfinite(grid).all():
+        raise InputError(f"the default power grid scales as 1 / pi0, so pi0 = {pi0:g} needs an "
+                         "explicit beta grid (--beta-grid)")
+    return grid
 
 
 def run_power_experiment(

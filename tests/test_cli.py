@@ -97,6 +97,8 @@ REFUSED = [
     (["cs", "--test", "ar", "--format", "csv"], "CSV output is defined only"),
     (["test", "--test", "ar", "--full", "--format", "csv"], "CSV output is defined only"),
     (["simulate", "power", "--pi0", "0"], "pi0 = 0 needs an explicit beta grid (--beta-grid)"),
+    (["simulate", "power", "--pi0", "1e-310"],
+     "pi0 = 1e-310 needs an explicit beta grid (--beta-grid)"),
 ]
 
 

@@ -95,6 +95,26 @@ class TestCriticalValue:
                     rows = [critical_value(row, alpha) for row in stack]
                     assert critical_value(stack, alpha).tolist() == rows, (m, alpha)
 
+    def test_a_doubled_distribution_is_decided_on_its_half(self):
+        # the draws at g and -g of a complete set are equal, so the whole
+        # distribution is a half counted twice: its k-th smallest, k =
+        # ceil(2h (1 - alpha)), is the ceil(k / 2)-th of the half, which is
+        # the half's own ceil(h (1 - alpha))-th, and its shares are the
+        # half's. Halves of small integers carry ties; the statistics sit
+        # on, between and outside the draws
+        rng = substream(4, "doubled-distributions")
+        statistics = np.arange(-1.0, 12.0, 0.5)
+        for h in range(1, 601):
+            half = rng.integers(0, 11, size=h).astype(float)
+            whole = np.concatenate([half[::-1], half])
+            for alpha in (0.1, 0.05, 0.3333333333333333, 0.5, 0.999):
+                got = critical_value(half, alpha)
+                assert np.float64(got).tobytes() == np.float64(
+                    critical_value(whole, alpha)).tobytes(), (h, alpha)
+            shares = [bootstrap_pvalue(whole, s) for s in statistics]
+            assert bootstrap_pvalue(np.tile(half, (len(statistics), 1)), statistics).tolist() \
+                == shares, h
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(InputError):
             critical_value(np.ones(5), 0.0)
@@ -114,6 +134,19 @@ class TestResults:
         boot = np.array([1.0, 2.0, 3.0, 4.0])
         assert bootstrap_pvalue(boot, 3.0) == 0.5
         assert bootstrap_pvalue(boot, 0.5) == 1.0
+
+    def test_draws_on_half_a_complete_set_are_decided_as_the_whole_set(self):
+        # a stack over the 4 rows with g_1 = +1 of the q = 3 set, iota last:
+        # the critical value and p-value are the doubled distribution's, the
+        # counts double, and boot_stats is the whole set's in its order
+        ss = make_sign_set(3, "exhaustive")
+        half = np.array([[1.0, 5.0, 2.0, 4.0, 3.0]])
+        (res,) = finish_test("lm", half, [ss], 0.3, n_singular=np.array([1]))
+        whole = [4.0, 2.0, 5.0, 1.0, 1.0, 5.0, 2.0, 4.0]
+        assert res.boot_stats.tolist() == whole
+        assert res.critical_value == critical_value(np.array(whole), 0.3) == 4.0
+        assert res.pvalue == bootstrap_pvalue(np.array(whole), 3.0) == 0.5
+        assert not res.reject and res.n_singular == 2
 
     def test_record_shape(self):
         ss = make_sign_set(3, "exhaustive")

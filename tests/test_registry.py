@@ -252,6 +252,96 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
             assert short.boot_stats_cr[0] == long.boot_stats_cr[0]
 
 
+def _sampled_label(signs):
+    # the same vectors under the sampled label: not complete, so a test runs
+    # every row of them
+    return dataclasses.replace(signs, mode="sampled")
+
+
+def _bits(result):
+    # every number of a bootstrap result as bytes, so -0.0 and NaN count too
+    numbers = np.array([result.statistic, result.critical_value, result.pvalue])
+    return (numbers.tobytes(), result.reject, result.n_singular, result.boot_stats.tobytes(),
+            result.boot_stats.shape)
+
+
+@pytest.mark.parametrize("d_x, d_z", [(1, 1), (1, 2), (1, 3), (2, 3)])
+def test_a_complete_set_runs_half_its_rows_with_every_bit_kept(monkeypatch, d_x, d_z):
+    # every full-vector draw is even in g, so on a complete set the pass runs
+    # the 2^(q-1) rows with g_1 = +1 and decides as the whole set; the same
+    # vectors under the sampled label run every row and give the same bits,
+    # for a shared set and for one set per null. Singular lm draws are made
+    # by flagging each Gram matrix from its own bits (even in g, and the
+    # iota row kept), so that n_singular is counted on both paths
+    import wbiv.weakiv
+
+    shapes = []
+    signed_means_of = wbiv.weakiv.signed_means
+
+    def recorded(score_sums, signs, n):
+        shapes.append(signs.shape[-2])
+        return signed_means_of(score_sums, signs, n)
+
+    def flagging(a, b=None):
+        x, ok = stack_solve(a, b)
+        flag = np.ascontiguousarray(a[..., 0, 0]).view(np.int64) % 5 == 0
+        flag[..., -1] = False
+        ok &= ~flag
+        return np.where(ok[..., None], x, 0.0), ok
+
+    monkeypatch.setattr(wbiv.weakiv, "signed_means", recorded)
+    names = ["ar", "ar-cr", "lm"] + (["cqlr"] if d_x == 1 else [])
+    names += ["score-wald"] if d_z == 1 else []
+    block = Hypothesis.full_vector([[b, 0.5 - b][:d_x] for b in (-0.9, B0, 0.31, 1.7)])
+    singular = 0
+    for seed, q in ((0, 5), (1, 7), (2, 9)):
+        ds = random_dataset(seed, q=q, n_per=8, d_x=d_x, d_z=d_z, pi_scale=0.5)
+        design = partial_out_exogenous(ds)
+        signs = make_sign_set(q, "exhaustive")
+        own = [make_sign_set(q, "exhaustive") for _ in range(4)]
+        runs = [(signs, _sampled_label(signs)), (own, [_sampled_label(s) for s in own])]
+        for (sets, whole), alpha, solve in itertools.product(
+                runs, (ALPHA, 1 / 3), (stack_solve, flagging)):
+            monkeypatch.setattr(wbiv.weakiv, "stack_solve", solve)
+            del shapes[:]
+            half, full = (run_tests(ds, names, block, sign_set=s, alpha=alpha, design=design)
+                          for s in (sets, whole))
+            assert shapes == [2 ** (q - 1) + 1, 2**q + 1]
+            for p, (got, want) in enumerate(zip(half, full)):
+                for name in names:
+                    what = (seed, q, alpha, p, name)
+                    assert _bits(got[name]) == _bits(want[name]), what
+                    # the evenness itself, on every row of the whole set
+                    draws = want[name].boot_stats
+                    assert draws.tobytes() == draws[::-1].tobytes(), what
+                singular += got["lm"].n_singular
+    assert singular > 0
+
+
+def test_only_a_complete_set_is_halved():
+    # an exhaustive set cut to fewer than 2^q rows keeps its own size and
+    # gets the bits of the same rows under the sampled label: 64 rows are as
+    # many as half the group, but its first half
+    ds = random_dataset(3, q=7, n_per=15, d_z=2)
+    signs = make_sign_set(7, "exhaustive")
+    assert signs.complete and not _sampled_label(signs).complete
+    hyp = Hypothesis.full_vector([B0])
+    for rows in (1, 64, 127):
+        cut = dataclasses.replace(signs, vectors=signs.vectors[:rows])
+        assert not cut.complete
+        got, want = (run_tests(ds, FULL_VECTOR_NAMES[1:], hyp, sign_set=s)
+                     for s in (cut, _sampled_label(cut)))
+        for name in ("ar-cr", "lm", "cqlr"):
+            assert got[name].boot_stats.shape == (rows,), (rows, name)
+            assert _bits(got[name]) == _bits(want[name]), (rows, name)
+    # a block mixing a complete set with another of its size runs every row
+    mixed = [signs, _sampled_label(signs)]
+    block = Hypothesis.full_vector([[B0], [B0]])
+    got = run_tests(ds, ["lm"], block, sign_set=mixed)
+    want = run_tests(ds, ["lm"], block, sign_set=[_sampled_label(signs)] * 2)
+    assert [_bits(r["lm"]) for r in got] == [_bits(r["lm"]) for r in want]
+
+
 def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
     # one exactly singular item in a stack of three, at d = 1 and at d = 2:
     # it is flagged and reads 0, and the other items are solved
