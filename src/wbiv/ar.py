@@ -78,8 +78,9 @@ def null_scores(design: PartialledDesign, restricted_ols: RestrictedOlsFit):
     inverse null-imposed CCE (s's / n)^{-1} of each null, I where singular, with ok flags."""
     pieces = cluster_score_sums(design, np.column_stack([restricted_ols.e_y, restricted_ols.e_X]))
     s = at_nulls(pieces, np.atleast_2d(restricted_ols.beta_0))
-    a_cr, ok = stack_solve(np.einsum("...jz,...jy->...zy", s, s) / design.n)
-    return pieces, s, np.where(ok[:, None, None], a_cr, np.eye(design.d_z)), ok
+    a_cr, ok = stack_solve(np.moveaxis(np.einsum("...jz,...jy->...zy", s, s) / design.n, 0, -1))
+    a_cr = np.moveaxis(np.where(ok, a_cr, np.eye(design.d_z)[..., None]), -1, 0)
+    return pieces, s, np.ascontiguousarray(a_cr), ok
 
 
 def ar_statistics(design: PartialledDesign, restricted_ols: RestrictedOlsFit) -> ArStatistics:

@@ -3,8 +3,9 @@
 Omega_CR is assembled from per-cluster score sums, (1/n) sum_j s_j s_j' with
 s_j = sum_i Zt_ij eps_ij, which equals the triple-sum definition exactly at
 O(n) cost. No small-sample degrees-of-freedom factor is applied anywhere.
-The sandwich is written once, for a stack of (Q_ZX, Omega) pairs: the sample
-is a stack of one, and the WREC bootstrap passes one pair per sign vector.
+The sandwich is written once, for a rows-last stack of (Q_ZX, Omega) pairs:
+the sample is a stack of one, and the WREC bootstrap passes one pair per
+draw row.
 """
 
 from __future__ import annotations
@@ -42,17 +43,19 @@ def cce_sandwich(
     omega: np.ndarray,
     lambda_beta: np.ndarray,
 ) -> tuple[CceBundle, dict]:
-    """The CCE bundle of each item of a stack of Q_ZX (..., d_z, d_x) and
-    Omega (..., d_z, d_z) sharing one Q_ZZ, every field stacked, and the
-    singular checks of the two inverses (what -> ok flags). The stacks
-    broadcast, item by item: the WREC draws pass Q_ZX once per sign set, (1
-    or P, m, ...), and Omega once per null, (P, m, ...), so Q_hat and its
-    check have Q_ZX's leading shape and the rest the broadcast one."""
-    ziq = np.linalg.inv(q_zz) @ q_zx                         # Q_ZZ^{-1} Q_ZX
-    q_hat = q_zx.swapaxes(-1, -2) @ ziq
+    """The CCE bundle of each item of a rows-last stack of Q_ZX (d_z, d_x,
+    ...) and Omega (d_z, d_z, ...) sharing one Q_ZZ, every field stacked,
+    and the singular checks of the two inverses (what -> ok flags). The item
+    axes broadcast: the WREC draws pass Q_ZX once per sign set, (1 or P, M),
+    and Omega once per null, (P, M), so Q_hat and its check have Q_ZX's item
+    shape and the rest the broadcast one."""
+    def mm(a, b):  # a b per item, one two-operand einsum along the items
+        return np.einsum("ab...,bc...->ac...", a, b)
+    ziq = mm(np.linalg.inv(q_zz), q_zx)                      # Q_ZZ^{-1} Q_ZX
+    q_hat = mm(q_zx.swapaxes(0, 1), ziq)
     q_inv, ok_q = stack_solve(q_hat)
-    v_hat = q_inv @ (ziq.swapaxes(-1, -2) @ omega @ ziq) @ q_inv
-    lvl = lambda_beta.T @ v_hat @ lambda_beta
+    v_hat = mm(mm(q_inv, mm(mm(ziq.swapaxes(0, 1), omega), ziq)), q_inv)
+    lvl = mm(mm(lambda_beta.T, v_hat), lambda_beta)
     a_r_cr, ok_r = stack_solve(lvl)
     bundle = CceBundle(Omega_CR=omega, V_hat=v_hat, A_r_CR=a_r_cr, Q_hat=q_hat)
     return bundle, {JACOBIAN: ok_q, RESTRICTED_COVARIANCE: ok_r}
@@ -71,8 +74,8 @@ def cce_matrix(
     """
     s = cluster_score_sums(design, residuals)
     omega = s.T @ s / design.n
-    bundle, checks = cce_sandwich(design.Q_ZX[None], design.Q_ZZ, omega[None], lambda_beta)
+    bundle, checks = cce_sandwich(design.Q_ZX[..., None], design.Q_ZZ, omega[..., None],
+                                  lambda_beta)
     raise_singular(checks)
-    return CceBundle(
-        Omega_CR=omega, V_hat=bundle.V_hat[0], A_r_CR=bundle.A_r_CR[0], Q_hat=bundle.Q_hat[0]
-    )
+    return CceBundle(Omega_CR=omega, V_hat=bundle.V_hat[..., 0], A_r_CR=bundle.A_r_CR[..., 0],
+                     Q_hat=bundle.Q_hat[..., 0])

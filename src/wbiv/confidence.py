@@ -17,7 +17,7 @@ from .data import (
     ClusteredDataset, Hypothesis, PartialledDesign, check_finite, partial_out_exogenous
 )
 from .exceptions import InputError
-from .inference import AUTO_EXHAUSTIVE_MAX_Q, make_sign_set, result_or_raise
+from .inference import AUTO_EXHAUSTIVE_MAX_Q, make_sign_set, result_or_raise, sign_rows
 from .registry import TESTS, lookup, run_tests
 from .rng import map_chunks
 
@@ -26,7 +26,7 @@ from .rng import map_chunks
 # or the bounds, refused before linspace allocates its array.
 MAX_GRID_POINTS = 1_000_000
 # Grid points run in blocks of at most this many stack items (nulls times
-# sign rows, g = iota included), which bounds the memory of one pass.
+# the sign rows a pass runs, iota included), which bounds a pass's memory.
 BLOCK_ITEMS = 1 << 16
 
 
@@ -79,8 +79,11 @@ def mask_to_intervals(grid: np.ndarray, accepted: np.ndarray) -> tuple:
 def _grid_chunk(dataset, design, spec, grid, alpha, shared, B, seed, indices) -> list[bool]:
     """Whether H0: beta = b survives at the grid points b of ``indices``, run
     in blocks of at most BLOCK_ITEMS stack items, each point tested with the
-    ``shared`` sign set or, without one, a fresh draw keyed by its grid index."""
-    size = max(1, BLOCK_ITEMS // ((shared.size if shared else B) + 1))
+    ``shared`` sign set or, without one, a fresh draw keyed by its grid index;
+    the full-vector pass runs half of a complete set, its draws even in g."""
+    even = TESTS[spec.test] == "full-vector"
+    rows = sign_rows([shared], even=even).shape[1] if shared else B + 1
+    size = max(1, BLOCK_ITEMS // rows)
     out = []
     for block in (indices[start : start + size] for start in range(0, len(indices), size)):
         signs = shared or [make_sign_set(dataset.q, "sampled", B=B, seed=(seed, "cs", int(i)))

@@ -211,9 +211,9 @@ def cluster_cross(A: np.ndarray, B: np.ndarray, starts: np.ndarray) -> np.ndarra
 
 
 def nonsingular(a: np.ndarray) -> np.ndarray:
-    """The package's one singular rule, per item of a stack of symmetric
-    matrices: False where ``a[i]`` has a non-finite entry or its reciprocal
-    condition number s_min / s_max is below SINGULAR_RCOND.
+    """The package's one singular rule, per item of a rows-last stack (d, d,
+    ...) of symmetric matrices: False where an item has a non-finite entry
+    or its reciprocal condition number s_min / s_max is below SINGULAR_RCOND.
 
     The singular values of a symmetric matrix are the absolute values of its
     eigenvalues, which one stacked ``eigvalsh`` gives at a fraction of the
@@ -224,18 +224,19 @@ def nonsingular(a: np.ndarray) -> np.ndarray:
     and 1e308 entries do not overflow; then s_max = |m| + hypot((a - c)/2,
     b) with m = (a + c)/2, and s_min = |ac - b^2| / s_max.
     """
-    ok = np.isfinite(a).all(axis=(-2, -1))
-    if a.shape[-1] == 1:  # s_min = s_max = |a|: finite and non-zero decides
-        return ok & (a[..., 0, 0] != 0.0)
-    a = np.where(ok[..., None, None], a, 0.0)
-    if a.shape[-1] == 2:
-        entries = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
-        scale = np.maximum.reduce([np.abs(e) for e in entries])
+    ok = np.isfinite(a).all(axis=(0, 1))
+    if a.shape[0] == 1:  # s_min = s_max = |a|: finite and non-zero decides
+        return ok & (a[0, 0] != 0.0)
+    if not ok.all():
+        a = np.where(ok, a, 0.0)
+    if a.shape[0] == 2:
+        entries = a[0, 0], a[1, 0], a[1, 1]
+        scale = np.maximum(np.maximum(np.abs(a[0, 0]), np.abs(a[1, 0])), np.abs(a[1, 1]))
         ok &= scale > 0.0
         a, b, c = (e / np.where(ok, scale, 1.0) for e in entries)
         s_max = np.abs((a + c) / 2.0) + np.hypot((a - c) / 2.0, b)  # in [1, 2] where ok
         return ok & (np.abs(a * c - b * b) >= SINGULAR_RCOND * s_max * s_max)
-    s = np.abs(np.linalg.eigvalsh(a))
+    s = np.abs(np.linalg.eigvalsh(np.moveaxis(a, (0, 1), (-2, -1))))
     s_min, s_max = s.min(axis=-1), s.max(axis=-1)
     ok &= s_max > 0.0
     return ok & (s_min / np.where(ok, s_max, 1.0) >= SINGULAR_RCOND)
@@ -243,51 +244,53 @@ def nonsingular(a: np.ndarray) -> np.ndarray:
 
 # The draw-stack rule. A bootstrap statistic is its own g = iota draw, so a
 # draw row's bits must not depend on the other rows or on how many rows
-# share its stack, nor on the other nulls of a stack with a leading null
-# axis. Every reduction over a draw row is therefore either a two-operand
-# np.einsum at numpy's default optimize=False (a row gave the same bits
-# alone and in stacks of up to 4096 rows and 40 nulls in every probe), a
-# product taken item by item, as ``@`` on 3-D stacks and :func:`stack_solve`
-# are, or a Python sum over a small axis (d_z or d_x) of elementwise
-# products taken in a fixed order, each element rounded on its own (as
-# weakiv._lm_rows forms A f*, A D* and D*'A D*). It is never a BLAS product
-# across the draw or null axis, and never an einsum of three or more
-# operands: at d = 2, "mz,zv,mv->m" gave a 1-row stack other bits than the
-# same row of a longer stack in a fifth of cases. A two-operand einsum
-# whose output has one column rounds differently from the same column
-# inside a wider output: with a leading null axis, "...mj,...jk->...mk" did
-# so in 300 of 300 probes, while groups two or more columns wide matched in
-# all 300, and it also moved with an operand's strides along that axis (a
-# broadcast against a copied operand: 283 of 300). So contractions merge
-# into one einsum only where each of their groups is at least two columns
-# wide, and a one-column contraction keeps its own call and strides.
+# share its stack, nor on the other nulls of a stack with a null axis.
+# WREC draw stacks are rows-last: each coefficient is an array (..., R) whose
+# innermost, contiguous axis runs over the P M draw rows of a block. Every
+# reduction over a draw row is therefore a two-operand np.einsum at numpy's
+# default optimize=False, a product taken item by item (:func:`stack_solve`
+# moves items of d >= 2 to the front only for LAPACK), or a Python sum over
+# a small axis (d_z or d_x) of elementwise products taken in a fixed order
+# (as weakiv._lm_rows forms A f*, A D* and D*'A D*). An einsum that keeps
+# the rows innermost, such as "zaR,zbR->abR" or the sign contraction
+# "cpj,pjm->cpm", runs its inner loop over the rows, so each element is a
+# sequential sum in index order whatever the stack's length or the output's
+# width. The full-vector family keeps its rows first and reduces over the
+# innermost axis; there a one-column output rounds differently from the same
+# column inside a wider one (300 of 300 probes), so it keeps its own call.
+# It is never a BLAS product across the draw or null axis, and never an
+# einsum of three or more operands: at d = 2, "mz,zv,mv->m" gave a 1-row
+# stack other bits than the same row of a longer stack in a fifth of cases.
 
 
 def stack_solve(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[i] x[i] = b[i] for a stack of symmetric systems: (x, ok).
+    """Solve a x = b for each item of a rows-last stack of symmetric systems:
+    (x, ok).
 
-    ``a`` has shape (..., d, d), and ``b`` holds one vector (..., d) or one
-    matrix (..., d, k) per item; without it x[i] is the inverse of a[i]. Item i is singular, with
-    ok[i] False and x[i] zero, when :func:`nonsingular` flags a[i] or x[i]
-    is not finite. Each item is solved on its own, so its bits do not depend
-    on the other items.
+    ``a`` has shape (d, d, ...), and ``b`` holds one vector (d, ...) or one
+    matrix (d, k, ...) per item; without it x is the inverse of a. An item is
+    singular, with ok False and x zero, when :func:`nonsingular` flags it or
+    its x is not finite. Each item is solved on its own, a 1 x 1 one as b /
+    a, so its bits do not depend on the other items.
     """
     vector = b is not None and b.ndim == a.ndim - 1
     if vector:
-        b = b[..., None]
+        b = b[:, None]
     ok = nonsingular(a)
     # a singular item is replaced by the identity, and its x by 0
-    a = np.where(ok[..., None, None], a, np.eye(a.shape[-1]))
-    if b is not None:
-        x = b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
-    elif a.shape[-1] == 1:
+    a = np.where(ok, a, np.eye(a.shape[0]).reshape(a.shape[:2] + (1,) * (a.ndim - 2)))
+    if a.shape[0] > 1:
+        a = np.moveaxis(a, (0, 1), (-2, -1))
+        x = np.linalg.inv(a) if b is None else np.linalg.solve(a, np.moveaxis(b, (0, 1), (-2, -1)))
+        x = np.moveaxis(x, (-2, -1), (0, 1))
+    elif b is not None:
+        x = b / a
+    else:
         with np.errstate(over="ignore"):  # bitwise LAPACK's inverse, which warns of nothing
             x = 1.0 / a
-    else:
-        x = np.linalg.inv(a)
-    ok &= np.isfinite(x).all(axis=(-2, -1))
-    x = np.where(ok[..., None, None], x, 0.0)
-    return (x[..., 0] if vector else x), ok
+    ok &= np.isfinite(x).all(axis=(0, 1))
+    x = np.where(ok, x, 0.0)
+    return (x[:, 0] if vector else x), ok
 
 
 def raise_singular(checks: dict, row: int = 0) -> None:

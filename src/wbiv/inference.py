@@ -179,6 +179,7 @@ class BootstrapTestResult:
     estimator: str | None = None
     n_singular: int = 0
     n_clamped: int = 0
+    kappa_clamped: bool = False
 
     def to_record(self, include_distribution: bool = False) -> dict:
         out = {
@@ -195,6 +196,8 @@ class BootstrapTestResult:
             out["n_singular"] = self.n_singular
         if self.n_clamped:
             out["n_clamped"] = self.n_clamped
+        if self.kappa_clamped:
+            out["kappa_clamped"] = True
         if include_distribution:
             out["boot_stats"] = [float(v) for v in self.boot_stats]
         return out
@@ -203,13 +206,14 @@ class BootstrapTestResult:
 def finish_test(
     test: str, draws: np.ndarray, sign_sets: list[SignSet], alpha: float,
     estimator: str | None = None, n_singular: np.ndarray | None = None,
-    n_clamped: np.ndarray | None = None,
+    n_clamped: np.ndarray | None = None, kappa_clamped: np.ndarray | None = None,
 ) -> list[BootstrapTestResult]:
     """The result record of each null of a stack of draws (P, m + 1) whose
     last column, g = iota, is the sample statistic; ``sign_sets``,
     ``n_singular`` and ``n_clamped`` (zeros if omitted) hold each null's
     sign set, count of singular draws and count of draws whose LIML kappa
-    was clamped.
+    was clamped, and ``kappa_clamped`` (False if omitted) whether the
+    statistic's own LIML kappa was.
 
     Draws over half of a complete set, the rows :func:`sign_rows` gives
     when they are even in g, are decided as the whole set: each stands for
@@ -223,13 +227,15 @@ def finish_test(
         boot = np.concatenate([boot[:, ::-1], boot], axis=1)
     singular, clamped = ([0] * len(stat) if k is None else (2 * k if doubled else k).tolist()
                          for k in (n_singular, n_clamped))
+    own = [False] * len(stat) if kappa_clamped is None else kappa_clamped.tolist()
     return [
         BootstrapTestResult(
             test=test, statistic=s, critical_value=c, pvalue=p, reject=r, alpha=alpha,
             boot_stats=b, sign_set=ss, estimator=estimator, n_singular=k, n_clamped=kc,
+            kappa_clamped=ko,
         )
-        for s, c, p, r, b, ss, k, kc in zip(
+        for s, c, p, r, b, ss, k, kc, ko in zip(
             stat.tolist(), cv.tolist(), pvalues.tolist(),
-            (stat > cv).tolist(), boot, sign_sets, singular, clamped,
+            (stat > cv).tolist(), boot, sign_sets, singular, clamped, own,
         )
     ]

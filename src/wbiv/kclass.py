@@ -11,8 +11,9 @@ normal equation gamma = (W'W)^{-1} W'(y - X beta) for every kappa.
 
 kappa and beta are computed for a stack of Gram blocks of Y = [X : y]
 (Y'Y, U_W'Y and U_Zt'Y, with U_W and U_Zt orthonormal bases of span(W) and
-span(Zt)). The sample is a stack of one; the WREC bootstrap passes one item
-per sign vector through the same code.
+span(Zt)), held rows-last as :mod:`data`'s draw-stack rule says: each block
+is (rows, columns, R) over R items. The sample is a stack of one; the WREC
+bootstrap passes one item per draw row through the same code.
 """
 
 from __future__ import annotations
@@ -78,27 +79,29 @@ class RestrictedOlsFit:
 
 
 def kclass_forms(ut: np.ndarray, cross: np.ndarray | None = None, uw: np.ndarray | None = None):
-    """(Y'P_Zt Y, Y'M_W Y) for a stack of Gram blocks ut = U_Zt'Y, cross =
-    Y'Y and uw = U_W'Y. Without ``cross`` the M_W form is None: TSLS needs
-    only the P_Zt form."""
-    p = ut.transpose(0, 2, 1) @ ut
+    """(Y'P_Zt Y, Y'M_W Y) for a stack of Gram blocks ut = U_Zt'Y (d_z, d_x
+    + 1, R), cross = Y'Y (d_x + 1, d_x + 1, R) and uw = U_W'Y (d_w, d_x + 1,
+    R). Without ``cross`` the M_W form is None: TSLS needs only the P_Zt
+    form."""
+    p = np.einsum("zaR,zbR->abR", ut, ut)
     if cross is None:
         return p, None
-    return p, cross - uw.transpose(0, 2, 1) @ uw
+    return p, cross - np.einsum("waR,wbR->abR", uw, uw)
 
 
 def _smallest_pencil_root(a: np.ndarray, b: np.ndarray):
     """Smallest root of det(a - lambda b) = 0 for a stack of symmetric
-    pencils with b positive definite: (lambda, ok).
+    pencils (d, d, R) with b positive definite: (lambda, ok).
 
     A 2 x 2 pencil has a closed-form root; a larger one is reduced to the
-    eigenvalues of b^{-1} a in one stacked solve and one stacked eigvals.
+    eigenvalues of b^{-1} a in one stacked solve and one stacked eigvals,
+    its items moved to the front for LAPACK.
     """
-    if a.shape[-1] == 2:
+    if a.shape[0] == 2:
         ok = nonsingular(b)
-        det_b = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] ** 2
-        c1 = a[:, 0, 0] * b[:, 1, 1] + a[:, 1, 1] * b[:, 0, 0] - 2.0 * a[:, 0, 1] * b[:, 0, 1]
-        det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2
+        det_b = b[0, 0] * b[1, 1] - b[0, 1] ** 2
+        c1 = a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - 2.0 * a[0, 1] * b[0, 1]
+        det_a = a[0, 0] * a[1, 1] - a[0, 1] ** 2
         disc = np.maximum(c1 * c1 - 4.0 * det_b * det_a, 0.0)
         # the smaller root (c1 - sqrt(disc)) / (2 det_b), written without
         # the cancellation of c1 - sqrt(disc) when the roots are far apart
@@ -106,7 +109,7 @@ def _smallest_pencil_root(a: np.ndarray, b: np.ndarray):
             lam = 2.0 * det_a / (c1 + np.sqrt(disc))
     else:
         c, ok = stack_solve(b, a)
-        lam = np.linalg.eigvals(c).real.min(axis=1)
+        lam = np.linalg.eigvals(np.moveaxis(c, -1, 0)).real.min(axis=1)
     ok &= np.isfinite(lam)
     return np.where(ok, lam, 0.0), ok
 
@@ -129,7 +132,7 @@ def kclass_kappa(
     second-order-unbiased choice. A liml value below 1 - LIML_CLAMP_TOL is
     set to 1 and flagged in ``clamped``, which :func:`warn_clamped` reports.
     """
-    m = p.shape[0]
+    m = p.shape[-1]
     none = np.zeros(m, dtype=bool)
     if method == "tsls":
         return np.ones(m), ~none, none
@@ -158,18 +161,16 @@ def warn_clamped(clamped: np.ndarray) -> None:
 
 
 def kclass_system(kappa: np.ndarray, p: np.ndarray, mw: np.ndarray | None):
-    """The k-class normal equations per item: (X'P_Zt X - mu X'M_[Z:W] X,
-    X'P_Zt y - mu X'M_[Z:W] y) with mu = kappa - 1. Without ``mw`` every
-    kappa is 1."""
-    d_x = p.shape[-1] - 1
+    """The k-class normal equations per item of a stack of forms (d_x + 1,
+    d_x + 1, R): (X'P_Zt X - mu X'M_[Z:W] X, X'P_Zt y - mu X'M_[Z:W] y) with
+    mu = kappa - 1, of shapes (d_x, d_x, R) and (d_x, R). Without ``mw``
+    every kappa is 1."""
+    d_x = p.shape[0] - 1
     if mw is None:
-        return p[:, :d_x, :d_x], p[:, :d_x, d_x]
+        return p[:d_x, :d_x], p[:d_x, d_x]
     mu = kappa - 1.0
     m_zw = mw - p
-    return (
-        p[:, :d_x, :d_x] - mu[:, None, None] * m_zw[:, :d_x, :d_x],
-        p[:, :d_x, d_x] - mu[:, None] * m_zw[:, :d_x, d_x],
-    )
+    return p[:d_x, :d_x] - mu * m_zw[:d_x, :d_x], p[:d_x, d_x] - mu * m_zw[:d_x, d_x]
 
 
 def fit_method(
@@ -186,9 +187,9 @@ def fit_method(
     if method not in METHODS:
         raise InputError(f"unknown k-class method {method!r}; expected one of {METHODS}")
     yx = np.column_stack([dataset.X, dataset.y])
-    ut = (design.basis_Zt.T @ yx)[None]
+    ut = (design.basis_Zt.T @ yx)[..., None]
     p, mw = (kclass_forms(ut) if method == "tsls"
-             else kclass_forms(ut, (yx.T @ yx)[None], (design.basis_W.T @ yx)[None]))
+             else kclass_forms(ut, (yx.T @ yx)[..., None], (design.basis_W.T @ yx)[..., None]))
     kappa, ok, clamped = kclass_kappa(method, p, mw, dataset.n, dataset.d_z, dataset.d_w,
                                       fuller_c)
     warn_clamped(clamped)
@@ -196,10 +197,10 @@ def fit_method(
     system, rhs = kclass_system(kappa, p, mw)
     beta, ok = stack_solve(system, rhs)
     raise_singular({KCLASS_SYSTEM: ok})
-    ols = restricted_ols_fit(dataset, beta[0], design)
-    return KClassFit(method=method, kappa=float(kappa[0]), beta_hat=beta[0],
-                     gamma_hat=ols.gamma_bar_r, resid_unrestricted=ols.resid, system=system[0],
-                     exogenous=np.column_stack([ols.e_y, ols.e_X]))
+    ols = restricted_ols_fit(dataset, beta[:, 0], design)
+    return KClassFit(method=method, kappa=float(kappa[0]), beta_hat=beta[:, 0],
+                     gamma_hat=ols.gamma_bar_r, resid_unrestricted=ols.resid,
+                     system=system[..., 0], exogenous=np.column_stack([ols.e_y, ols.e_X]))
 
 
 def restricted_betas(fit: KClassFit, lambda_beta: np.ndarray, lambda_0: np.ndarray) -> np.ndarray:
@@ -208,13 +209,13 @@ def restricted_betas(fit: KClassFit, lambda_beta: np.ndarray, lambda_0: np.ndarr
     lambda' b = lambda_0 in the metric of the fit's system matrix X'P_Zt X -
     mu X'M_[Z:W] X. Each null is an item of one stacked solve and its
     correction a sum over d_r in order, so its bits do not depend on the block."""
-    k, ok = stack_solve(fit.system[None], lambda_beta[None])
+    k, ok = stack_solve(fit.system[..., None], lambda_beta[..., None])
     raise_singular({KCLASS_SYSTEM: ok})
-    k, d_r = k[0], lambda_beta.shape[1]
-    metric = np.broadcast_to(lambda_beta.T @ k, (len(lambda_0), d_r, d_r))
-    gap, ok = stack_solve(metric, lambda_beta.T @ fit.beta_hat - lambda_0)
+    k, d_r = k[..., 0], lambda_beta.shape[1]
+    metric = np.broadcast_to((lambda_beta.T @ k)[..., None], (d_r, d_r, len(lambda_0)))
+    gap, ok = stack_solve(metric, (lambda_beta.T @ fit.beta_hat - lambda_0).T)
     raise_singular({"restriction projection": [ok.all()]})
-    return fit.beta_hat - sum(k[:, r] * gap[:, r, None] for r in range(d_r))
+    return fit.beta_hat - sum(k[:, r] * gap[r, :, None] for r in range(d_r))
 
 
 def restricted_kclass_fit(

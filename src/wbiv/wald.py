@@ -34,12 +34,14 @@ draws against an observation-level refit per sign vector
 
 The draws go through the same stacked algebra as a sample fit: the k-class
 routine of :mod:`kclass` and the CCE sandwich of :mod:`cce`, with the one
-singular rule of :func:`data.stack_solve`. The sample statistics are the
-draw at g = iota, which every WREC pass appends to the sign rows, and every
-sum over a draw row follows the draw-stack rule of :mod:`data`, so each
-statistic is bitwise its own iota draw, as in the randomization-test view
-of Canay, Santos and Shaikh (2021). A singular draw reads 0.0 and counts in
-``n_singular``; a singular iota draw is a NumericalError.
+singular rule of :func:`data.stack_solve`, held rows-last (the R = P M
+draw rows of a block innermost). The sample statistics are the draw at g =
+iota, which every WREC pass appends to the sign rows, and every sum over a
+draw row follows the draw-stack rule of :mod:`data`, so each statistic is
+bitwise its own iota draw, as in the randomization-test view of Canay,
+Santos and Shaikh (2021); the plain draw at g = -iota, equal to it where
+d_z = d_x and kappa = 1, takes its bits too. A singular draw reads 0.0 and
+counts in ``n_singular``; a singular iota draw is a NumericalError.
 
 The score-form Wald bootstrap (score-wald) is not a WREC test: it is the
 unstudentized AR test scaled by a constant, and runs in
@@ -133,15 +135,17 @@ def _wrec_draws(
     ``want_cr``, the CCE-studentized statistic of ``fit``'s method at each
     null of ``block``, whose restricted estimate is a row of ``beta_r`` (P,
     d_x), for each sign row of ``rows`` (1 or P, M, q), and the singular
-    checks (what -> ok flags), each of shape (P, M), and each null's count
-    of clamped LIML kappas (P,). M_W [y : X] is the sample fit's.
+    checks (what -> ok flags), each of shape (P, M); and per null, its
+    count of clamped LIML kappas and whether its iota kappa was clamped.
+    M_W [y : X] is the sample fit's.
 
     Every coefficient is a cross moment of A_P or A_S, pooled or per
     cluster, formed once for the block; the per-null work is the T(b)
-    products and the draw rows, and Zt'X* is contracted once per sign set.
-    A singular row reads 0.0. The last row is g = iota, the sample, whose
-    clamped LIML kappa the sample fit has already reported; the clamp
-    warning and the counts take the other rows of every null, once.
+    products and the draw rows, held rows-last (R = P M), and Zt'X* is
+    contracted once per sign set. A singular row reads 0.0. The last row is
+    g = iota, the sample, whose clamped LIML kappa the sample fit has
+    already reported; the clamp warning and the counts take the other rows
+    of every null, once.
     """
     n, q, d_x, d_z, d_w = dataset.n, dataset.q, dataset.d_x, dataset.d_z, dataset.d_w
     P, M, k, method = len(beta_r), rows.shape[1], 2 * d_x + 1, fit.method
@@ -158,9 +162,10 @@ def _wrec_draws(
 
     # A coefficient of the draws stacks its pooled A_P term (A_P'A_P +
     # A_S'A_S for the Gram block) over its per-cluster A_S terms, (q + 1,
-    # ...), so the sign rows with a leading 1 contract it to base + sum_j
-    # g_j by[j]. T(b) takes it to each null, (P, q + 1, ...).
-    signs = np.concatenate([np.ones(rows.shape[:2] + (1,)), rows], axis=2)
+    # ...), so the sign rows led by a row of ones contract it to base +
+    # sum_j g_j by[j]. T(b) takes it to each null, (P, q + 1, ...).
+    signs = np.ones((len(rows), q + 1, M))
+    signs[:, 1:] = rows.transpose(0, 2, 1)
     t = np.zeros((P, 1, k, d_x + 1))
     t[..., : d_x + 1, :] = np.eye(d_x + 1)
     t[:, 0, d_x + 1 :, d_x] = -beta_r
@@ -168,77 +173,73 @@ def _wrec_draws(
     def stacked(pooled, by_j):
         return np.concatenate([pooled.sum(axis=0)[None], by_j])
 
-    def draws_of(*coefs):
-        # coefficients (L, q + 1, ...), L = 1 or P, each to (L M, ...) by
-        # one einsum over their columns; shared sign rows take L into the
-        # columns. A column keeps its bits in either layout, but only in an
-        # output at least two columns wide (the draw-stack rule), so a lone
-        # coefficient, which may be one column wide, keeps its own strides
-        lead = len(coefs[0])
-        x = [c.reshape(lead, q + 1, -1) for c in coefs]
-        x = x[0] if len(x) == 1 else np.concatenate(x, axis=2)
-        if len(signs) == 1:
-            out = np.einsum("mj,jk->mk", signs[0], x.transpose(1, 0, 2).reshape(q + 1, -1))
-            out = out.reshape(M, lead, -1).transpose(1, 0, 2)
-        else:
-            out = np.einsum("...mj,...jk->...mk", signs, x)
-        drawn, start = [], 0
-        for c in coefs:
-            drawn.append(out[..., start : start + c[0, 0].size].reshape((lead * M,) + c.shape[2:]))
-            start += c[0, 0].size
-        return drawn
+    def draws_of(coef):
+        # coefficients (L, q + 1, ...), L = 1 or P, at every draw row of the
+        # L sign sets: (..., L M). With the columns outermost in the operand,
+        # numpy lays the output out rows-last and sweeps each output row once
+        lead = len(coef)
+        x = np.ascontiguousarray(np.moveaxis(coef.reshape(lead, q + 1, -1), -1, 0))
+        out = np.einsum("cpj,pjm->cpm", x, np.broadcast_to(signs, (lead, q + 1, M)))
+        return out.reshape(coef.shape[2:] + (lead * M,))
 
     # U_Zt'[X* : y*], U_W'[X* : y*] when read, and [X* : y*]'[X* : y*] unless TSLS
     basis = slice(0, d_z + d_w if want_cr or method != "tsls" else d_z)
     u_coef = stacked(u_a[:, basis, :k], u_a[:, basis, k:]) @ t
-    if method == "tsls":
-        (u_all,), cross = draws_of(u_coef), None
-    else:
+    coefs = [u_coef.reshape(P, q + 1, -1)]
+    if method != "tsls":
         ps = a_a[:, :k, k:]
         gram = stacked(a_a[:, :k, :k] + a_a[:, k:, k:], ps + ps.transpose(0, 2, 1))
-        u_all, cross = draws_of(u_coef, t.swapaxes(-1, -2) @ gram @ t)
-    ut_all, uw_all = u_all[:, :d_z], u_all[:, d_z:]
+        coefs.append((t.swapaxes(-1, -2) @ gram @ t).reshape(P, q + 1, -1))
+    drawn = draws_of(np.concatenate(coefs, axis=2))
+    d_u, R = u_coef.shape[2], P * M
+    u_all = drawn[: d_u * (d_x + 1)].reshape(d_u, d_x + 1, R)
+    cross = None if method == "tsls" else drawn[d_u * (d_x + 1) :].reshape(d_x + 1, d_x + 1, R)
+    ut_all, uw_all = u_all[:d_z], u_all[d_z:]
     p, m_w = kclass_forms(ut_all, cross, uw_all)
     kappa, ok_kappa, clamped = kclass_kappa(method, p, m_w, n, d_z, d_w, fuller_c)
-    clamped = clamped.reshape(P, M)[:, :-1]
-    warn_clamped(clamped)
+    clamped = clamped.reshape(P, M)
+    warn_clamped(clamped[:, :-1])
     beta, ok_beta = stack_solve(*kclass_system(kappa, p, m_w))
     checks = {LIML_PENCIL: ok_kappa, KCLASS_SYSTEM: ok_beta}
-    dev = np.einsum("ma,ar->mr", beta, lam) - np.repeat(block.lambda_0, M, axis=0)
+    dev = np.einsum("ar,aR->rR", lam, beta) - np.repeat(block.lambda_0.T, M, axis=1)
     valid = ok_kappa & ok_beta
-    stats = np.sqrt(n * np.maximum(np.einsum("mr,mr->m", dev, dev), 0.0))
-    stats[~valid] = 0.0
+    stats = np.sqrt(n * np.maximum(np.einsum("rR,rR->R", dev, dev), 0.0))
+    stats = np.where(valid, stats, 0.0).reshape(P, M)
+    if d_z == d_x and (method in ("tsls", "liml") or (method, d_z) == ("ba", 2)):
+        # kappa = 1: each -iota draw is the statistic (docs/decisions.md)
+        stats = np.where((rows == -1.0).all(axis=2) & valid.reshape(P, M), stats[:, -1:], stats)
     stats_cr = None
     if want_cr:
         # r* = y* - X* beta* has coefficients (-beta*, 1) on [X* : y*] and
         # T(b) (-beta*, 1) on A; the residual r* - W gamma* = r* - P_W r*
-        # then has cluster scores [Zt'A]_j T(b) (-beta*, 1) - [Zt'U_W]_j U_W'r*
-        coef = np.column_stack([-beta, np.ones(len(beta))])
-        uw_r = (uw_all @ coef[:, :, None])[:, :, 0]
-        coef = np.column_stack([coef, np.repeat(-beta_r, M, axis=0)])
-        # Per-cluster bootstrap scores: only the own-cluster sign enters.
-        g = np.broadcast_to(rows, (P, M, q)).reshape(P * M, q)
-        flipped = g[:, :, None] * np.einsum("jzk,mk->mjz", np.ascontiguousarray(zt_a[..., k:]),
-                                            coef)
-        zt_pw = np.concatenate([zt_a[..., :k], by_w[..., 2 * k :].transpose(0, 2, 1)], axis=2)
-        scores = np.einsum("jzk,mk->mjz", zt_pw, np.column_stack([coef, -uw_r])) + flipped
-        omega = (scores.transpose(0, 2, 1) @ scores / n).reshape(P, M, d_z, d_z)
+        # then has cluster scores [Zt'A]_j T(b) (-beta*, 1) - [Zt'U_W]_j U_W'r*:
+        # coefficients (T(b) (-beta*, 1), U_W'r*) on [Zt'A_P : -Zt'U_W]_j, U_W
+        # without its k_within columns D_j / sqrt(n_j), each cluster's Zt' 1 = 0
+        kw = design.k_within
+        coef = np.empty((k + d_w - kw, R))
+        coef[:d_x], coef[d_x], coef[d_x + 1 : k] = -beta, 1.0, np.repeat(-beta_r.T, M, axis=1)
+        np.einsum("wkR,kR->wR", uw_all[kw:], coef[: d_x + 1], out=coef[k:])
+        zt_pw = np.concatenate([zt_a[..., :k], -by_w[:, kw:, 2 * k :].transpose(0, 2, 1)], axis=2)
+        scores = np.einsum("jzk,kR->jzR", zt_pw, coef)
+        # the A_S part flipped by the own-cluster sign, (q, 1, L, M) of the rows
+        flipped = np.einsum("jzk,kR->jzR", zt_a[..., k:], coef[:k])
+        flipped.reshape(q, d_z, P, M)[...] *= signs[:, 1:].transpose(1, 0, 2)[:, None]
+        scores += flipped
+        omega = np.einsum("jaR,jbR->abR", scores, scores) / n
         # Zt'X* = Zt'h + sum_j g_j [Zt'v]_j does not depend on the null: one
-        # contraction per sign set, on its own, since it may be one column
-        # wide; the sandwich broadcasts it against each null's Omega
+        # contraction per sign set, broadcast against each null's Omega
         zx = stacked(zt_a[..., :d_x], zt_a[..., k : k + d_x])
-        (q_zx,) = draws_of(np.broadcast_to(zx, (len(signs),) + zx.shape))
-        bundle, cce_checks = cce_sandwich((q_zx / n).reshape(len(signs), M, d_z, d_x),
-                                          design.Q_ZZ, omega, lam)
+        q_zx = draws_of(np.broadcast_to(zx, (len(signs),) + zx.shape)) / n
+        bundle, cce_checks = cce_sandwich(q_zx.reshape(d_z, d_x, len(signs), M), design.Q_ZZ,
+                                          omega.reshape(d_z, d_z, P, M), lam)
         for what, ok in cce_checks.items():
             checks[what] = np.broadcast_to(ok, (P, M)).reshape(-1)
             valid &= checks[what]
-        a_dev = np.einsum("mr,mrs->ms", dev, bundle.A_r_CR.reshape(P * M, block.d_r, block.d_r))
-        stats_cr = np.sqrt(n * np.maximum(np.einsum("ms,ms->m", a_dev, dev), 0.0))
-        stats_cr[~valid] = 0.0
-        stats_cr = stats_cr.reshape(P, M)
+        a_dev = np.einsum("rR,rsR->sR", dev, bundle.A_r_CR.reshape(block.d_r, block.d_r, R))
+        stats_cr = np.sqrt(n * np.maximum(np.einsum("sR,sR->R", a_dev, dev), 0.0))
+        stats_cr = np.where(valid, stats_cr, 0.0).reshape(P, M)
     checks = {what: ok.reshape(P, M) for what, ok in checks.items()}
-    return stats.reshape(P, M), stats_cr, checks, clamped.sum(axis=1)
+    return stats, stats_cr, checks, clamped[:, :-1].sum(axis=1), clamped[:, -1]
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def wald_tests(
     fit = fit_method(dataset, design, method, fuller_c)
     first_stage = efficient_first_stage(dataset, design, fit.resid_unrestricted)
     beta_r = restricted_betas(fit, block.lambda_beta, block.lambda_0)
-    stats, stats_cr, checks, n_clamped = _wrec_draws(
+    stats, stats_cr, checks, n_clamped, kappa_clamped = _wrec_draws(
         dataset, design, fit, first_stage, beta_r, block, sign_rows(sign_sets), fuller_c, want_cr)
     iota = np.array([ok[:, -1] for ok in checks.values()])
     errors = np.array([None] + [NumericalError(f"singular {what}") for what in checks])
@@ -297,7 +298,6 @@ def wald_tests(
     n_singular = (~np.logical_and.reduce(list(checks.values()))[:, :-1]).sum(axis=1)
     draws = {"wald": stats, "wald-cr": stats_cr}
     # a failed null's draws are decided too, then its failure reported
-    decided = {name: finish_test(name, draws[name], sign_sets, alpha,
-                                 estimator=method, n_singular=n_singular, n_clamped=n_clamped)
-               for name in names}
+    decided = {name: finish_test(name, draws[name], sign_sets, alpha, method, n_singular,
+                                 n_clamped, kappa_clamped) for name in names}
     return [{name: exc or decided[name][p] for name in names} for p, exc in enumerate(failed)]

@@ -83,8 +83,8 @@ def _lm_rows(g_hat: np.ndarray, omega_inv: np.ndarray, means: np.ndarray, n: int
     a_d = sum(a[:, y, None] * d[y] for y in r)
     gram = sum(d[z][:, None] * a_d[z] for z in r)                     # D*'A D*[x, x']
     c = sum(d[z] * a_f[z] for z in r)
-    x, ok = stack_solve(np.moveaxis(gram, (0, 1), (-2, -1)), np.moveaxis(c, 0, -1))
-    lm = n * np.maximum(sum(c[k] * x[..., k] for k in range(d_x)), 0.0)
+    x, ok = stack_solve(gram, c)
+    lm = n * np.maximum(sum(c[k] * x[k] for k in range(d_x)), 0.0)
     return lm, ok, np.moveaxis(d, (0, 1), (-2, -1))
 
 

@@ -12,6 +12,7 @@ import wbiv.rng
 from wbiv import confidence
 from wbiv.confidence import TestSpec, mask_to_intervals
 from wbiv.registry import run_test
+from wbiv.simulate import DgpConfig, simulate_dgp
 
 
 def intervals_to_mask(grid: np.ndarray, intervals) -> np.ndarray:
@@ -129,6 +130,30 @@ class TestInversion:
         monkeypatch.undo()
         two = invert_confidence_set(ds, test, workers=2, **kw)
         assert two.accepted.tobytes() == want.accepted.tobytes()
+
+    def test_blocks_hold_the_rows_the_pass_runs(self, monkeypatch):
+        # the full-vector pass runs half of a complete set plus iota, 513 of
+        # the 1025 rows at q = 10, so a 401-point ar set runs 4 blocks of at
+        # most BLOCK_ITEMS // 513 = 127 nulls; the 7 blocks of half that
+        # budget, which counting all 1025 rows gave, accept the same points
+        config = DgpConfig(q=10, d_z=2, pi0=4.0, rho=0.5, size_scale=10)
+        ds = simulate_dgp(config, np.random.default_rng(1))
+        blocks = []
+        run_tests = confidence.run_tests
+
+        def counted(dataset, names, hypothesis, **options):
+            blocks.append(len(hypothesis.lambda_0))
+            return run_tests(dataset, names, hypothesis, **options)
+
+        monkeypatch.setattr(confidence, "run_tests", counted)
+        got = invert_confidence_set(ds, "ar", -2.0, 2.0, 0.01)
+        assert blocks == [127, 127, 127, 20]
+        del blocks[:]
+        monkeypatch.setattr(confidence, "BLOCK_ITEMS", confidence.BLOCK_ITEMS // 2)
+        want = invert_confidence_set(ds, "ar", -2.0, 2.0, 0.01)
+        assert blocks == [63] * 6 + [23]
+        assert 0 < got.accepted.sum() < got.grid.size
+        assert got.accepted.tobytes() == want.accepted.tobytes()
 
     def test_shared_mode_tests_every_point_with_one_sign_set(self):
         # q = 13 forces sampled signs; shared mode reuses the (seed, "cs-shared") draw

@@ -245,11 +245,35 @@ def test_a_draw_row_does_not_depend_on_its_stack(d_x, d_z):
             assert short[name].boot_stats[0] == long[name].boot_stats[0], (seed, name)
             assert inside[name].statistic == short[name].statistic, (seed, name)
             assert np.array_equal(inside[name].boot_stats, short[name].boot_stats), (seed, name)
-        for estimator in ("tsls", "liml"):
-            short, long = (wrec_run(ds, hyp, estimator, s, design=design) for s in (one, signs))
-            assert (short.statistic, short.statistic_cr) == (long.statistic, long.statistic_cr)
-            assert short.boot_stats[0] == long.boot_stats[0]
-            assert short.boot_stats_cr[0] == long.boot_stats_cr[0]
+        _assert_wald_rows_alone(ds, signs, (0, 1, 64, 126))
+    # the wald family where U_W is q columns wide (W = the cluster dummies),
+    # and single rows against the 4096 rows of q = 12
+    ds = random_dataset(0, q=7, n_per=15, d_x=d_x, d_z=d_z)
+    _assert_wald_rows_alone(_with_cluster_dummies(ds), signs, (0, 1, 126))
+    ds = random_dataset(0, q=12, n_per=6, d_x=d_x, d_z=d_z)
+    _assert_wald_rows_alone(ds, make_sign_set(12, "exhaustive"), (0, 1, 2048, 4094))
+
+
+def _assert_wald_rows_alone(ds, signs, rows):
+    # wrec_run appends g = iota to the sign rows: each of ``rows`` alone, a
+    # stack of 2, against the whole set, under every estimator
+    design = partial_out_exogenous(ds)
+    hyp = Hypothesis.full_vector([B0] * ds.d_x)
+    for estimator in ("tsls", "liml", "full", "ba"):
+        long = wrec_run(ds, hyp, estimator, signs, design=design)
+        for i in rows:
+            one = dataclasses.replace(signs, vectors=signs.vectors[i : i + 1])
+            short = wrec_run(ds, hyp, estimator, one, design=design)
+            what = (estimator, i)
+            assert (short.statistic, short.statistic_cr) == (long.statistic, long.statistic_cr), what
+            assert short.boot_stats[0] == long.boot_stats[i], what
+            assert short.boot_stats_cr[0] == long.boot_stats_cr[i], what
+
+
+def _with_cluster_dummies(ds):
+    # the same data with W = the q cluster dummies: the within route
+    dummies = (ds.cluster_id[:, None] == np.arange(ds.q)).astype(float)
+    return build_dataset(ds.y, ds.X, ds.Z, dummies, ds.cluster_id)
 
 
 def _sampled_label(signs):
@@ -284,10 +308,10 @@ def test_a_complete_set_runs_half_its_rows_with_every_bit_kept(monkeypatch, d_x,
 
     def flagging(a, b=None):
         x, ok = stack_solve(a, b)
-        flag = np.ascontiguousarray(a[..., 0, 0]).view(np.int64) % 5 == 0
+        flag = np.ascontiguousarray(a[0, 0]).view(np.int64) % 5 == 0
         flag[..., -1] = False
         ok &= ~flag
-        return np.where(ok[..., None], x, 0.0), ok
+        return np.where(ok, x, 0.0), ok
 
     monkeypatch.setattr(wbiv.weakiv, "signed_means", recorded)
     names = ["ar", "ar-cr", "lm"] + (["cqlr"] if d_x == 1 else [])
@@ -347,12 +371,12 @@ def test_singular_stack_items_are_flagged_and_a_singular_iota_draw_raises():
     # it is flagged and reads 0, and the other items are solved
     for d, singular in ((1, [[0.0]]), (2, [[1.0, 2.0], [2.0, 4.0]])):
         a = np.array([2.0 * np.eye(d), singular, 4.0 * np.eye(d)])
-        x, ok = stack_solve(a, np.ones((3, d)))
+        x, ok = stack_solve(np.moveaxis(a, 0, -1), np.ones((d, 3)))
         assert ok.tolist() == [True, False, True]
-        np.testing.assert_array_equal(x, [[0.5] * d, [0.0] * d, [0.25] * d])
+        np.testing.assert_array_equal(x.T, [[0.5] * d, [0.0] * d, [0.25] * d])
     # the rule is the reciprocal condition number, and a non-finite item fails it
     near = [np.diag([1.0, 1e-14]), np.diag([-1.0, 1e-12]), np.full((2, 2), np.nan)]
-    assert stack_solve(np.array(near))[1].tolist() == [False, True, False]
+    assert stack_solve(np.moveaxis(np.array(near), 0, -1))[1].tolist() == [False, True, False]
     # e is orthogonal to W, to the first instrument and, cluster by cluster,
     # to the second, so every TSLS cluster score is a multiple of (1, 0): the
     # 2 x 2 restricted covariance of the iota draw has rank one
@@ -494,7 +518,7 @@ def test_each_null_of_a_block_gets_its_own_bits(d_x, d_z, q, mode):
         signs = per_null = [make_sign_set(q, "sampled", B=29, seed=(5, "cs", i)) for i in range(4)]
     design = partial_out_exogenous(ds)
 
-    def assert_own_bits(names, nulls, per_null, results, estimator):
+    def assert_own_bits(names, nulls, per_null, results, estimator, ds=ds, design=design):
         for null, own, got in zip(nulls, per_null, results):
             for name in names:
                 want = run_test(ds, name, Hypothesis.full_vector(null), estimator=estimator,
@@ -510,6 +534,14 @@ def test_each_null_of_a_block_gets_its_own_bits(d_x, d_z, q, mode):
     for estimator in ("tsls", "liml", "full", "ba"):  # the wald family's fit
         results = run_tests(ds, names, block, estimator=estimator, sign_set=signs, design=design)
         assert_own_bits(names, nulls, per_null, results, estimator)
+    # the wald family with W = the cluster dummies, where U_W is q columns wide
+    within = _with_cluster_dummies(ds)
+    within_design = partial_out_exogenous(within)
+    for estimator in ("tsls", "liml", "full", "ba"):
+        results = run_tests(within, ["wald", "wald-cr"], block, estimator=estimator,
+                            sign_set=signs, design=within_design)
+        assert_own_bits(["wald", "wald-cr"], nulls, per_null, results, estimator, within,
+                        within_design)
     if mode == "exhaustive":
         # 40 nulls on one shared set: wald-cr contracts Zt'X* once for all
         # of them, and each null still gets what it gets alone

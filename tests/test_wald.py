@@ -212,24 +212,33 @@ class TestWrecDistributions:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_minus_iota_draw_ties_the_statistic_when_just_identified(self, seed):
-        # at d_z = d_x = 1 the unrestricted residual has Zt'e = 0, so
-        # U_Zt'v = 0 and the unstudentized draw at g = -iota equals the
-        # statistic in exact arithmetic, for TSLS and LIML alike. Every
-        # exhaustive set holds -iota (its first row), so rounding alone puts
-        # that draw on one side of the statistic; no tie rule is adopted
-        # (docs/decisions.md, "The WREC pass per block"). This pins the gap:
-        # 1e-12 relative for TSLS; for LIML, whose kappa is 1 only up to the
-        # pencil root's rounding, 1e-12 times X'M_W X / X'P_Zt X, the factor
-        # by which the k-class system amplifies kappa - 1
+        # at d_z = d_x with kappa = 1 the unrestricted residual has Zt'e = 0,
+        # so U_Zt'v = 0 and the unstudentized draw at g = -iota equals the
+        # statistic in exact arithmetic: TSLS, LIML (whose kappa is 1 when
+        # just identified) and BA at d_z = 2 (n / (n - d_z + 2) = 1). Every
+        # exhaustive set holds -iota (its first row), and the pass writes the
+        # statistic's bits into that draw, so strict exceedance decides the
+        # tie as it does for iota (docs/decisions.md, "A rows-last draw
+        # stack"). FULL's kappa is not 1, and at d_z = 2 > d_x there is no
+        # such identity: no rule
         ds = random_dataset(seed, q=6, n_per=15)
-        design = partial_out_exogenous(ds)
-        e_x = restricted_ols_fit(ds, [0.5], design).e_X[:, 0]
-        weak = (e_x @ e_x) / np.sum((design.basis_Zt.T @ ds.X) ** 2)
         signs = make_sign_set(6, "exhaustive")
         assert np.all(signs.vectors[0] == -1.0)
-        for method, tol in (("tsls", 1e-12), ("liml", 1e-12 * max(1.0, weak))):
-            run = wrec_run(ds, Hypothesis.wald(np.eye(1), [0.5]), method, signs, want_cr=False)
-            assert abs(run.boot_stats[0] - run.statistic) <= tol * run.statistic, method
+        hyp = Hypothesis.wald(np.eye(1), [0.5])
+        for method in ("tsls", "liml"):
+            run = wrec_run(ds, hyp, method, signs, want_cr=False)
+            assert run.boot_stats[0] == run.statistic, method
+        run = wrec_run(ds, hyp, "full", signs, want_cr=False)
+        assert run.boot_stats[0] != run.statistic
+        square = random_dataset(seed, q=6, n_per=15, d_x=2, d_z=2)
+        over = random_dataset(seed, q=6, n_per=15, d_z=2)
+        for method in ("tsls", "liml", "ba"):
+            for block in (Hypothesis.full_vector([0.5, -0.2]),
+                          Hypothesis.wald(np.array([[1.0], [0.5]]), [0.3])):
+                run = wrec_run(square, block, method, signs, want_cr=False)
+                assert run.boot_stats[0] == run.statistic, (method, block.d_r)
+            run = wrec_run(over, hyp, method, signs, want_cr=False)
+            assert run.boot_stats[0] != run.statistic, method
 
     def test_clamped_sample_kappa_warns_once(self, monkeypatch):
         # with the clamp tolerance at -10 every LIML kappa is clamped: the
@@ -276,6 +285,30 @@ class TestWrecDistributions:
         res = run_tests(ds, ["wald"], Hypothesis.wald(np.eye(1), [0.0]), estimator="liml",
                         sign_set=signs)["wald"]
         assert res.n_clamped == 0 and "n_clamped" not in res.to_record()
+
+    def test_a_clamped_sample_kappa_is_in_the_record(self, monkeypatch):
+        # with the clamp tolerance at -10 every LIML kappa is clamped, the
+        # statistic's own (its g = iota row) among them: each null's record
+        # says so. At the default tolerance none is, and the key is absent,
+        # as it is for TSLS, whose kappa is never clamped
+        ds = random_dataset(3, q=3, n_per=25, d_z=2)
+        signs = make_sign_set(3, "exhaustive")
+        block = Hypothesis.wald(np.eye(1), [[-0.5], [0.0], [0.5]])
+        names = ["wald", "wald-cr"]
+        monkeypatch.setattr(wbiv.kclass, "LIML_CLAMP_TOL", -10.0)
+        with pytest.warns(RuntimeWarning):
+            clamped = run_tests(ds, names, block, estimator="liml", sign_set=signs)
+        monkeypatch.setattr(wbiv.kclass, "LIML_CLAMP_TOL", 1e-8)
+        plain = run_tests(ds, names, block, estimator="liml", sign_set=signs)
+        tsls = run_tests(ds, names, block, sign_set=signs)
+        for null in clamped:
+            for name in names:
+                assert null[name].kappa_clamped is True
+                assert null[name].to_record()["kappa_clamped"] is True
+        for null in plain + tsls:
+            for name in names:
+                assert null[name].kappa_clamped is False
+                assert "kappa_clamped" not in null[name].to_record()
 
 
 class TestWrecWaldTest:

@@ -299,8 +299,14 @@ def test_nonsingular_one_by_one_gives_the_eigvalsh_decision():
     ok = np.isfinite(a).all(axis=(-2, -1))
     s = np.abs(np.linalg.eigvalsh(np.where(ok[..., None, None], a, 0.0)))
     want = ok & (s.max(axis=-1) > 0.0) & (s.min(axis=-1) >= SINGULAR_RCOND * s.max(axis=-1))
-    np.testing.assert_array_equal(nonsingular(a), want)
-    np.testing.assert_array_equal(nonsingular(values.reshape(-1, 3, 1, 1)), want.reshape(-1, 3))
+    np.testing.assert_array_equal(nonsingular(rows_last(a)), want)
+    np.testing.assert_array_equal(nonsingular(rows_last(values.reshape(-1, 3, 1, 1))),
+                                  want.reshape(-1, 3))
+
+
+def rows_last(a):
+    """A stack of items (..., d, d) in the layout the stacked routines take, (d, d, ...)."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
 
 
 def eigvalsh_rule(a):
@@ -334,7 +340,7 @@ def test_nonsingular_two_by_two_gives_the_eigvalsh_decision():
     special = np.array([[[x, y], [y, z]] for x, y, z in itertools.product(special, repeat=3)])
     for what, items in (("symmetric", symmetric), ("psd", psd), ("special", special)):
         want, rcond = eigvalsh_rule(items)
-        got = nonsingular(items)
+        got = nonsingular(rows_last(items))
         # eigvalsh's own s_min is exact only to about eps s_max, 2e-3 of the
         # threshold: an item within 1e-2 relative of it may be decided
         # either way, and at most 2 of these 60 000 items are
@@ -342,12 +348,13 @@ def test_nonsingular_two_by_two_gives_the_eigvalsh_decision():
         excepted = (got != want) & near
         assert excepted.sum() <= (2 if what == "psd" else 0), what
         np.testing.assert_array_equal(got[~excepted], want[~excepted], err_msg=what)
-        np.testing.assert_array_equal(nonsingular(items[None]), got[None], err_msg=what)
+        np.testing.assert_array_equal(nonsingular(rows_last(items[None])), got[None],
+                                      err_msg=what)
     # the rule's rcond is a ratio, so a subnormal item is judged like any
     # other: SINGULAR_RCOND * s_max underflowing to zero does not pass it
     for d in (2, 3):
-        assert not nonsingular(np.diag([0.0] + [tiny] * (d - 1))[None])[0]
-        assert nonsingular((1e-310 * np.eye(d))[None])[0]
+        assert not nonsingular(rows_last(np.diag([0.0] + [tiny] * (d - 1))[None]))[0]
+        assert nonsingular(rows_last((1e-310 * np.eye(d))[None]))[0]
 
 
 def test_stack_solve_one_by_one_is_lapacks_inverse():
@@ -360,11 +367,11 @@ def test_stack_solve_one_by_one_is_lapacks_inverse():
     values = np.concatenate([special, rng.choice([-1.0, 1.0], 20000)
                              * 10.0 ** rng.uniform(-300, 300, 20000)])
     a = values[:, None, None]
-    ok = nonsingular(a)
+    ok = nonsingular(rows_last(a))
     want = np.linalg.inv(np.where(ok[:, None, None], a, 1.0))
     ok &= np.isfinite(want[:, 0, 0])
     want = np.where(ok[:, None, None], want, 0.0)
-    x, got = stack_solve(a)
+    x, got = stack_solve(rows_last(a))
     np.testing.assert_array_equal(got, ok)
     assert x.tobytes() == want.tobytes()
     assert got[len(special):].all() and got[:len(special)].tolist() == [

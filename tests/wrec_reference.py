@@ -52,9 +52,10 @@ def bootstrap_cce_matrix(design, X_star, resid_star, lambda_beta):
     s = cluster_score_sums(design, resid_star)
     q_zx_star = design.Z_tilde.T @ X_star / design.n
     omega = s.T @ s / design.n
-    bundle, checks = cce_sandwich(q_zx_star[None], design.Q_ZZ, omega[None], lambda_beta)
+    bundle, checks = cce_sandwich(q_zx_star[..., None], design.Q_ZZ, omega[..., None],
+                                  lambda_beta)
     raise_singular(checks)
-    return CceBundle(**{name: value[0] for name, value in vars(bundle).items()})
+    return CceBundle(**{name: value[..., 0] for name, value in vars(bundle).items()})
 
 
 def direct_distributions(dataset, hypothesis, method, sign_set, fuller_c=1.0):
